@@ -116,7 +116,8 @@ def compare_scenarios(
     seeds = {r.data_seed for r in runs}
     if len(seeds) != 1:
         raise ContractError(f"scenario runs use different data seeds: {sorted(seeds)}")
-    for run, expected in zip(runs, ("homo_shared", "homo_local", "hetero")):
+    from .federation import SCENARIOS  # federation imports this module
+    for run, expected in zip(runs, SCENARIOS):
         if run.scenario != expected:
             raise ContractError(f"expected scenario {expected!r}, got {run.scenario!r}")
     hs, hl, ht = (r.final_effective_dimensionality for r in runs)

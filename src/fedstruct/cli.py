@@ -24,22 +24,25 @@ import sys
 from .analysis import compare_scenarios, summary_rows, write_round_summary_csv
 from .config import ExperimentConfig, load_config, validate_config
 from .errors import ContractError, NumericFailureError, PartitionFailureError
+from .federation import SCENARIOS
+from .losses import KNOWN_LOSSES
 from .runner import execute_run, run_scenario, write_rounds_jsonl
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (defaults apply if omitted)")
     p.add_argument("--seed", type=int, help="master seed override")
-    p.add_argument("--loss", help="alignment loss: mse|cosine|gcsa|rcsa|contrastive")
+    p.add_argument("--loss", help="alignment loss: " + "|".join(KNOWN_LOSSES))
     p.add_argument("--lambda", dest="lam", type=float, help="prototype-term weight")
     p.add_argument("--gamma", type=float, help="instance-term weight")
     p.add_argument("--tau", type=float, help="contrastive temperature")
     p.add_argument("--rounds", type=int, help="communication rounds")
     p.add_argument("--clients", type=int, help="number of clients")
     p.add_argument("--alpha", type=float, help="Dirichlet concentration")
-    p.add_argument("--scenario", help="hetero|homo_local|homo_shared")
+    p.add_argument("--scenario", help="|".join(SCENARIOS))
     p.add_argument("--out", help="output directory override")
-    p.add_argument("--snapshots", action="store_true", help="write per-round prototype CSVs")
+    p.add_argument("--snapshots", action="store_true", default=None,
+                   help="write per-round prototype CSVs")
     p.add_argument("-v", "--verbose", action="store_true", help="debug logging")
 
 
@@ -64,33 +67,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flag -> (config block, field) it overrides; None is the top level
+_OVERRIDES = {
+    "seed": (None, "seed"),
+    "loss": ("training", "alignment"),
+    "lam": ("training", "lam"),
+    "gamma": ("training", "gamma"),
+    "tau": ("training", "temperature"),
+    "rounds": ("training", "rounds"),
+    "clients": ("partition", "clients"),
+    "alpha": ("partition", "alpha"),
+    "scenario": ("model", "scenario"),
+    "out": ("output", "directory"),
+    "snapshots": ("output", "prototype_snapshots"),
+}
+
+
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    cfg = copy.deepcopy(cfg)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ContractError("--seed must be nonnegative")
-        cfg.seed = args.seed
-    if args.loss is not None:
-        cfg.training.alignment = args.loss
-    if args.lam is not None:
-        cfg.training.lam = args.lam
-    if args.gamma is not None:
-        cfg.training.gamma = args.gamma
-    if args.tau is not None:
-        cfg.training.temperature = args.tau
-    if args.rounds is not None:
-        cfg.training.rounds = args.rounds
-    if args.clients is not None:
-        cfg.partition.clients = args.clients
-    if args.alpha is not None:
-        cfg.partition.alpha = args.alpha
-    if args.scenario is not None:
-        cfg.model.scenario = args.scenario
-    if args.out is not None:
-        cfg.output.directory = args.out
-    if args.snapshots:
-        cfg.output.prototype_snapshots = True
+    for flag, (block, name) in _OVERRIDES.items():
+        value = getattr(args, flag)
+        if value is not None:
+            setattr(getattr(cfg, block) if block else cfg, name, value)
     return validate_config(cfg)
 
 
@@ -114,6 +112,12 @@ def _require_rounds(cfg: ExperimentConfig, command: str) -> None:
         raise ContractError(f"{command} compares trained runs and needs rounds >= 1")
 
 
+def _with_weights(cfg: ExperimentConfig, lam: float, gamma: float) -> ExperimentConfig:
+    point = copy.deepcopy(cfg)
+    point.training.lam, point.training.gamma = lam, gamma
+    return validate_config(point)
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
     _require_rounds(cfg, "sweep")
@@ -123,38 +127,36 @@ def _cmd_sweep(args) -> int:
         raise ContractError(f"bad --grid value: {args.grid!r}") from exc
     if not grid:
         raise ContractError("--grid must name at least one weight")
+    try:
+        points = [_with_weights(cfg, lam, gamma) for lam in grid for gamma in grid]
+    except ContractError as exc:
+        raise ContractError(f"--grid: {exc}") from exc
     out_dir = cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
 
-    base_cfg = copy.deepcopy(cfg)
-    base_cfg.training.lam = 0.0
-    base_cfg.training.gamma = 0.0
-    baseline = run_scenario(base_cfg).best_mean_accuracy
+    baseline = run_scenario(_with_weights(cfg, 0.0, 0.0)).best_mean_accuracy
 
     rows = []
-    for lam in grid:
-        for gamma in grid:
-            point = copy.deepcopy(cfg)
-            point.training.lam = lam
-            point.training.gamma = gamma
-            # A diverged grid point is a result, not a crash: record it as NaN
-            # and keep sweeping.  (`run` stays strict and aborts instead.)
-            try:
-                best = run_scenario(point).best_mean_accuracy
-            except NumericFailureError as exc:
-                rows.append((cfg.training.alignment, lam, gamma, cfg.seed, baseline,
-                             float("nan"), float("nan")))
-                print(
-                    f"sweep {cfg.training.alignment} lambda={lam} gamma={gamma}: "
-                    f"diverged ({exc})"
-                )
-                continue
+    for point in points:
+        lam, gamma = point.training.lam, point.training.gamma
+        # A diverged grid point is a result, not a crash: record it as NaN
+        # and keep sweeping.  (`run` stays strict and aborts instead.)
+        try:
+            best = run_scenario(point).best_mean_accuracy
+        except NumericFailureError as exc:
             rows.append((cfg.training.alignment, lam, gamma, cfg.seed, baseline,
-                         best, best - baseline))
+                         float("nan"), float("nan")))
             print(
                 f"sweep {cfg.training.alignment} lambda={lam} gamma={gamma}: "
-                f"best {best:.4f} (baseline {baseline:.4f}, delta {best - baseline:+.4f})"
+                f"diverged ({exc})"
             )
+            continue
+        rows.append((cfg.training.alignment, lam, gamma, cfg.seed, baseline,
+                     best, best - baseline))
+        print(
+            f"sweep {cfg.training.alignment} lambda={lam} gamma={gamma}: "
+            f"best {best:.4f} (baseline {baseline:.4f}, delta {best - baseline:+.4f})"
+        )
     import csv
 
     path = os.path.join(out_dir, "sweep.csv")
@@ -175,7 +177,7 @@ def _cmd_compare_alignments(args) -> int:
     out_dir = cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for loss in ("mse", "cosine", "gcsa", "rcsa", "contrastive"):
+    for loss in KNOWN_LOSSES:
         point = copy.deepcopy(cfg)
         point.training.alignment = loss
         run = run_scenario(point)
@@ -211,11 +213,11 @@ def _cmd_dimensionality(args) -> int:
         cfg.training.gamma = 0.0
     out_dir = cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
-    runs = {}
+    runs = []
     all_rows = []
-    for scenario in ("homo_shared", "homo_local", "hetero"):
+    for scenario in SCENARIOS:
         run = run_scenario(cfg, scenario=scenario)
-        runs[scenario] = run
+        runs.append(run)
         sdir = os.path.join(out_dir, scenario)
         os.makedirs(sdir, exist_ok=True)
         write_rounds_jsonl(run.reports, os.path.join(sdir, "rounds.jsonl"))
@@ -225,7 +227,7 @@ def _cmd_dimensionality(args) -> int:
             f"participation ratio {run.final_participation_ratio:.3f}"
         )
     write_round_summary_csv(all_rows, os.path.join(out_dir, "dimensionality.csv"))
-    comparison = compare_scenarios(runs["homo_shared"], runs["homo_local"], runs["hetero"])
+    comparison = compare_scenarios(*runs)
     print(json.dumps(comparison.to_json_dict(), sort_keys=True))
     return 0
 

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import typing
 from dataclasses import dataclass, field
 
+from .data import PARTITION_SCHEMES
 from .errors import ContractError
+from .federation import SCENARIOS, RoundConfig
+from .losses import AlignmentKind
+from .models import ArchitectureSpec
 
 
 @dataclass
@@ -27,7 +33,7 @@ class DatasetConfig:
 
 @dataclass
 class PartitionConfig:
-    scheme: str = "dirichlet"  # "dirichlet" | "domain_shift"
+    scheme: str = "dirichlet"  # one of data.PARTITION_SCHEMES
     alpha: float = 0.1
     shift_scale: float = 1.0
     clients: int = 8
@@ -35,11 +41,11 @@ class PartitionConfig:
 
 @dataclass
 class ModelConfig:
-    hidden_widths: list = field(
+    hidden_widths: list[list[int]] = field(
         default_factory=lambda: [[], [16], [32, 16], [64, 32, 16]]
     )
     feature_dim: int = 8
-    scenario: str = "hetero"  # "hetero" | "homo_local" | "homo_shared"
+    scenario: str = "hetero"  # one of federation.SCENARIOS
 
 
 @dataclass
@@ -74,49 +80,35 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        # external key names: "lambda"/"gamma" match the CLI flags
-        out["training"]["lambda"] = out["training"].pop("lam")
+        for (block, key), name in _KEY_ALIASES.items():
+            out[block][key] = out[block].pop(name)
         return out
 
 
-_BLOCKS = {
-    "dataset": DatasetConfig,
-    "partition": PartitionConfig,
-    "model": ModelConfig,
-    "training": TrainingConfig,
-    "output": OutputConfig,
-}
+# external key names: "lambda"/"gamma" match the CLI flags
 _KEY_ALIASES = {("training", "lambda"): "lam"}
+_EXTERNAL_KEYS = {(block, name): key for (block, key), name in _KEY_ALIASES.items()}
 
 
-def _fill_block(cls, block_name: str, payload: dict):
+def _fill(obj, payload, block: str | None = None) -> None:
+    """Copy a JSON object onto a config dataclass; unknown keys are rejected."""
     if not isinstance(payload, dict):
-        raise ContractError(f"config block {block_name!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {}
+        raise ContractError(f"config {block or 'root'} must be a JSON object")
+    known = {f.name for f in dataclasses.fields(obj)}
     for key, value in payload.items():
-        name = _KEY_ALIASES.get((block_name, key), key)
+        name = _KEY_ALIASES.get((block, key), key)
         if name not in known:
-            raise ContractError(f"unknown config key {block_name}.{key}")
-        kwargs[name] = value
-    return cls(**kwargs)
+            raise ContractError(f"unknown config key {block + '.' if block else ''}{key}")
+        if dataclasses.is_dataclass(getattr(obj, name)):
+            _fill(getattr(obj, name), value, name)
+        else:
+            setattr(obj, name, value)
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
-    if not isinstance(payload, dict):
-        raise ContractError("config root must be a JSON object")
     cfg = ExperimentConfig()
-    for key, value in payload.items():
-        if key == "seed":
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ContractError(f"seed must be a nonnegative integer, got {value!r}")
-            cfg.seed = value
-        elif key in _BLOCKS:
-            setattr(cfg, key, _fill_block(_BLOCKS[key], key, value))
-        else:
-            raise ContractError(f"unknown config key {key}")
-    validate_config(cfg)
-    return cfg
+    _fill(cfg, payload)
+    return validate_config(cfg)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -128,53 +120,60 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(payload)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# declared field type -> (what a value must be, its test); the float bound
+# also rejects NaN, the infinities and JSON integers beyond the float range
+_TYPE_RULES = {
+    int: ("an integer", _is_int),
+    float: ("a finite number", lambda value: (_is_int(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max),
+    bool: ("true or false", lambda value: isinstance(value, bool)),
+    str: ("a string", lambda value: isinstance(value, str)),
+    list[list[int]]: ("a non-empty list of integer lists", lambda value: isinstance(value, list)
+                      and len(value) > 0
+                      and all(isinstance(ws, list) and all(map(_is_int, ws)) for ws in value)),
+}
+
+
+def _check_types(obj, block: str | None = None) -> None:
+    """Reject any field whose value does not have the field's declared type."""
+    for name, kind in typing.get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if dataclasses.is_dataclass(kind):
+            _check_types(value, name)
+        elif not _TYPE_RULES[kind][1](value):
+            key = _EXTERNAL_KEYS.get((block, name), name)
+            path = f"{block}.{key}" if block else key
+            raise ContractError(f"{path} must be {_TYPE_RULES[kind][0]}, got {value!r}")
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    ds, pt, md, tr = cfg.dataset, cfg.partition, cfg.model, cfg.training
-    if ds.classes < 2:
-        raise ContractError(f"dataset.classes must be >= 2, got {ds.classes}")
-    if ds.input_dim < 1:
-        raise ContractError(f"dataset.input_dim must be >= 1, got {ds.input_dim}")
-    if ds.samples_per_class < 2:
+    """Check every field's type, then build the run objects so their rules apply.
+
+    RoundConfig, AlignmentKind and ArchitectureSpec own the training and model
+    rules and check them here, at load time.  The data generator and the
+    partitioners own the dataset and partition ranges and check them when a
+    run builds its shards, before any training.
+    """
+    _check_types(cfg)
+    if cfg.seed < 0:
+        raise ContractError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.partition.scheme not in PARTITION_SCHEMES:
         raise ContractError(
-            f"dataset.samples_per_class must be >= 2, got {ds.samples_per_class}"
+            f"partition.scheme must be one of {PARTITION_SCHEMES}, got {cfg.partition.scheme!r}"
         )
-    if ds.separation < 0 or ds.noise < 0:
-        raise ContractError("dataset.separation and dataset.noise must be >= 0")
-    if pt.scheme not in ("dirichlet", "domain_shift"):
-        raise ContractError(f"partition.scheme must be dirichlet|domain_shift, got {pt.scheme!r}")
-    if not (pt.alpha > 0):
-        raise ContractError(f"partition.alpha must be > 0, got {pt.alpha}")
-    if pt.shift_scale < 0:
-        raise ContractError(f"partition.shift_scale must be >= 0, got {pt.shift_scale}")
-    if pt.clients < 2:
-        raise ContractError(f"partition.clients must be >= 2, got {pt.clients}")
-    if md.scenario not in ("hetero", "homo_local", "homo_shared"):
-        raise ContractError(f"model.scenario invalid: {md.scenario!r}")
-    if md.feature_dim < 1:
-        raise ContractError(f"model.feature_dim must be >= 1, got {md.feature_dim}")
-    if not md.hidden_widths or not isinstance(md.hidden_widths, list):
-        raise ContractError("model.hidden_widths must be a non-empty list of width lists")
-    for widths in md.hidden_widths:
-        if not isinstance(widths, list) or any(
-            (not isinstance(w, int)) or w < 1 for w in widths
-        ):
-            raise ContractError(f"model.hidden_widths entry {widths!r} invalid")
-    if tr.alignment not in ("mse", "cosine", "gcsa", "rcsa", "contrastive"):
-        raise ContractError(f"training.alignment invalid: {tr.alignment!r}")
-    if not (tr.temperature > 0):
-        raise ContractError(f"training.temperature must be > 0, got {tr.temperature}")
-    if tr.lam < 0 or tr.gamma < 0:
-        raise ContractError("training.lambda and training.gamma must be >= 0")
-    if tr.local_epochs < 1 or tr.batch_size < 2 or tr.rounds < 0:
-        raise ContractError("training.local_epochs >= 1, batch_size >= 2, rounds >= 0 required")
-    if not (tr.learning_rate > 0):
-        raise ContractError(f"training.learning_rate must be > 0, got {tr.learning_rate}")
-    if not (0 < tr.participation_fraction <= 1):
+    if cfg.model.scenario not in SCENARIOS:
         raise ContractError(
-            f"training.participation_fraction must be in (0, 1], got {tr.participation_fraction}"
+            f"model.scenario must be one of {SCENARIOS}, got {cfg.model.scenario!r}"
         )
-    if tr.prototype_mode not in ("aggregate", "fixed_hypersphere"):
-        raise ContractError(f"training.prototype_mode invalid: {tr.prototype_mode!r}")
+    for block, build in (("training", round_config), ("model", architectures)):
+        try:
+            build(cfg)
+        except ContractError as exc:
+            raise ContractError(f"{block}: {exc}") from exc
     return cfg
 
 
@@ -183,3 +182,24 @@ def echo_config(cfg: ExperimentConfig, path) -> None:
     with open(path, "w") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def architectures(cfg: ExperimentConfig) -> list[ArchitectureSpec]:
+    return [
+        ArchitectureSpec(tuple(widths), cfg.model.feature_dim)
+        for widths in cfg.model.hidden_widths
+    ]
+
+
+def round_config(cfg: ExperimentConfig) -> RoundConfig:
+    tr = cfg.training
+    return RoundConfig(
+        alignment=AlignmentKind.parse(tr.alignment, tr.temperature),
+        lam=tr.lam,
+        gamma=tr.gamma,
+        local_epochs=tr.local_epochs,
+        batch_size=tr.batch_size,
+        learning_rate=tr.learning_rate,
+        participation_fraction=tr.participation_fraction,
+        prototype_mode=tr.prototype_mode,
+    )

@@ -9,7 +9,6 @@ domain shift (rotation + translation of the feature space).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,9 @@ from .tensor import random_orthogonal
 # Bounded retries for the Dirichlet partitioner before giving up.
 MAX_PARTITION_ATTEMPTS = 200
 
+# Config names of the two partitioners below; runner.build_shards dispatches on them.
+PARTITION_SCHEMES = ("dirichlet", "domain_shift")
+
 
 @dataclass
 class LabeledDataset:
@@ -27,14 +29,6 @@ class LabeledDataset:
     labels: np.ndarray  # (N,) ints in [0, num_classes)
     test_mask: np.ndarray  # (N,) bool; True rows are held out
     num_classes: int
-
-    @property
-    def train_indices(self) -> np.ndarray:
-        return np.nonzero(~self.test_mask)[0]
-
-    @property
-    def test_indices(self) -> np.ndarray:
-        return np.nonzero(self.test_mask)[0]
 
 
 @dataclass
@@ -50,14 +44,6 @@ class DatasetShard:
     @property
     def num_train(self) -> int:
         return int(self.train_labels.shape[0])
-
-    @property
-    def num_test(self) -> int:
-        return int(self.test_labels.shape[0])
-
-    def train_class_counts(self) -> dict[int, int]:
-        vals, counts = np.unique(self.train_labels, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
 
 
 def generate_mixture(
@@ -258,17 +244,3 @@ def partition_domain_shift(
         )
     return shards
 
-
-def export_labeled_csv(features, labels, path) -> None:
-    """Write rows as f0,...,f{k-1},label with repr-exact floats."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if features.ndim != 2 or labels.shape != (features.shape[0],):
-        raise ContractError(
-            f"features {features.shape} and labels {labels.shape} are inconsistent"
-        )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{k}" for k in range(features.shape[1])] + ["label"])
-        for row, lab in zip(features, labels):
-            writer.writerow([repr(float(x)) for x in row] + [int(lab)])

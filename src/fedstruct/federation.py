@@ -38,7 +38,8 @@ logger = logging.getLogger(__name__)
 # Structural losses need this many rows before they say anything meaningful.
 MIN_STRUCTURAL_ROWS = 3
 
-SCENARIOS = ("hetero", "homo_local", "homo_shared")
+# the order in which `dimensionality` runs and compares the sharing regimes
+SCENARIOS = ("homo_shared", "homo_local", "hetero")
 PROTOTYPE_MODES = ("aggregate", "fixed_hypersphere")
 
 
@@ -177,8 +178,8 @@ class RoundConfig:
     def __post_init__(self):
         if not isinstance(self.alignment, AlignmentKind):
             raise ContractError("alignment must be an AlignmentKind")
-        if self.lam < 0 or self.gamma < 0:
-            raise ContractError(f"lam/gamma must be >= 0, got {self.lam}, {self.gamma}")
+        if not (0.0 <= self.lam < np.inf and 0.0 <= self.gamma < np.inf):
+            raise ContractError(f"lam/gamma must be finite and >= 0, got {self.lam}, {self.gamma}")
         if self.local_epochs < 1:
             raise ContractError(f"local_epochs must be >= 1, got {self.local_epochs}")
         if self.batch_size < 2:

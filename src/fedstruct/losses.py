@@ -34,7 +34,8 @@ GRAM_DEGENERATE_RTOL = 1e-10
 # Distance descriptors with l2 norm at or below this are collapsed.
 RDM_DEGENERATE_TOL = 1e-12
 
-PAIRWISE_LOSSES = ("mse", "cosine", "gcsa", "rcsa")
+STRUCTURAL_LOSSES = ("gcsa", "rcsa")
+PAIRWISE_LOSSES = ("mse", "cosine") + STRUCTURAL_LOSSES
 KNOWN_LOSSES = PAIRWISE_LOSSES + ("contrastive",)
 
 
@@ -60,14 +61,14 @@ class AlignmentKind:
 
     @property
     def is_structural(self) -> bool:
-        return self.name in ("gcsa", "rcsa")
+        return self.name in STRUCTURAL_LOSSES
 
     @classmethod
     def parse(cls, text: str, temperature: float = 0.5) -> "AlignmentKind":
-        name = str(text).strip().lower()
-        if name == "contrastive":
-            return cls(name, float(temperature))
-        return cls(name)
+        """The kind named `text`; the temperature is checked even for losses that
+        ignore it, so that one setting is valid for every loss."""
+        contrastive = cls("contrastive", float(temperature))
+        return contrastive if text == contrastive.name else cls(text)
 
 
 @dataclass(frozen=True)

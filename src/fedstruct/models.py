@@ -8,15 +8,11 @@ architectures differ only in their hidden widths.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, NumericFailureError
-
-ACTIVATIONS = ("tanh", "linear")
-
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
@@ -30,16 +26,6 @@ class ArchitectureSpec:
             raise ContractError(f"hidden widths must be positive ints, got {self.hidden_widths}")
         if self.feature_dim < 1:
             raise ContractError(f"feature_dim must be >= 1, got {self.feature_dim}")
-
-
-def default_zoo(feature_dim: int = 8) -> list[ArchitectureSpec]:
-    """The four-architecture family used throughout: depths 1-4 into a shared space."""
-    return [
-        ArchitectureSpec((), feature_dim),
-        ArchitectureSpec((16,), feature_dim),
-        ArchitectureSpec((32, 16), feature_dim),
-        ArchitectureSpec((64, 32, 16), feature_dim),
-    ]
 
 
 @dataclass
@@ -64,24 +50,6 @@ class ClientModel:
     @property
     def num_classes(self) -> int:
         return self.classifier_weights.shape[1]
-
-    @property
-    def parameter_count(self) -> int:
-        total = self.classifier_weights.size + self.classifier_bias.size
-        for layer in self.extractor:
-            total += layer.weights.size + layer.bias.size
-        return int(total)
-
-    def copy(self) -> "ClientModel":
-        return ClientModel(
-            extractor=[
-                Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.extractor
-            ],
-            classifier_weights=self.classifier_weights.copy(),
-            classifier_bias=self.classifier_bias.copy(),
-            feature_dim=self.feature_dim,
-            architecture_id=self.architecture_id,
-        )
 
 
 @dataclass
@@ -234,55 +202,3 @@ def backward_and_step(
         model.extractor[i].bias -= learning_rate * gb
     return model
 
-
-def save_checkpoint(model: ClientModel, path) -> None:
-    """JSON checkpoint with exact float round-trip (repr-encoded doubles)."""
-    payload = {
-        "architecture_id": model.architecture_id,
-        "feature_dim": model.feature_dim,
-        "extractor": [
-            {
-                "weights": layer.weights.tolist(),
-                "bias": layer.bias.tolist(),
-                "activation": layer.activation,
-            }
-            for layer in model.extractor
-        ],
-        "classifier": {
-            "weights": model.classifier_weights.tolist(),
-            "bias": model.classifier_bias.tolist(),
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path) -> ClientModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
-        layers = [
-            Layer(
-                np.array(entry["weights"], dtype=np.float64),
-                np.array(entry["bias"], dtype=np.float64),
-                entry["activation"],
-            )
-            for entry in payload["extractor"]
-        ]
-        model = ClientModel(
-            extractor=layers,
-            classifier_weights=np.array(payload["classifier"]["weights"], dtype=np.float64),
-            classifier_bias=np.array(payload["classifier"]["bias"], dtype=np.float64),
-            feature_dim=int(payload["feature_dim"]),
-            architecture_id=int(payload["architecture_id"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContractError(f"malformed checkpoint {path}: {exc}") from exc
-    for layer in model.extractor:
-        if layer.activation not in ACTIVATIONS:
-            raise ContractError(f"unknown activation {layer.activation!r} in checkpoint")
-        if layer.weights.ndim != 2 or layer.bias.shape != (layer.weights.shape[1],):
-            raise ContractError(f"inconsistent layer shapes in checkpoint {path}")
-    if model.extractor[-1].weights.shape[1] != model.feature_dim:
-        raise ContractError("checkpoint feature_dim does not match last layer width")
-    return model

@@ -15,18 +15,9 @@ import os
 import numpy as np
 
 from .analysis import ScenarioRun, summary_rows, write_round_summary_csv
-from .config import ExperimentConfig, echo_config
+from .config import ExperimentConfig, architectures, echo_config, round_config
 from .data import generate_mixture, partition_dirichlet, partition_domain_shift
-from .federation import RoundConfig, run_experiment
-from .losses import AlignmentKind
-from .models import ArchitectureSpec
-
-
-def architectures(cfg: ExperimentConfig) -> list[ArchitectureSpec]:
-    return [
-        ArchitectureSpec(tuple(widths), cfg.model.feature_dim)
-        for widths in cfg.model.hidden_widths
-    ]
+from .federation import run_experiment
 
 
 def build_shards(cfg: ExperimentConfig):
@@ -47,20 +38,6 @@ def build_shards(cfg: ExperimentConfig):
             ds, cfg.partition.clients, cfg.partition.shift_scale, part_seed
         )
     return ds, shards
-
-
-def round_config(cfg: ExperimentConfig) -> RoundConfig:
-    tr = cfg.training
-    return RoundConfig(
-        alignment=AlignmentKind.parse(tr.alignment, tr.temperature),
-        lam=tr.lam,
-        gamma=tr.gamma,
-        local_epochs=tr.local_epochs,
-        batch_size=tr.batch_size,
-        learning_rate=tr.learning_rate,
-        participation_fraction=tr.participation_fraction,
-        prototype_mode=tr.prototype_mode,
-    )
 
 
 def run_scenario(cfg: ExperimentConfig, scenario: str | None = None, snapshot_dir=None) -> ScenarioRun:

@@ -21,6 +21,7 @@ from .federation import (
     fixed_hypersphere_prototypes,
 )
 from .losses import (
+    PAIRWISE_LOSSES,
     AlignmentKind,
     check_gradient,
     loss_contrastive,
@@ -34,7 +35,7 @@ from .tensor import random_orthogonal, svd
 
 def _check_gradients():
     rng = np.random.default_rng(2024)
-    for name in ("mse", "cosine", "gcsa", "rcsa"):
+    for name in PAIRWISE_LOSSES:
         for _ in range(3):
             a = rng.standard_normal((5, 4))
             b = rng.standard_normal((5, 4))

@@ -29,20 +29,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def frob_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius inner product <A, B> = sum_ij A_ij B_ij."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ContractError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
-def frob_norm(a: np.ndarray) -> float:
-    a = as_matrix(a, "a")
-    return float(np.linalg.norm(a))
-
-
 def center_rows(m: np.ndarray) -> np.ndarray:
     """Subtract the mean row: output columns each sum to zero."""
     m = as_matrix(m)
@@ -59,38 +45,6 @@ def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
             f"{name} row {int(bad[0])} has norm {norms[bad[0]]:.3e} <= {EPS_NORM}"
         )
     return m / norms[:, None]
-
-
-def row_norms(m: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(as_matrix(m), axis=1)
-
-
-def gram_centered(m: np.ndarray) -> np.ndarray:
-    """Centered Gram matrix K = C(M) C(M)^T; symmetric PSD, rows/cols sum to 0."""
-    m = as_matrix(m)
-    if m.shape[0] < 2:
-        raise DegenerateInputError(
-            f"centered Gram needs at least 2 rows, got {m.shape[0]}"
-        )
-    c = center_rows(m)
-    k = c @ c.T
-    return 0.5 * (k + k.T)
-
-
-def rdm_squared(m: np.ndarray) -> np.ndarray:
-    """Squared pairwise distances of row-normalized rows, i<j row-major vector.
-
-    Length n(n-1)/2.  Entries lie in [0, 4] for unit rows; tiny negative
-    round-off is clamped to zero.
-    """
-    m = as_matrix(m)
-    if m.shape[0] < 2:
-        raise DegenerateInputError(f"pairwise descriptor needs >= 2 rows, got {m.shape[0]}")
-    mh = normalize_rows(m)
-    d = 2.0 - 2.0 * (mh @ mh.T)
-    np.clip(d, 0.0, None, out=d)
-    iu = np.triu_indices(m.shape[0], k=1)
-    return d[iu]
 
 
 @dataclass(frozen=True)

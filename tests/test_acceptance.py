@@ -11,6 +11,7 @@ at batch 32.  Mean best accuracy over seeds {0, 1, 2} is the comparison
 statistic, in line with the small scale of the setup.
 """
 
+import copy
 import time
 from functools import lru_cache
 
@@ -184,7 +185,7 @@ def _composite_gradient_error(kind_name: str) -> float:
 
     # learning_rate=1 turns (theta_before - theta_after) into the exact
     # analytic gradient of the composite objective
-    stepped = base.copy()
+    stepped = copy.deepcopy(base)
     local_train_step(stepped, batch, labels, protos, cfg)
     analytic = [b - a for b, a in zip(params(base), params(stepped))]
 
@@ -197,7 +198,7 @@ def _composite_gradient_error(kind_name: str) -> float:
             idx = it.multi_index
             vals = []
             for delta in (step, -step):
-                probe = base.copy()
+                probe = copy.deepcopy(base)
                 params(probe)[pi][idx] += delta
                 _, br = local_train_step(probe, batch, labels, protos, cfg)
                 vals.append(br.total)

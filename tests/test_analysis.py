@@ -17,7 +17,7 @@ from fedstruct.data import generate_mixture, partition_dirichlet
 from fedstruct.errors import ContractError, DegenerateInputError
 from fedstruct.federation import RoundConfig, run_experiment
 from fedstruct.losses import AlignmentKind
-from fedstruct.models import default_zoo
+from fedstruct.models import ArchitectureSpec
 from fedstruct.tensor import random_orthogonal
 
 
@@ -99,8 +99,8 @@ def _tiny_run(scenario, seed=0, rounds=2):
         local_epochs=1, batch_size=8, learning_rate=0.1,
     )
     reports = run_experiment(
-        shards, default_zoo(4)[:2], cfg, rounds=rounds, seed=seed,
-        num_classes=3, scenario=scenario,
+        shards, [ArchitectureSpec((), 4), ArchitectureSpec((16,), 4)], cfg,
+        rounds=rounds, seed=seed, num_classes=3, scenario=scenario,
     )
     return ScenarioRun(scenario=scenario, data_seed=seed, reports=reports)
 

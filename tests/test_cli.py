@@ -1,11 +1,20 @@
 """End-to-end command-line driver checks (in-process via cli.main)."""
 
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedstruct import cli
+from fedstruct.data import PARTITION_SCHEMES
+from fedstruct.federation import PROTOTYPE_MODES, SCENARIOS
+from fedstruct.losses import KNOWN_LOSSES
 
 TINY = {
     "dataset": {"classes": 3, "input_dim": 5, "samples_per_class": 20,
@@ -184,8 +193,10 @@ def test_sweep_grid_and_divergence_rows(tmp_path, capsys):
 
 def test_sweep_rejects_bad_grid(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, TINY)
-    assert cli.main(["sweep", "--config", cfg, "--grid", "a,b",
-                     "--out", str(tmp_path / "x")]) == 2
+    for grid in ("a,b", "nan,1", "-1"):
+        out = tmp_path / "x"
+        assert cli.main(["sweep", "--config", cfg, "--grid", grid, "--out", str(out)]) == 2
+        assert not (out / "sweep.csv").exists()
     capsys.readouterr()
 
 
@@ -213,3 +224,103 @@ def test_snapshots_flag_writes_prototype_csvs(tmp_path):
     with open(out / "prototypes" / "round_0.csv", newline="") as fh:
         header = next(csv.reader(fh))
     assert header == ["class", "v0", "v1", "v2", "v3", "weight"]
+
+
+def _run_zero_rounds(payload, extra=()):
+    """`run --rounds 0` on a payload; returns (exit code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "--config", path, "--rounds", "0",
+                             "--out", os.path.join(tmp, "out"), *extra])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("block, key, value, extra", [
+    pytest.param("training", "rounds", "5", (), id="rounds-string"),
+    pytest.param("training", "lambda", "1", (), id="lambda-string"),
+    pytest.param("dataset", "classes", 2.5, (), id="classes-float"),
+    pytest.param("model", "feature_dim", 2.0, (), id="feature_dim-float"),
+    pytest.param("training", "batch_size", 2.5, (), id="batch_size-float"),
+    pytest.param("model", "hidden_widths", [[True]], (), id="hidden_widths-bool"),
+    pytest.param("output", "directory", 5, (), id="directory-int"),
+    pytest.param("dataset", "noise", float("nan"), (), id="noise-nan"),
+    pytest.param("training", "local_epochs", True, (), id="local_epochs-bool"),
+    pytest.param("training", "lambda", 1.0, ("--lambda", "nan"), id="lambda-flag-nan"),
+])
+def test_mistyped_field_exits_2_and_names_it(block, key, value, extra):
+    payload = json.loads(json.dumps(TINY))
+    payload.setdefault(block, {})[key] = value
+    code, err = _run_zero_rounds(payload, extra)
+    assert code == 2
+    assert f"{block}.{key}" in err
+    assert "Traceback" not in err
+
+
+# Small valid values per field; omitted fields keep their defaults.
+VALID_FIELDS = {
+    "dataset": {
+        "classes": st.integers(2, 4), "input_dim": st.integers(1, 4),
+        "samples_per_class": st.integers(2, 8),
+        "separation": st.floats(0, 3), "noise": st.floats(0, 2),
+    },
+    "partition": {
+        "scheme": st.sampled_from(PARTITION_SCHEMES), "alpha": st.floats(0.05, 10),
+        "shift_scale": st.floats(0, 2), "clients": st.integers(2, 4),
+    },
+    "model": {
+        "hidden_widths": st.lists(st.lists(st.integers(1, 4), max_size=2),
+                                  min_size=1, max_size=2),
+        "feature_dim": st.integers(1, 4), "scenario": st.sampled_from(SCENARIOS),
+    },
+    "training": {
+        "alignment": st.sampled_from(KNOWN_LOSSES), "temperature": st.floats(0.1, 2),
+        "lambda": st.floats(0, 2), "gamma": st.floats(0, 2),
+        "local_epochs": st.integers(1, 2), "batch_size": st.integers(2, 8),
+        "learning_rate": st.floats(0.01, 1), "participation_fraction": st.floats(0.1, 1),
+        "prototype_mode": st.sampled_from(PROTOTYPE_MODES), "rounds": st.integers(0, 2),
+    },
+    "output": {
+        "directory": st.just("ignored"), "prototype_snapshots": st.booleans(),
+        "normalized_stacking": st.booleans(),
+    },
+}
+# Wrong types, bools, strings, NaN, the infinities and out-of-range numbers.
+# Integers stay small: a huge size is a request for a huge run, not a typo.
+BAD_VALUES = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3), st.just([]), st.just({}), st.just([[0]]),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, 10 ** 400]),
+    st.integers(-3, 1), st.floats(-2, 2.5),
+)
+
+
+@st.composite
+def config_payloads(draw):
+    """A payload of small valid values with up to two fields made bad."""
+    payload = {"seed": draw(st.integers(0, 2 ** 70))}
+    for block, fields in VALID_FIELDS.items():
+        names = draw(st.lists(st.sampled_from(sorted(fields)), unique=True))
+        payload[block] = {name: draw(fields[name]) for name in names}
+    corrupted = draw(st.integers(0, 2))
+    for _ in range(corrupted):
+        block = draw(st.sampled_from(sorted(VALID_FIELDS) + ["seed"]))
+        if block == "seed":
+            payload["seed"] = draw(BAD_VALUES)
+        else:
+            payload[block][draw(st.sampled_from(sorted(VALID_FIELDS[block])))] = draw(BAD_VALUES)
+    return corrupted, payload
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config_payloads())
+def test_random_config_payloads_exit_cleanly(case):
+    corrupted, payload = case
+    code, err = _run_zero_rounds(payload)
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if not corrupted:
+        assert code in (0, 3), err

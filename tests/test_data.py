@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from fedstruct.data import (
-    export_labeled_csv,
-    generate_mixture,
-    partition_dirichlet,
-    partition_domain_shift,
-)
+from fedstruct.data import generate_mixture, partition_dirichlet, partition_domain_shift
 from fedstruct.errors import ContractError, PartitionFailureError
 
 
@@ -32,7 +27,7 @@ class TestGenerateMixture:
 
     def test_wide_separation_nearest_mean_is_perfect(self):
         ds = generate_mixture(5, 8, 20, class_separation=100.0, noise_scale=0.01, seed=2)
-        train, test = ds.train_indices, ds.test_indices
+        train, test = np.nonzero(~ds.test_mask)[0], np.nonzero(ds.test_mask)[0]
         means = np.stack(
             [ds.features[train][ds.labels[train] == c].mean(axis=0) for c in range(5)]
         )
@@ -61,8 +56,7 @@ class TestPartitionDirichlet:
         ds = generate_mixture(5, 3, 40, 1.0, 1.0, seed=5)
         shards = partition_dirichlet(ds, alpha=1e6, num_clients=4, seed=5)
         for shard in shards:
-            counts = shard.train_class_counts()
-            fracs = np.array([counts.get(c, 0) for c in range(5)], dtype=float)
+            fracs = np.bincount(shard.train_labels, minlength=5).astype(float)
             fracs /= fracs.sum()
             assert np.abs(fracs - 0.2).max() <= 0.05
 
@@ -72,7 +66,7 @@ class TestPartitionDirichlet:
         for seed in range(5):
             ds = generate_mixture(10, 4, 30, 1.0, 1.0, seed=seed)
             shards = partition_dirichlet(ds, alpha=0.1, num_clients=8, seed=seed)
-            missing = max(10 - len(s.train_class_counts()) for s in shards)
+            missing = max(10 - len(np.unique(s.train_labels)) for s in shards)
             assert missing >= 3, f"seed {seed}: max missing classes {missing}"
 
     def test_disjoint_and_covering(self):
@@ -97,8 +91,7 @@ class TestPartitionDirichlet:
                 shards = partition_dirichlet(ds, alpha=alpha, num_clients=4, seed=seed)
                 global_frac = np.full(6, 1.0 / 6.0)
                 for s in shards:
-                    counts = s.train_class_counts()
-                    frac = np.array([counts.get(c, 0) for c in range(6)], dtype=float)
+                    frac = np.bincount(s.train_labels, minlength=6).astype(float)
                     frac /= frac.sum()
                     tvs.append(0.5 * np.abs(frac - global_frac).sum())
             return float(np.mean(tvs))
@@ -161,21 +154,3 @@ class TestPartitionDomainShift:
         with pytest.raises(PartitionFailureError):
             partition_domain_shift(ds, 10, 1.0, seed=12)
 
-
-class TestExportCsv:
-    def test_header_and_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        feats = rng.standard_normal((4, 3))
-        labs = np.array([0, 1, 2, 1])
-        path = tmp_path / "data.csv"
-        export_labeled_csv(feats, labs, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "f0,f1,f2,label"
-        values = [line.split(",") for line in lines[1:]]
-        parsed = np.array([[float(x) for x in row[:3]] for row in values])
-        np.testing.assert_array_equal(parsed, feats)
-        assert [int(row[3]) for row in values] == [0, 1, 2, 1]
-
-    def test_inconsistent_shapes_rejected(self, tmp_path):
-        with pytest.raises(ContractError):
-            export_labeled_csv(np.ones((2, 2)), np.array([0]), tmp_path / "x.csv")

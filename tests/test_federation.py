@@ -1,8 +1,11 @@
 """Client/server prototype protocol: local steps, rounds, aggregation, runs."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from fedstruct.config import ModelConfig
 from fedstruct.data import DatasetShard, generate_mixture, partition_dirichlet
 from fedstruct.errors import ContractError, NumericFailureError
 from fedstruct.federation import (
@@ -21,12 +24,14 @@ from fedstruct.losses import AlignmentKind
 from fedstruct.models import (
     ArchitectureSpec,
     build_model,
-    default_zoo,
     forward,
     loss_supervised,
     backward_and_step,
 )
 from fedstruct.tensor import random_orthogonal
+
+# the run configuration's default zoo in a 4-dimensional feature space
+ZOO = [ArchitectureSpec(tuple(widths), 4) for widths in ModelConfig().hidden_widths]
 
 
 def _kind(name="gcsa", tau=0.5):
@@ -176,8 +181,9 @@ class TestFixedHypersphere:
 
 class TestRoundConfig:
     def test_rejects_negative_weights(self):
-        with pytest.raises(ContractError):
-            _cfg(lam=-0.1)
+        for lam in (-0.1, float("nan")):
+            with pytest.raises(ContractError):
+                _cfg(lam=lam)
 
     def test_rejects_tiny_batch(self):
         with pytest.raises(ContractError):
@@ -196,7 +202,7 @@ class TestLocalTrainStep:
     def test_zero_weights_match_pure_supervised(self):
         batch, labels = self._batch()
         model_a = build_model(ArchitectureSpec((6,), 4), 5, 3, seed=5)
-        model_b = model_a.copy()
+        model_b = copy.deepcopy(model_a)
         protos = fixed_hypersphere_prototypes(3, 4, seed=6)
         cfg = _cfg(lam=0.0, gamma=0.0, learning_rate=0.2)
         local_train_step(model_a, batch, labels, protos, cfg)
@@ -241,7 +247,7 @@ class TestLocalTrainStep:
         protos = fixed_hypersphere_prototypes(3, 4, seed=17)
         del protos.vectors[2], protos.counts[2]  # class 2 unknown globally
         cfg = _cfg(alignment=_kind("mse"), lam=0.0, gamma=1.0)
-        _, br = local_train_step(model.copy(), batch, labels, protos, cfg)
+        _, br = local_train_step(copy.deepcopy(model), batch, labels, protos, cfg)
         known = np.isin(labels, [0, 1])
         targets = np.stack([protos.vectors[int(c)] for c in labels[known]])
         expected = float(np.mean(np.sum((emb[known] - targets) ** 2, axis=1)))
@@ -258,7 +264,7 @@ class TestLocalTrainStep:
 
 
 def _shard_from(ds, client_id=0):
-    tr, te = ds.train_indices, ds.test_indices
+    tr, te = np.nonzero(~ds.test_mask)[0], np.nonzero(ds.test_mask)[0]
     return DatasetShard(
         client_id=client_id,
         train_features=ds.features[tr],
@@ -278,7 +284,7 @@ class TestClientRound:
         # upload computed from the initial extractor
         shard = self._shard()
         model = build_model(ArchitectureSpec((4,), 3), 5, 3, seed=21)
-        before = model.copy()
+        before = copy.deepcopy(model)
         cfg = _cfg()
         object.__setattr__(cfg, "local_epochs", 0)
         updated, upload, metrics = client_round(model, shard, PrototypeSet(), cfg, seed=0)
@@ -338,12 +344,12 @@ class TestRunExperiment:
 
     def test_zero_rounds_is_empty(self):
         shards = self._shards()
-        reports = run_experiment(shards, default_zoo(4), _cfg(), rounds=0, seed=0, num_classes=4)
+        reports = run_experiment(shards, ZOO, _cfg(), rounds=0, seed=0, num_classes=4)
         assert reports == []
 
     def test_full_participation_lists_every_client(self):
         shards = self._shards(seed=1)
-        reports = run_experiment(shards, default_zoo(4), _cfg(), rounds=3, seed=1, num_classes=4)
+        reports = run_experiment(shards, ZOO, _cfg(), rounds=3, seed=1, num_classes=4)
         for rep in reports:
             assert rep.participants == [0, 1, 2]
             assert len(rep.per_client_accuracy) == 3
@@ -351,8 +357,8 @@ class TestRunExperiment:
     def test_partial_participation_is_seeded_subset(self):
         shards = self._shards(seed=2, clients=4)
         cfg = _cfg(participation_fraction=0.5)
-        a = run_experiment(shards, default_zoo(4), cfg, rounds=4, seed=2, num_classes=4)
-        b = run_experiment(shards, default_zoo(4), cfg, rounds=4, seed=2, num_classes=4)
+        a = run_experiment(shards, ZOO, cfg, rounds=4, seed=2, num_classes=4)
+        b = run_experiment(shards, ZOO, cfg, rounds=4, seed=2, num_classes=4)
         for ra, rb in zip(a, b):
             assert ra.participants == rb.participants
             assert len(ra.participants) == 2
@@ -363,14 +369,14 @@ class TestRunExperiment:
         runs = {}
         for name in ("gcsa", "rcsa"):
             cfg = _cfg(alignment=_kind(name), lam=0.0, gamma=0.0)
-            runs[name] = run_experiment(shards, default_zoo(4), cfg, rounds=3, seed=3,
+            runs[name] = run_experiment(shards, ZOO, cfg, rounds=3, seed=3,
                                         num_classes=4)
         for ra, rb in zip(runs["gcsa"], runs["rcsa"]):
             assert ra.to_json_dict() == rb.to_json_dict()
 
     def test_report_invariants(self):
         shards = self._shards(seed=4)
-        reports = run_experiment(shards, default_zoo(4), _cfg(), rounds=4, seed=4, num_classes=4)
+        reports = run_experiment(shards, ZOO, _cfg(), rounds=4, seed=4, num_classes=4)
         best = 0.0
         for rep in reports:
             assert rep.mean_accuracy == pytest.approx(
@@ -385,12 +391,12 @@ class TestRunExperiment:
         ds = generate_mixture(2, 5, 30, 1.0, 0.6, seed=5)
         shards = partition_dirichlet(ds, alpha=2.0, num_clients=2, seed=5)
         cfg = _cfg(alignment=_kind("gcsa"), prototype_mode="fixed_hypersphere")
-        reports = run_experiment(shards, default_zoo(4), cfg, rounds=2, seed=5, num_classes=2)
+        reports = run_experiment(shards, ZOO, cfg, rounds=2, seed=5, num_classes=2)
         assert sum(r.skipped_structural_steps for r in reports) > 0
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ContractError):
-            run_experiment(self._shards(), default_zoo(4), _cfg(), rounds=1, seed=0,
+            run_experiment(self._shards(), ZOO, _cfg(), rounds=1, seed=0,
                            num_classes=4, scenario="federated")
 
     def test_evaluate_accuracy_hand_case(self):

@@ -1,4 +1,4 @@
-"""Dense-array helpers: centering, normalization, Grams, RDMs, SVD, rotations."""
+"""Dense-array helpers: centering, normalization, SVD, rotations."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,8 @@ from fedstruct.errors import ContractError, DegenerateInputError
 from fedstruct.tensor import (
     as_matrix,
     center_rows,
-    frob_inner,
-    frob_norm,
-    gram_centered,
     normalize_rows,
     random_orthogonal,
-    rdm_squared,
-    row_norms,
     svd,
 )
 
@@ -37,17 +32,6 @@ class TestAsMatrix:
             as_matrix([[1.0, np.nan]])
 
 
-class TestFrobenius:
-    def test_inner_hand_value(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert frob_inner(a, b) == pytest.approx(5 + 12 + 21 + 32, abs=0)
-
-    def test_norm_hand_value(self):
-        a = np.array([[3.0, 4.0]])
-        assert frob_norm(a) == pytest.approx(5.0, abs=1e-15)
-
-
 class TestCenterRows:
     def test_hand_example(self):
         m = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
@@ -69,45 +53,6 @@ class TestNormalizeRows:
     def test_zero_row_rejected_with_index(self):
         with pytest.raises(DegenerateInputError, match="row 1"):
             normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-    def test_row_norms(self):
-        np.testing.assert_allclose(
-            row_norms(np.array([[3.0, 4.0], [0.0, 2.0]])), [5.0, 2.0], atol=1e-15
-        )
-
-
-class TestGramCentered:
-    def test_hand_example(self):
-        g = gram_centered(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_allclose(g, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(4)
-        g = gram_centered(rng.standard_normal((6, 3)))
-        np.testing.assert_allclose(g, g.T, atol=0)
-
-    def test_single_row_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            gram_centered(np.array([[1.0, 2.0]]))
-
-    def test_identical_rows_give_zero_matrix(self):
-        g = gram_centered(np.array([[2.0, 1.0], [2.0, 1.0], [2.0, 1.0]]))
-        np.testing.assert_allclose(g, 0.0, atol=1e-15)
-
-
-class TestRdmSquared:
-    def test_hand_example(self):
-        np.testing.assert_allclose(
-            rdm_squared(np.array([[1.0, 0.0], [0.0, 1.0]])), [2.0], atol=1e-15
-        )
-
-    def test_length_is_upper_triangle(self):
-        rng = np.random.default_rng(5)
-        assert rdm_squared(rng.standard_normal((5, 3))).shape == (10,)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(6)
-        assert rdm_squared(rng.standard_normal((8, 4))).min() >= 0.0
 
 
 class TestSvd:
