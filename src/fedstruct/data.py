@@ -69,12 +69,15 @@ def generate_mixture(
         raise ContractError(f"samples_per_class must be >= 2, got {samples_per_class}")
     if class_separation < 0 or noise_scale < 0:
         raise ContractError("class_separation and noise_scale must be nonnegative")
-    rng = np.random.default_rng(seed)
-    feats = []
-    labs = []
-    mask = []
     m = samples_per_class
     n_test = max(1, round(0.2 * m))
+    try:
+        features = np.empty((num_classes * m, input_dim))
+    except (ValueError, MemoryError) as exc:
+        raise ContractError(
+            f"cannot allocate {num_classes} classes x {m} samples x {input_dim} dims: {exc}"
+        ) from exc
+    rng = np.random.default_rng(seed)
     for c in range(num_classes):
         direction = rng.standard_normal(input_dim)
         norm = np.linalg.norm(direction)
@@ -82,16 +85,12 @@ def generate_mixture(
             direction = rng.standard_normal(input_dim)
             norm = np.linalg.norm(direction)
         mean = class_separation * direction / norm
-        block = mean + noise_scale * rng.standard_normal((m, input_dim))
-        feats.append(block)
-        labs.append(np.full(m, c, dtype=np.int64))
-        block_mask = np.zeros(m, dtype=bool)
-        block_mask[m - n_test:] = True
-        mask.append(block_mask)
+        features[c * m : (c + 1) * m] = mean + noise_scale * rng.standard_normal((m, input_dim))
+    block_mask = np.arange(m) >= m - n_test
     return LabeledDataset(
-        features=np.concatenate(feats, axis=0),
-        labels=np.concatenate(labs),
-        test_mask=np.concatenate(mask),
+        features=features,
+        labels=np.repeat(np.arange(num_classes, dtype=np.int64), m),
+        test_mask=np.tile(block_mask, num_classes),
         num_classes=num_classes,
     )
 
@@ -120,6 +119,16 @@ def _split_by_counts(indices: np.ndarray, counts: np.ndarray) -> list[np.ndarray
     return out
 
 
+def _check_enough_rows(ds: LabeledDataset, num_clients: int, scheme: str) -> None:
+    """Every client needs >= 2 train rows; fail before building any per-client state."""
+    n_train = int(np.count_nonzero(~ds.test_mask))
+    if 2 * num_clients > n_train:
+        raise PartitionFailureError(
+            f"no valid {scheme}: {num_clients} clients cannot each get 2 of the "
+            f"{n_train} train rows; reduce num_clients"
+        )
+
+
 def partition_dirichlet(
     ds: LabeledDataset, alpha: float, num_clients: int, seed
 ) -> list[DatasetShard]:
@@ -137,6 +146,7 @@ def partition_dirichlet(
         raise ContractError(f"alpha must be positive and finite, got {alpha}")
     if num_clients < 2:
         raise ContractError(f"num_clients must be >= 2, got {num_clients}")
+    _check_enough_rows(ds, num_clients, f"Dirichlet partition (alpha={alpha})")
     for attempt in range(MAX_PARTITION_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), attempt]))
         train_parts = [[] for _ in range(num_clients)]
@@ -202,6 +212,7 @@ def partition_domain_shift(
         raise ContractError(f"num_clients must be >= 2, got {num_clients}")
     if shift_scale < 0 or not np.isfinite(shift_scale):
         raise ContractError(f"shift_scale must be finite and >= 0, got {shift_scale}")
+    _check_enough_rows(ds, num_clients, "domain-shift partition")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
     train_parts = [[] for _ in range(num_clients)]
     test_parts = [[] for _ in range(num_clients)]

@@ -23,15 +23,16 @@ import numpy as np
 
 from .analysis import effective_dimensionality
 from .errors import ContractError, DegenerateInputError, NumericFailureError
-from .losses import AlignmentKind, loss_contrastive, pairwise_loss
+from .losses import _PAIRWISE_KERNELS, AlignmentKind, _contrastive
 from .models import (
     ArchitectureSpec,
     ClientModel,
+    _backward_and_step,
+    _softmax_cross_entropy,
     build_model,
-    backward_and_step,
     forward,
-    loss_supervised,
 )
+from .tensor import check_labels
 
 logger = logging.getLogger(__name__)
 
@@ -43,65 +44,81 @@ SCENARIOS = ("homo_shared", "homo_local", "hetero")
 PROTOTYPE_MODES = ("aggregate", "fixed_hypersphere")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PrototypeSet:
-    """Per-class prototype vectors with their supporting sample counts."""
+    """Dense per-class prototypes: row c of `vectors` is class c's prototype
+    and counts[c] the number of samples behind it.
 
-    vectors: dict[int, np.ndarray] = field(default_factory=dict)
-    counts: dict[int, int] = field(default_factory=dict)
+    Class c is present exactly when counts[c] >= 1; the rows of absent
+    classes are zero and never read as prototypes.  Both arrays are
+    read-only copies, so a set never changes once built.
+    """
 
-    def classes(self) -> list[int]:
-        return sorted(self.vectors)
+    vectors: np.ndarray  # (C, d) float64
+    counts: np.ndarray  # (C,) int64
+    present: np.ndarray = field(init=False, repr=False)  # (C,) bool
+    # the present rows stacked in class order, and each class's row in it
+    # (-1 when absent); built once here so a training step only indexes
+    rows: np.ndarray = field(init=False, repr=False)
+    slot: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        vectors = np.array(self.vectors, dtype=np.float64)
+        counts = np.asarray(self.counts)
+        if vectors.ndim != 2 or counts.shape != vectors.shape[:1]:
+            raise ContractError(
+                f"need (C, d) vectors and (C,) counts, got {vectors.shape} and {counts.shape}"
+            )
+        if counts.size and (not np.issubdtype(counts.dtype, np.integer) or counts.min() < 0):
+            raise ContractError(f"counts must be integers >= 0, got {counts}")
+        if not np.all(np.isfinite(vectors)):
+            raise ContractError("prototype vectors have non-finite entries")
+        counts = counts.astype(np.int64)
+        present = counts >= 1
+        vectors[~present] = 0.0
+        slot = np.cumsum(present) - 1
+        slot[~present] = -1
+        for name, value in (("vectors", vectors), ("counts", counts), ("present", present),
+                            ("rows", vectors[present]), ("slot", slot)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def num_classes(self) -> int:
+        return int(self.vectors.shape[0])
+
+    @property
+    def dim(self) -> int:
+        return int(self.vectors.shape[1])
 
     @property
     def is_empty(self) -> bool:
-        return not self.vectors
+        return not self.present.any()
 
-    @property
-    def dim(self) -> int | None:
-        for v in self.vectors.values():
-            return int(v.shape[0])
-        return None
-
-    def set(self, cls: int, vector: np.ndarray, count: int) -> None:
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.ndim != 1:
-            raise ContractError(f"prototype for class {cls} must be 1-D")
-        if not np.all(np.isfinite(vector)):
-            raise ContractError(f"prototype for class {cls} has non-finite entries")
-        if int(cls) < 0 or int(count) < 1:
-            raise ContractError(f"need class >= 0 and count >= 1, got {cls}, {count}")
-        if self.dim is not None and vector.shape[0] != self.dim:
-            raise ContractError(
-                f"prototype dim {vector.shape[0]} != existing dim {self.dim}"
-            )
-        self.vectors[int(cls)] = vector
-        self.counts[int(cls)] = int(count)
-
-    def stack(self, classes=None) -> np.ndarray:
-        """Matrix of prototypes for `classes` (default: all, sorted)."""
-        classes = self.classes() if classes is None else list(classes)
-        if not classes:
-            raise ContractError("cannot stack an empty class list")
-        missing = [c for c in classes if c not in self.vectors]
-        if missing:
-            raise ContractError(f"classes {missing} not present in prototype set")
-        return np.stack([self.vectors[c] for c in classes])
+    def classes(self) -> list[int]:
+        """The present classes, ascending."""
+        return np.flatnonzero(self.present).tolist()
 
 
-def batch_prototypes(embeddings, labels) -> PrototypeSet:
-    """Per-class means of an embedding batch; only present classes appear."""
+def batch_prototypes(embeddings, labels, num_classes: int) -> PrototypeSet:
+    """Per-class means of an embedding batch over classes 0..num_classes-1;
+    classes without rows are absent."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    if embeddings.ndim != 2 or labels.shape != (embeddings.shape[0],):
-        raise ContractError(
-            f"embeddings {embeddings.shape} / labels {labels.shape} inconsistent"
-        )
-    out = PrototypeSet()
-    for c in np.unique(labels):
-        members = labels == c
-        out.set(int(c), embeddings[members].mean(axis=0), int(members.sum()))
-    return out
+    if embeddings.ndim != 2:
+        raise ContractError(f"embeddings must be 2-D, got shape {embeddings.shape}")
+    labels = check_labels(labels, embeddings.shape[0], num_classes)
+    return PrototypeSet(*_class_means(embeddings, labels, num_classes))
+
+
+def _class_means(embeddings, labels, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, d) per-class means (zero rows for absent classes) and (C,) counts;
+    labels must lie in [0, num_classes).  Rows are summed in batch order, so
+    for d >= 2 each mean is bit-identical to embeddings[labels == c].mean(axis=0)
+    (numpy sums a single column pairwise instead)."""
+    counts = np.bincount(labels, minlength=num_classes)
+    sums = np.zeros((num_classes, embeddings.shape[1]))
+    np.add.at(sums, labels, embeddings)
+    return sums / np.maximum(counts, 1)[:, None], counts
 
 
 def aggregate_prototypes(uploads, previous: PrototypeSet | None = None) -> PrototypeSet:
@@ -109,7 +126,8 @@ def aggregate_prototypes(uploads, previous: PrototypeSet | None = None) -> Proto
 
     Classes present in any upload get the weighted mean (weights = per-class
     sample counts); classes only present in `previous` are carried over
-    unchanged.  The server sees nothing but PrototypeSet values.
+    unchanged.  The server sees nothing but PrototypeSet values, all of one
+    (classes, dim) shape.
     """
     uploads = list(uploads)
     for u in uploads:
@@ -119,19 +137,21 @@ def aggregate_prototypes(uploads, previous: PrototypeSet | None = None) -> Proto
             )
     if previous is not None and not isinstance(previous, PrototypeSet):
         raise TypeError("previous must be a PrototypeSet or None")
-    merged = PrototypeSet()
-    fresh = sorted({c for u in uploads for c in u.vectors})
-    for c in fresh:
-        vecs = [u.vectors[c] for u in uploads if c in u.vectors]
-        wts = np.array([u.counts[c] for u in uploads if c in u.vectors], dtype=np.float64)
-        stacked = np.stack(vecs)
-        mean = (wts[:, None] * stacked).sum(axis=0) / wts.sum()
-        merged.set(c, mean, int(wts.sum()))
+    if not uploads:
+        raise ContractError("need at least one upload")
+    shapes = {u.vectors.shape for u in uploads + ([previous] if previous is not None else [])}
+    if len(shapes) != 1:
+        raise ContractError(f"uploads must share one (classes, dim) shape, got {sorted(shapes)}")
+    counts = np.stack([u.counts for u in uploads])
+    total = counts.sum(axis=0)
+    # absent rows are zero with weight zero, so each adds +0.0 to its class's sum
+    weighted = (counts[:, :, None] * np.stack([u.vectors for u in uploads])).sum(axis=0)
+    vectors = weighted / np.maximum(total, 1)[:, None]
     if previous is not None:
-        for c in previous.classes():
-            if c not in merged.vectors:
-                merged.set(c, previous.vectors[c], previous.counts[c])
-    return merged
+        stale = previous.present & (total == 0)
+        vectors[stale] = previous.vectors[stale]
+        total = np.where(stale, previous.counts, total)
+    return PrototypeSet(vectors, total)
 
 
 def fixed_hypersphere_prototypes(num_classes: int, dim: int, seed) -> PrototypeSet:
@@ -156,10 +176,7 @@ def fixed_hypersphere_prototypes(num_classes: int, dim: int, seed) -> PrototypeS
             force = (diffs / dist[:, :, None] ** 3).sum(axis=1)
             x = x + eta * force
             x /= np.linalg.norm(x, axis=1, keepdims=True)
-    out = PrototypeSet()
-    for c in range(num_classes):
-        out.set(c, x[c], 1)
-    return out
+    return PrototypeSet(x, np.ones(num_classes, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -216,67 +233,58 @@ class ClientRoundMetrics:
     skipped_structural: int
 
 
-def _alignment_available(global_protos: PrototypeSet | None) -> bool:
-    return global_protos is not None and not global_protos.is_empty
-
-
-def _proto_term(kind, emb, labels, global_protos, batch_set):
+def _proto_term(kind, emb, labels, global_protos):
     """Prototype-level loss and its gradient w.r.t. the embedding batch.
 
     Returns (value, grad, skipped) where skipped flags a structural/degenerate
     skip.  Classes missing from the global set are excluded.
     """
-    common = [c for c in batch_set.classes() if c in global_protos.vectors]
-    if not common:
+    means, counts = _class_means(emb, labels, global_protos.num_classes)
+    common = np.flatnonzero((counts >= 1) & global_protos.present)
+    if common.size == 0:
         return 0.0, None, 0
-    local_mat = batch_set.stack(common)
+    local_mat = means[common]
     if kind.name == "contrastive":
-        gcls = global_protos.classes()
-        pos = {c: k for k, c in enumerate(gcls)}
-        proto_labels = np.array([pos[c] for c in common], dtype=np.int64)
         try:
-            parts = loss_contrastive(
-                local_mat, global_protos.stack(gcls), proto_labels, kind.temperature
+            parts = _contrastive(
+                local_mat, global_protos.rows, global_protos.slot[common], kind.temperature
             )
         except DegenerateInputError as exc:
             logger.debug("prototype-level contrastive skipped: %s", exc)
             return 0.0, None, 1
         value, grad_local = parts.total.value, parts.total.grad
     else:
-        if kind.is_structural and len(common) < MIN_STRUCTURAL_ROWS:
+        if kind.is_structural and common.size < MIN_STRUCTURAL_ROWS:
             logger.debug(
                 "prototype-level %s skipped: %d shared classes < %d",
-                kind.name, len(common), MIN_STRUCTURAL_ROWS,
+                kind.name, common.size, MIN_STRUCTURAL_ROWS,
             )
             return 0.0, None, 1
         try:
-            lv = pairwise_loss(kind, local_mat, global_protos.stack(common))
+            lv = _PAIRWISE_KERNELS[kind.name](local_mat, global_protos.vectors[common])
         except DegenerateInputError as exc:
             logger.debug("prototype-level %s skipped: %s", kind.name, exc)
             return 0.0, None, 1
         value, grad_local = lv.value, lv.grad
     # batch prototype of class c is the mean of its members, so each member
     # receives grad_row(c) / count(c)
-    grad_emb = np.zeros_like(emb)
-    for row, c in enumerate(common):
-        members = labels == c
-        grad_emb[members] = grad_local[row] / batch_set.counts[c]
-    return value, grad_emb, 0
+    per_class = np.zeros((global_protos.num_classes, emb.shape[1]))
+    per_class[common] = grad_local / counts[common][:, None]
+    return value, per_class[labels], 0
 
 
 def _instance_term(kind, emb, labels, global_protos):
     """Instance-level loss and gradient: embeddings vs own-class prototypes."""
-    known = np.isin(labels, global_protos.classes())
-    if not known.any():
+    known = global_protos.present[labels]
+    every = known.all()
+    if not (every or known.any()):
         return 0.0, None, 0
-    sub = emb[known]
-    sub_labels = labels[known]
+    sub, sub_labels = (emb, labels) if every else (emb[known], labels[known])
     if kind.name == "contrastive":
-        gcls = global_protos.classes()
-        pos = {c: k for k, c in enumerate(gcls)}
-        mapped = np.array([pos[int(c)] for c in sub_labels], dtype=np.int64)
         try:
-            parts = loss_contrastive(sub, global_protos.stack(gcls), mapped, kind.temperature)
+            parts = _contrastive(
+                sub, global_protos.rows, global_protos.slot[sub_labels], kind.temperature
+            )
         except DegenerateInputError as exc:
             logger.debug("instance-level contrastive skipped: %s", exc)
             return 0.0, None, 1
@@ -285,13 +293,14 @@ def _instance_term(kind, emb, labels, global_protos):
         if kind.is_structural and sub.shape[0] < MIN_STRUCTURAL_ROWS:
             logger.debug("instance-level %s skipped: %d rows", kind.name, sub.shape[0])
             return 0.0, None, 1
-        targets = np.stack([global_protos.vectors[int(c)] for c in sub_labels])
         try:
-            lv = pairwise_loss(kind, sub, targets)
+            lv = _PAIRWISE_KERNELS[kind.name](sub, global_protos.vectors[sub_labels])
         except DegenerateInputError as exc:
             logger.debug("instance-level %s skipped: %s", kind.name, exc)
             return 0.0, None, 1
         value, grad_sub = lv.value, lv.grad
+    if every:
+        return value, grad_sub, 0
     grad_emb = np.zeros_like(emb)
     grad_emb[known] = grad_sub
     return value, grad_emb, 0
@@ -306,13 +315,23 @@ def local_train_step(
 ) -> tuple[ClientModel, LossBreakdown]:
     """One SGD step of L_sup + lam*L_proto + gamma*L_inst on a batch.
 
-    An empty global prototype set disables both alignment terms (the
-    bootstrap round); classes absent from the global set are excluded from
-    alignment but always contribute to the supervised loss.
+    An empty (or None) global prototype set disables both alignment terms
+    (the bootstrap round); classes absent from the global set are excluded
+    from alignment but always contribute to the supervised loss.  The global
+    set must cover the model's classes and feature space.  The batch, the
+    labels and the global set are checked once; the loss and the update then
+    run on unchecked kernels.
     """
-    labels = np.asarray(labels)
     emb, logits, cache = forward(model, batch)
-    sup_val, grad_logits = loss_supervised(logits, labels)
+    labels = check_labels(labels, emb.shape[0], model.num_classes)
+    if global_protos is not None and global_protos.vectors.shape != (
+        model.num_classes, model.feature_dim
+    ):
+        raise ContractError(
+            f"global prototypes {global_protos.vectors.shape} do not match the model's "
+            f"({model.num_classes}, {model.feature_dim})"
+        )
+    sup_val, grad_logits = _softmax_cross_entropy(logits, labels)
     grad_emb = grad_logits @ model.classifier_weights.T
 
     proto_val = 0.0
@@ -322,17 +341,16 @@ def local_train_step(
     # the non-finite check on `total` below turns that into a clean
     # NumericFailureError, so the IEEE warnings along the way are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
-        if _alignment_available(global_protos) and (cfg.lam > 0 or cfg.gamma > 0):
-            missing = sorted(set(np.unique(labels).tolist()) - set(global_protos.classes()))
-            if missing:
-                logger.debug(
-                    "classes %s missing from global set; excluded from alignment", missing
-                )
-            batch_set = batch_prototypes(emb, labels)
+        aligned = global_protos is not None and not global_protos.is_empty
+        if aligned and (cfg.lam > 0 or cfg.gamma > 0):
+            if logger.isEnabledFor(logging.DEBUG):
+                missing = sorted(set(labels.tolist()) - set(global_protos.classes()))
+                if missing:
+                    logger.debug(
+                        "classes %s missing from global set; excluded from alignment", missing
+                    )
             if cfg.lam > 0:
-                proto_val, g, s = _proto_term(
-                    cfg.alignment, emb, labels, global_protos, batch_set
-                )
+                proto_val, g, s = _proto_term(cfg.alignment, emb, labels, global_protos)
                 skipped += s
                 if g is not None:
                     grad_emb = grad_emb + cfg.lam * g
@@ -345,7 +363,7 @@ def local_train_step(
         total = sup_val + cfg.lam * proto_val + cfg.gamma * inst_val
     if not np.isfinite(total):
         raise NumericFailureError(f"non-finite training loss {total}")
-    backward_and_step(model, cache, grad_logits, grad_emb, cfg.learning_rate)
+    _backward_and_step(model, cache, grad_logits, grad_emb, cfg.learning_rate)
     return model, LossBreakdown(sup_val, proto_val, inst_val, total, skipped)
 
 
@@ -355,13 +373,13 @@ def client_round(
     global_protos: PrototypeSet | None,
     cfg: RoundConfig,
     seed,
-) -> tuple[ClientModel, PrototypeSet, ClientRoundMetrics]:
-    """local_epochs of seeded mini-batch SGD, then a full-shard prototype upload.
+) -> tuple[ClientModel, ClientRoundMetrics]:
+    """local_epochs of seeded mini-batch SGD on the client's train shard.
 
     Batches are contiguous chunks of a fresh permutation each epoch; a
     remainder of a single row is dropped (centered structure needs >= 2).
-    The upload is computed from the post-training extractor over the whole
-    train shard, so it reflects the client's final state.
+    The client's upload is computed by run_experiment once every participant
+    has trained.
     """
     rng = np.random.default_rng(seed)
     n = shard.num_train
@@ -389,8 +407,6 @@ def client_round(
                 steps += 1
     except NumericFailureError as exc:
         raise NumericFailureError(f"client {shard.client_id}: {exc}") from exc
-    emb, _, _ = forward(model, shard.train_features)
-    upload = batch_prototypes(emb, shard.train_labels)
     means = sums / steps if steps else np.zeros(4)
     metrics = ClientRoundMetrics(
         client_id=shard.client_id,
@@ -401,7 +417,7 @@ def client_round(
         mean_total=float(means[3]),
         skipped_structural=skipped,
     )
-    return model, upload, metrics
+    return model, metrics
 
 
 def evaluate_accuracy(model: ClientModel, features, labels) -> float:
@@ -444,14 +460,8 @@ class RoundReport:
 
 
 def _stack_uploads(latest_uploads: dict[int, PrototypeSet]) -> np.ndarray | None:
-    rows = []
-    for cid in sorted(latest_uploads):
-        ps = latest_uploads[cid]
-        for c in ps.classes():
-            rows.append(ps.vectors[c])
-    if len(rows) < 2:
-        return None
-    return np.stack(rows)
+    stacked = np.concatenate([latest_uploads[cid].rows for cid in sorted(latest_uploads)])
+    return stacked if stacked.shape[0] >= 2 else None
 
 
 def run_experiment(
@@ -470,8 +480,10 @@ def run_experiment(
     Scenarios: "hetero" assigns architecture i mod len(archs) to client i;
     "homo_local" gives every client a private copy of archs[0] (distinct
     seeded inits); "homo_shared" trains ONE archs[0] model, visited
-    sequentially by each participant within a round, with uploads recomputed
-    from the final post-round extractor.
+    sequentially by each participant within a round.  Uploads are computed
+    after every participant has trained, from each participant's model over
+    its whole train shard, so in homo_shared they all reflect the final
+    post-round extractor.
 
     All randomness derives from the master seed: model init (0, i), batch
     order (1, round, client), participation (2, round), hypersphere (4).
@@ -517,7 +529,7 @@ def run_experiment(
             num_classes, feature_dim, np.random.SeedSequence([seed, 4])
         )
     else:
-        global_protos = PrototypeSet()  # empty: round 0 runs supervised-only
+        global_protos = None  # no prototypes yet: round 0 runs supervised-only
 
     latest_uploads: dict[int, PrototypeSet] = {}
     reports: list[RoundReport] = []
@@ -534,28 +546,24 @@ def run_experiment(
         uploads: dict[int, PrototypeSet] = {}
         loss_terms: dict[int, dict[str, float]] = {}
         skipped = 0
-        for i in participants:
-            try:
-                _, upload, metrics = client_round(
+        try:
+            for i in participants:
+                _, metrics = client_round(
                     models[i], shards[i], global_protos, cfg,
                     np.random.SeedSequence([seed, 1, r, i]),
                 )
-            except NumericFailureError as exc:
-                raise NumericFailureError(f"round {r}: {exc}") from exc
-            uploads[i] = upload
-            loss_terms[i] = {
-                "sup": metrics.mean_sup,
-                "proto": metrics.mean_proto,
-                "inst": metrics.mean_inst,
-                "total": metrics.mean_total,
-            }
-            skipped += metrics.skipped_structural
-        if shared:
-            # in the shared scenario every upload reflects the final
-            # post-round extractor, not the mid-round states
+                loss_terms[i] = {
+                    "sup": metrics.mean_sup,
+                    "proto": metrics.mean_proto,
+                    "inst": metrics.mean_inst,
+                    "total": metrics.mean_total,
+                }
+                skipped += metrics.skipped_structural
             for i in participants:
                 emb, _, _ = forward(models[i], shards[i].train_features)
-                uploads[i] = batch_prototypes(emb, shards[i].train_labels)
+                uploads[i] = batch_prototypes(emb, shards[i].train_labels, num_classes)
+        except NumericFailureError as exc:
+            raise NumericFailureError(f"round {r}: {exc}") from exc
 
         if cfg.prototype_mode == "aggregate":
             global_protos = aggregate_prototypes(
@@ -605,11 +613,11 @@ def _write_prototype_snapshot(protos: PrototypeSet, snapshot_dir, round_index: i
 
     os.makedirs(snapshot_dir, exist_ok=True)
     path = os.path.join(snapshot_dir, f"round_{round_index}.csv")
-    dim = protos.dim or 0
+    dim = protos.dim
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class"] + [f"v{k}" for k in range(dim)] + ["weight"])
         for c in protos.classes():
             writer.writerow(
-                [c] + [repr(float(x)) for x in protos.vectors[c]] + [protos.counts[c]]
+                [c] + [repr(float(x)) for x in protos.vectors[c]] + [int(protos.counts[c])]
             )

@@ -13,18 +13,13 @@ by hand and validated against central differences in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError
-from .tensor import (
-    EPS_NORM,
-    as_matrix,
-    center_rows,
-    normalize_rows,
-    svd,
-)
+from .tensor import EPS_NORM, _unit_rows, as_matrix, check_labels, svd
 
 # A matrix whose centered rows have Frobenius norm at or below
 # GRAM_DEGENERATE_RTOL * max(1, ||P||_F) has no usable Gram structure
@@ -122,9 +117,18 @@ def _check_pair(a, b, same_cols: bool):
     return a, b
 
 
+# Each public loss below is its contract checks followed by one of these
+# kernels.  A kernel trusts its inputs to be finite 2-D float64 arrays of
+# compatible shapes; it still raises DegenerateInputError wherever the value
+# or gradient is undefined, which the training loop reads as a skip.
+
+
 def loss_mse(a, b) -> LossValue:
     """Mean (over rows) squared Frobenius error; grad = 2(A-B)/n."""
-    a, b = _check_pair(a, b, same_cols=True)
+    return pairwise_loss("mse", a, b)
+
+
+def _mse(a, b) -> LossValue:
     diff = a - b
     n = a.shape[0]
     return LossValue(float(np.sum(diff * diff)) / n, 2.0 * diff / n)
@@ -132,7 +136,10 @@ def loss_mse(a, b) -> LossValue:
 
 def loss_cosine(a, b) -> LossValue:
     """Mean (1 - cosine) over paired rows; zero rows are degenerate."""
-    a, b = _check_pair(a, b, same_cols=True)
+    return pairwise_loss("cosine", a, b)
+
+
+def _cosine(a, b) -> LossValue:
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     for name, norms in (("first matrix", na), ("second matrix", nb)):
@@ -151,10 +158,21 @@ def loss_cosine(a, b) -> LossValue:
     return LossValue(value, grad)
 
 
+def _centered(m):
+    """Subtract the mean row: output columns each sum to zero."""
+    return m - m.sum(axis=0, keepdims=True) / m.shape[0]
+
+
+def _sum_sq(m) -> float:
+    """np.linalg.norm(m) ** 2 for a real matrix, without the norm's dispatch."""
+    flat = m.ravel(order="K")
+    return float(flat.dot(flat))
+
+
 def _centered_or_degenerate(m, name):
-    c = center_rows(m)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    cn = float(np.linalg.norm(c))
+    c = _centered(m)
+    scale = max(1.0, math.sqrt(_sum_sq(m)))
+    cn = math.sqrt(_sum_sq(c))
     if cn <= GRAM_DEGENERATE_RTOL * scale:
         raise DegenerateInputError(
             f"{name} rows are (numerically) identical: centered norm "
@@ -167,24 +185,30 @@ def loss_gcsa(p, q) -> LossValue:
     """Gram cosine structural loss: 1 - <K_P, K_Q> / (||K_P|| ||K_Q||).
 
     K is the centered Gram matrix, so the value is invariant to translation,
-    rotation/reflection, and positive rescaling of either argument.  Column
-    counts of p and q may differ; row counts must match and be >= 2.
+    rotation/reflection, and positive rescaling of either argument; it is
+    one minus the linear CKA of p and q.  Column counts of p and q may
+    differ; row counts must match and be >= 2.
     """
-    p, q = _check_pair(p, q, same_cols=False)
+    return pairwise_loss("gcsa", p, q)
+
+
+def _gcsa(p, q) -> LossValue:
     if p.shape[0] < 2:
         raise DegenerateInputError(f"need >= 2 rows, got {p.shape[0]}")
     pc = _centered_or_degenerate(p, "first matrix")
     qc = _centered_or_degenerate(q, "second matrix")
-    kp = pc @ pc.T
-    kq = qc @ qc.T
-    s = float(np.sum(kp * kq))
-    f = float(np.linalg.norm(kp))
-    g = float(np.linalg.norm(kq))
+    # Feature space instead of the n x n Grams (the linear CKA identity):
+    # <K_P, K_Q> = ||P_c^T Q_c||^2 and ||K_P|| = ||P_c^T P_c||, all Frobenius.
+    a = pc.T @ pc
+    m = pc.T @ qc
+    s = float(np.sum(m * m))
+    f = math.sqrt(_sum_sq(a))
+    g = math.sqrt(_sum_sq(qc.T @ qc))
     value = max(0.0, 1.0 - s / (f * g))
-    # dL/dK_P = (s / f^3 g) K_P - K_Q / (f g); then dK_P pulled back through
-    # K_P = C P (C P)^T with C the (symmetric, idempotent) centering map.
-    gk = (s / (f ** 3 * g)) * kp - kq / (f * g)
-    grad = 2.0 * center_rows(gk @ pc)
+    # dL/dK_P = (s / f^3 g) K_P - K_Q / (f g), pulled back through
+    # K_P = C P (C P)^T with C the (symmetric, idempotent) centering map:
+    # dL/dP = 2 C (dL/dK_P) P_c, where K_P P_c = P_c A and K_Q P_c = Q_c M^T.
+    grad = 2.0 * _centered((s / (f ** 3 * g)) * (pc @ a) - (qc @ m.T) / (f * g))
     return LossValue(value, grad)
 
 
@@ -195,12 +219,15 @@ def loss_rcsa(p, q) -> LossValue:
     distances is the descriptor, and the loss is 1 - cos(u, v).  Invariant to
     orthogonal transforms of either argument; translations change it.
     """
-    p, q = _check_pair(p, q, same_cols=False)
+    return pairwise_loss("rcsa", p, q)
+
+
+def _rcsa(p, q) -> LossValue:
     n = p.shape[0]
     if n < 2:
         raise DegenerateInputError(f"need >= 2 rows, got {n}")
-    ph = normalize_rows(p, "first matrix")
-    qh = normalize_rows(q, "second matrix")
+    ph = _unit_rows(p, "first matrix")
+    qh = _unit_rows(q, "second matrix")
     iu = np.triu_indices(n, k=1)
 
     def descriptor(mh):
@@ -249,22 +276,17 @@ def loss_contrastive(z, prototypes, labels, temperature: float) -> ContrastivePa
         )
     if not (temperature > 0.0) or not np.isfinite(temperature):
         raise ContractError(f"temperature must be positive and finite, got {temperature!r}")
-    labels = np.asarray(labels)
-    if labels.shape != (z.shape[0],):
-        raise ContractError(f"labels shape {labels.shape} != ({z.shape[0]},)")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
-    c = prototypes.shape[0]
-    if labels.min() < 0 or labels.max() >= c:
-        raise ContractError(f"labels must lie in [0, {c}), got range "
-                            f"[{int(labels.min())}, {int(labels.max())}]")
+    labels = check_labels(labels, z.shape[0], prototypes.shape[0])
+    return _contrastive(z, prototypes, labels, temperature)
 
+
+def _contrastive(z, prototypes, labels, temperature: float) -> ContrastiveParts:
     nz = np.linalg.norm(z, axis=1)
     bad = np.nonzero(nz <= EPS_NORM)[0]
     if bad.size:
         raise DegenerateInputError(f"embedding row {int(bad[0])} has near-zero norm")
     zh = z / nz[:, None]
-    ph = normalize_rows(prototypes, "prototypes")
+    ph = _unit_rows(prototypes, "prototypes")
 
     n = z.shape[0]
     sims = zh @ ph.T  # (n, c) cosines in [-1, 1]
@@ -293,18 +315,21 @@ def loss_contrastive(z, prototypes, labels, temperature: float) -> ContrastivePa
     )
 
 
+# the unchecked kernel of each pairwise loss (everything except contrastive)
+_PAIRWISE_KERNELS = {"mse": _mse, "cosine": _cosine, "gcsa": _gcsa, "rcsa": _rcsa}
+
+
 def pairwise_loss(kind: AlignmentKind | str, a, b) -> LossValue:
-    """Dispatch one of the pairwise losses (everything except contrastive)."""
+    """Dispatch one of the pairwise losses (everything except contrastive).
+
+    Coordinate losses need equal column counts; structural ones compare
+    only row geometry, so theirs may differ.
+    """
     name = kind.name if isinstance(kind, AlignmentKind) else str(kind)
-    if name == "mse":
-        return loss_mse(a, b)
-    if name == "cosine":
-        return loss_cosine(a, b)
-    if name == "gcsa":
-        return loss_gcsa(a, b)
-    if name == "rcsa":
-        return loss_rcsa(a, b)
-    raise ContractError(f"{name!r} is not a pairwise loss")
+    if name not in _PAIRWISE_KERNELS:
+        raise ContractError(f"{name!r} is not a pairwise loss")
+    a, b = _check_pair(a, b, same_cols=name not in STRUCTURAL_LOSSES)
+    return _PAIRWISE_KERNELS[name](a, b)
 
 
 def procrustes_decompose(z, p) -> ProcrustesDecomposition:
@@ -315,8 +340,8 @@ def procrustes_decompose(z, p) -> ProcrustesDecomposition:
     satisfy l_coord = l_shape + l_rigid exactly and l_rigid >= 0.
     """
     z, p = _check_pair(z, p, same_cols=True)
-    zh = normalize_rows(z, "first matrix")
-    ph = normalize_rows(p, "second matrix")
+    zh = _unit_rows(z, "first matrix")
+    ph = _unit_rows(p, "second matrix")
     res = svd(ph.T @ zh)
     r = res.left_factor @ res.right_factor.T
     pr = ph @ r

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, NumericFailureError
+from .tensor import check_labels
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
@@ -80,16 +81,22 @@ def build_model(
     widths = list(spec.hidden_widths) + [spec.feature_dim]
     fan_in = input_dim
     layers = []
-    for i, width in enumerate(widths):
-        s = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-s, s, size=(fan_in, width))
-        b = rng.uniform(-s, s, size=(width,))
-        act = "tanh" if i < len(widths) - 1 else "linear"
-        layers.append(Layer(w, b, act))
-        fan_in = width
-    s = 1.0 / np.sqrt(spec.feature_dim)
-    cw = rng.uniform(-s, s, size=(spec.feature_dim, num_classes))
-    cb = rng.uniform(-s, s, size=(num_classes,))
+    try:
+        for i, width in enumerate(widths):
+            s = 1.0 / np.sqrt(fan_in)
+            w = rng.uniform(-s, s, size=(fan_in, width))
+            b = rng.uniform(-s, s, size=(width,))
+            act = "tanh" if i < len(widths) - 1 else "linear"
+            layers.append(Layer(w, b, act))
+            fan_in = width
+        s = 1.0 / np.sqrt(spec.feature_dim)
+        cw = rng.uniform(-s, s, size=(spec.feature_dim, num_classes))
+        cb = rng.uniform(-s, s, size=(num_classes,))
+    except (ValueError, MemoryError) as exc:
+        raise ContractError(
+            f"cannot allocate a model of widths {widths} on {input_dim} inputs and "
+            f"{num_classes} classes: {exc}"
+        ) from exc
     return ClientModel(layers, cw, cb, spec.feature_dim, architecture_id)
 
 
@@ -100,6 +107,16 @@ def forward(model: ClientModel, batch) -> tuple[np.ndarray, np.ndarray, ForwardC
         raise ContractError(
             f"batch shape {batch.shape} incompatible with input_dim {model.input_dim}"
         )
+    return _forward(model, batch)
+
+
+# forward, loss_supervised and backward_and_step are each their contract
+# checks followed by one of the kernels below, which trust their inputs; the
+# training step checks its batch once and calls the kernels directly.  The
+# non-finite checks are part of the kernels, so they fire on every path.
+
+
+def _forward(model: ClientModel, batch: np.ndarray):
     cache = ForwardCache([batch])
     # overflow is detected explicitly below, so the IEEE warnings that
     # precede the non-finite check are suppressed rather than surfaced
@@ -111,7 +128,7 @@ def forward(model: ClientModel, batch) -> tuple[np.ndarray, np.ndarray, ForwardC
             cache.layer_inputs.append(h)
         embeddings = h
         logits = embeddings @ model.classifier_weights + model.classifier_bias
-    if not (np.all(np.isfinite(embeddings)) and np.all(np.isfinite(logits))):
+    if not (np.isfinite(embeddings).all() and np.isfinite(logits).all()):
         raise NumericFailureError("forward pass produced non-finite values")
     return embeddings, logits, cache
 
@@ -123,14 +140,14 @@ def loss_supervised(logits, labels) -> tuple[float, np.ndarray]:
     logits.  Uniform logits over C classes give exactly ln C.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    n, c = logits.shape
-    if labels.shape != (n,):
-        raise ContractError(f"labels shape {labels.shape} != ({n},)")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ContractError(f"labels must be integers, got {labels.dtype}")
-    if labels.min() < 0 or labels.max() >= c:
-        raise ContractError(f"labels out of range [0, {c})")
+    if logits.ndim != 2:
+        raise ContractError(f"logits must be 2-D, got shape {logits.shape}")
+    labels = check_labels(labels, *logits.shape)
+    return _softmax_cross_entropy(logits, labels)
+
+
+def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    rows = np.arange(logits.shape[0])
     # shifting makes the softmax stable for any reasonable logits; extreme
     # (runaway-training) magnitudes may still overflow the mean, which the
     # caller's non-finite check turns into a NumericFailureError, so the
@@ -138,12 +155,12 @@ def loss_supervised(logits, labels) -> tuple[float, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = logits - logits.max(axis=1, keepdims=True)
         expz = np.exp(shifted)
-        probs = expz / expz.sum(axis=1, keepdims=True)
-        picked = shifted[np.arange(n), labels] - np.log(expz.sum(axis=1))
-        value = float(-np.mean(picked))
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return value, grad / n
+        norm = expz.sum(axis=1)
+        grad = expz / norm[:, None]  # the softmax, turned into the gradient below
+        picked = shifted[rows, labels] - np.log(norm)
+        value = float(-picked.mean())
+    grad[rows, labels] -= 1.0
+    return value, grad / rows.shape[0]
 
 
 def backward_and_step(
@@ -175,7 +192,17 @@ def backward_and_step(
         )
     if not (learning_rate >= 0.0 and np.isfinite(learning_rate)):
         raise ContractError(f"learning_rate must be finite and >= 0, got {learning_rate}")
+    return _backward_and_step(model, cache, grad_logits, grad_embeddings, learning_rate)
 
+
+def _backward_and_step(
+    model: ClientModel,
+    cache: ForwardCache,
+    grad_logits: np.ndarray,
+    grad_embeddings: np.ndarray,
+    learning_rate: float,
+) -> ClientModel:
+    embeddings = cache.layer_inputs[-1]
     grads = []
     gcw = embeddings.T @ grad_logits
     gcb = grad_logits.sum(axis=0)
@@ -192,7 +219,7 @@ def backward_and_step(
             g = g @ layer.weights.T
 
     for arr in (gcw, gcb, *(x for _, gw, gb in grads for x in (gw, gb))):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericFailureError("non-finite parameter gradient; step aborted")
 
     model.classifier_weights -= learning_rate * gcw
@@ -201,4 +228,3 @@ def backward_and_step(
         model.extractor[i].weights -= learning_rate * gw
         model.extractor[i].bias -= learning_rate * gb
     return model
-

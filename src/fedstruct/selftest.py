@@ -8,7 +8,6 @@ casually; the full test suite under tests/ is the real gate.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -33,6 +32,12 @@ from .runner import run_scenario
 from .tensor import random_orthogonal, svd
 
 
+def _require(condition, message: str) -> None:
+    """Fail a check; unlike `assert`, this also holds under `python -O`."""
+    if not condition:
+        raise AssertionError(message)
+
+
 def _check_gradients():
     rng = np.random.default_rng(2024)
     for name in PAIRWISE_LOSSES:
@@ -40,13 +45,13 @@ def _check_gradients():
             a = rng.standard_normal((5, 4))
             b = rng.standard_normal((5, 4))
             rep = check_gradient(name, a, b)
-            assert rep.passed, f"{name} gradient rel err {rep.max_rel_err:.2e}"
+            _require(rep.passed, f"{name} gradient rel err {rep.max_rel_err:.2e}")
     for _ in range(3):
         z = rng.standard_normal((6, 4))
         protos = rng.standard_normal((3, 4))
         labels = rng.integers(0, 3, 6)
         rep = check_gradient(AlignmentKind("contrastive", 0.5), z, protos, labels)
-        assert rep.passed, f"contrastive gradient rel err {rep.max_rel_err:.2e}"
+        _require(rep.passed, f"contrastive gradient rel err {rep.max_rel_err:.2e}")
 
 
 def _check_invariances():
@@ -59,9 +64,9 @@ def _check_invariances():
         shift = rng.standard_normal(4)
         scale = float(rng.uniform(0.5, 3.0))
         moved = scale * (p @ rot) + shift
-        assert abs(loss_gcsa(moved, q).value - base) < 1e-9, "gcsa rigid invariance"
+        _require(abs(loss_gcsa(moved, q).value - base) < 1e-9, "gcsa rigid invariance")
         rbase = loss_rcsa(p, q).value
-        assert abs(loss_rcsa(p @ rot, q).value - rbase) < 1e-9, "rcsa orthogonal invariance"
+        _require(abs(loss_rcsa(p @ rot, q).value - rbase) < 1e-9, "rcsa orthogonal invariance")
 
 
 def _check_procrustes():
@@ -70,8 +75,8 @@ def _check_procrustes():
         z = rng.standard_normal((7, 4))
         p = rng.standard_normal((7, 4))
         dec = procrustes_decompose(z, p)
-        assert abs(dec.l_coord - (dec.l_shape + dec.l_rigid)) < 1e-9, "additivity"
-        assert dec.l_rigid >= -1e-12, "rigid part nonnegative"
+        _require(abs(dec.l_coord - (dec.l_shape + dec.l_rigid)) < 1e-9, "additivity")
+        _require(dec.l_rigid >= -1e-12, "rigid part nonnegative")
 
 
 def _check_contrastive_split():
@@ -80,32 +85,29 @@ def _check_contrastive_split():
     protos = rng.standard_normal((4, 5))
     labels = rng.integers(0, 4, 6)
     parts = loss_contrastive(z, protos, labels, 0.5)
-    assert abs(parts.total.value - (parts.alignment.value + parts.uniformity.value)) < 1e-12
-    assert parts.total.value >= -1e-12, "contrastive total is nonnegative"
+    split = parts.alignment.value + parts.uniformity.value
+    _require(abs(parts.total.value - split) < 1e-12, "total = alignment + uniformity")
+    _require(parts.total.value >= -1e-12, "contrastive total is nonnegative")
     single = loss_contrastive(z, protos[:1], np.zeros(6, dtype=np.int64), 0.5)
-    assert abs(single.total.value) < 1e-12, "single prototype cancels exactly"
+    _require(abs(single.total.value) < 1e-12, "single prototype cancels exactly")
 
 
 def _check_aggregation():
-    a = PrototypeSet()
-    a.set(0, np.array([1.0, 0.0]), 1)
-    a.set(2, np.array([0.0, 4.0]), 2)
-    b = PrototypeSet()
-    b.set(0, np.array([4.0, 0.0]), 3)
-    prev = PrototypeSet()
-    prev.set(5, np.array([9.0, 9.0]), 7)
+    a = PrototypeSet(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 4.0], [0.0, 0.0]]), [1, 0, 2, 0])
+    b = PrototypeSet(np.array([[4.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), [3, 0, 0, 0])
+    prev = PrototypeSet(np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [9.0, 9.0]]), [0, 0, 0, 7])
     merged = aggregate_prototypes([a, b], previous=prev)
-    assert np.allclose(merged.vectors[0], [3.25, 0.0]), "count-weighted mean"
-    assert merged.counts[0] == 4
-    assert np.allclose(merged.vectors[5], [9.0, 9.0]), "stale retention"
+    _require(np.allclose(merged.vectors[0], [3.25, 0.0]), "count-weighted mean")
+    _require(merged.counts[0] == 4, "summed counts")
+    _require(np.allclose(merged.vectors[3], [9.0, 9.0]), "stale retention")
+    _require(merged.classes() == [0, 2, 3], "absent class stays absent")
 
 
 def _check_hypersphere():
-    protos = fixed_hypersphere_prototypes(2, 5, 99)
-    stacked = protos.stack()
-    assert float(stacked[0] @ stacked[1]) <= -1.0 + 1e-6, "antipodal pair"
+    stacked = fixed_hypersphere_prototypes(2, 5, 99).vectors
+    _require(float(stacked[0] @ stacked[1]) <= -1.0 + 1e-6, "antipodal pair")
     norms = np.linalg.norm(stacked, axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-12), "unit norms"
+    _require(np.allclose(norms, 1.0, atol=1e-12), "unit norms")
 
 
 def _check_svd():
@@ -113,10 +115,11 @@ def _check_svd():
     m = rng.standard_normal((12, 7))
     res = svd(m)
     err = np.max(np.abs(res.reconstruct() - m)) / np.max(np.abs(m))
-    assert err < 1e-12, f"svd reconstruction error {err:.2e}"
+    _require(err < 1e-12, f"svd reconstruction error {err:.2e}")
     rank1 = np.outer(np.arange(1.0, 5.0), np.ones(3))
     eff = effective_dimensionality(rank1)
-    assert eff.threshold_dim == 1 and abs(eff.participation_ratio - 1.0) < 1e-9
+    _require(eff.threshold_dim == 1 and abs(eff.participation_ratio - 1.0) < 1e-9,
+             "rank-1 stack has one direction")
 
 
 def _tiny_config() -> ExperimentConfig:
@@ -142,7 +145,7 @@ def _check_determinism():
         blobs.append(
             "\n".join(json.dumps(r.to_json_dict(), sort_keys=True) for r in run.reports)
         )
-    assert blobs[0] == blobs[1], "seeded runs must be byte-identical"
+    _require(blobs[0] == blobs[1], "seeded runs must be byte-identical")
 
 
 def _check_degenerate_rejection():

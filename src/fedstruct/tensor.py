@@ -1,8 +1,9 @@
-"""Dense matrix kernel: validation, factorizations, row-geometry helpers.
+"""Dense matrix kernel: validation, factorizations, row normalization.
 
-All public functions take and return plain float64 numpy arrays.  Inputs are
-validated against the operation contracts and rejected with ContractError /
-DegenerateInputError rather than silently propagating NaNs.
+All public functions take and return plain numpy arrays (float64, or integer
+class labels for check_labels).  Inputs are validated against the operation
+contracts and rejected with ContractError / DegenerateInputError rather than
+silently propagating NaNs.
 """
 
 from __future__ import annotations
@@ -29,15 +30,27 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def center_rows(m: np.ndarray) -> np.ndarray:
-    """Subtract the mean row: output columns each sum to zero."""
-    m = as_matrix(m)
-    return m - m.mean(axis=0, keepdims=True)
+def check_labels(labels, n: int, num_classes: int) -> np.ndarray:
+    """`labels` as an array of n integer classes in [0, num_classes)."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ContractError(f"labels shape {labels.shape} != ({n},)")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ContractError(f"labels must be integers, got {labels.dtype}")
+    if n and labels.min() < 0:
+        raise ContractError(f"labels must be >= 0, got {int(labels.min())}")
+    if n and labels.max() >= num_classes:
+        raise ContractError(f"labels out of range [0, {num_classes}): got {int(labels.max())}")
+    return labels
 
 
 def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Scale each row to unit l2 norm; zero rows are rejected."""
-    m = as_matrix(m, name)
+    return _unit_rows(as_matrix(m, name), name)
+
+
+def _unit_rows(m: np.ndarray, name: str) -> np.ndarray:
+    """normalize_rows without the input checks: m is a finite 2-D float64 array."""
     norms = np.linalg.norm(m, axis=1)
     bad = np.nonzero(norms <= EPS_NORM)[0]
     if bad.size:

@@ -1,9 +1,11 @@
 """Independent reference implementations of the structural-alignment formulas.
 
-Everything here is deliberately written with explicit Python loops over
-scalars and shares no code with the installed package.  These routines exist
-to generate frozen golden values and to cross-check the fast vectorized
-implementations; they are far too slow for real use.
+Everything here shares no code with the installed package.  The loop
+routines are written with explicit Python loops over scalars; they exist to
+generate frozen golden values and are far too slow for real use.
+`gcsa_gram_form` is the one vectorized exception: GCSA and its gradient
+straight from the n x n centered Gram matrices, to cross-check the package's
+feature-space (d x d) kernel at sizes the loops cannot reach.
 
 Run as a script to print golden values for the seeded test cases:
 
@@ -72,6 +74,26 @@ def gcsa_loss_loop(p, q):
     kp = gram_loop(center_rows_loop(p))
     kq = gram_loop(center_rows_loop(q))
     return 1.0 - frob_inner_loop(kp, kq) / (frob_norm_loop(kp) * frob_norm_loop(kq))
+
+
+def gcsa_gram_form(p, q):
+    """GCSA value and gradient w.r.t. p from the n x n centered Grams.
+
+    L = 1 - s / (f g) with s = <K_P, K_Q>_F, f = ||K_P||_F, g = ||K_Q||_F and
+    K = (C X)(C X)^T for the centering map C.  dL/dK_P = (s / f^3 g) K_P -
+    K_Q / (f g) =: G (symmetric), and K_P's pull-back gives dL/dP = 2 C G C P.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    n = p.shape[0]
+    c = np.eye(n) - np.full((n, n), 1.0 / n)
+    kp = (c @ p) @ (c @ p).T
+    kq = (c @ q) @ (c @ q).T
+    s = float(np.sum(kp * kq))
+    f = float(np.sqrt(np.sum(kp * kp)))
+    g = float(np.sqrt(np.sum(kq * kq)))
+    gk = (s / (f ** 3 * g)) * kp - kq / (f * g)
+    return 1.0 - s / (f * g), 2.0 * c @ gk @ c @ p
 
 
 def rdm_upper_loop(m):

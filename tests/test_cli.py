@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -48,6 +50,25 @@ def _write_cfg(tmp_path, payload, name="cfg.json"):
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_selftest_fails_under_optimized_python():
+    # `python -O` strips assert statements; the checks must fail without them.
+    # The appended check runs the svd check against a wrong factorization.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = (
+        "from fedstruct import selftest\n"
+        "svd = selftest.svd\n"
+        "def wrong_svd():\n"
+        "    selftest.svd = lambda m: svd(m + 1.0)\n"
+        "    selftest._check_svd()\n"
+        "selftest.CHECKS.append(('svd of the wrong matrix', wrong_svd))\n"
+        "raise SystemExit(selftest.run_selftest(verbose=False))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 1, done.stderr
 
 
 def test_run_zero_rounds_writes_empty_report(tmp_path, capsys):
@@ -257,6 +278,27 @@ def test_mistyped_field_exits_2_and_names_it(block, key, value, extra):
     code, err = _run_zero_rounds(payload, extra)
     assert code == 2
     assert f"{block}.{key}" in err
+    assert "Traceback" not in err
+
+
+# Sizes beyond numpy's largest dimension: numpy rejects every one of them
+# before it allocates anything, so these cases are safe to run.
+HUGE = 10 ** 20
+
+
+@pytest.mark.parametrize("block, key, value, code, message", [
+    pytest.param("dataset", "samples_per_class", HUGE, 2, "cannot allocate", id="samples"),
+    pytest.param("dataset", "input_dim", HUGE, 2, "cannot allocate", id="input_dim"),
+    pytest.param("dataset", "classes", HUGE, 2, "cannot allocate", id="classes"),
+    pytest.param("model", "feature_dim", HUGE, 2, "cannot allocate a model", id="feature_dim"),
+    pytest.param("model", "hidden_widths", [[HUGE]], 2, "cannot allocate a model", id="width"),
+    pytest.param("partition", "clients", HUGE, 3, "reduce num_clients", id="clients"),
+])
+def test_oversized_sizes_exit_cleanly(block, key, value, code, message):
+    payload = {block: {key: value}}
+    got, err = _run_zero_rounds(payload)
+    assert got == code
+    assert message in err and str(HUGE) in err
     assert "Traceback" not in err
 
 

@@ -56,57 +56,134 @@ def _models_equal(a, b):
     return True
 
 
+def _loop_means(emb, labels, num_classes):
+    """Per-class means and counts, one class at a time (the reference)."""
+    vectors = np.zeros((num_classes, emb.shape[1]))
+    counts = np.zeros(num_classes, dtype=np.int64)
+    for c in range(num_classes):
+        members = labels == c
+        if members.any():
+            vectors[c] = emb[members].mean(axis=0)
+            counts[c] = members.sum()
+    return vectors, counts
+
+
+def _loop_aggregate(uploads, previous=None):
+    """Count-weighted mean over the uploads holding each class, one class at
+    a time, then stale classes from `previous` (the reference)."""
+    num_classes, dim = uploads[0].vectors.shape
+    vectors = np.zeros((num_classes, dim))
+    counts = np.zeros(num_classes, dtype=np.int64)
+    for c in range(num_classes):
+        holders = [u for u in uploads if u.counts[c] >= 1]
+        if holders:
+            wts = np.array([u.counts[c] for u in holders], dtype=np.float64)
+            stacked = np.stack([u.vectors[c] for u in holders])
+            vectors[c] = (wts[:, None] * stacked).sum(axis=0) / wts.sum()
+            counts[c] = int(wts.sum())
+        elif previous is not None and previous.counts[c] >= 1:
+            vectors[c] = previous.vectors[c]
+            counts[c] = previous.counts[c]
+    return vectors, counts
+
+
+def _random_set(rng, num_classes, dim, absent_share=0.3):
+    counts = rng.integers(1, 20, num_classes) * (rng.random(num_classes) >= absent_share)
+    return PrototypeSet(rng.standard_normal((num_classes, dim)), counts)
+
+
 class TestPrototypeSet:
     def test_set_validates_dim(self):
-        ps = PrototypeSet()
-        ps.set(0, [1.0, 2.0], 3)
         with pytest.raises(ContractError):
-            ps.set(1, [1.0, 2.0, 3.0], 1)
+            PrototypeSet(np.zeros((2, 3)), [1, 1, 1])  # counts longer than the rows
+        with pytest.raises(ContractError):
+            PrototypeSet(np.zeros(3), [1, 1, 1])  # vectors must be (C, d)
 
     def test_set_rejects_non_finite(self):
         with pytest.raises(ContractError):
-            PrototypeSet().set(0, [np.inf, 1.0], 1)
+            PrototypeSet([[np.inf, 1.0]], [1])
+
+    def test_rejects_bad_counts(self):
+        with pytest.raises(ContractError):
+            PrototypeSet(np.zeros((2, 2)), [1, -1])
+        with pytest.raises(ContractError):
+            PrototypeSet(np.zeros((2, 2)), [1.0, 2.0])
 
     def test_stack_orders_and_validates(self):
-        ps = PrototypeSet()
-        ps.set(3, [3.0, 0.0], 1)
-        ps.set(1, [1.0, 0.0], 1)
-        np.testing.assert_array_equal(ps.stack(), [[1.0, 0.0], [3.0, 0.0]])
-        with pytest.raises(ContractError):
-            ps.stack([1, 2])
+        ps = PrototypeSet([[5.0, 5.0], [1.0, 0.0], [0.0, 0.0], [3.0, 0.0]], [0, 1, 0, 2])
+        assert ps.classes() == [1, 3]
+        np.testing.assert_array_equal(ps.present, [False, True, False, True])
+        np.testing.assert_array_equal(ps.rows, [[1.0, 0.0], [3.0, 0.0]])
+        np.testing.assert_array_equal(ps.slot, [-1, 0, -1, 1])
+        np.testing.assert_array_equal(ps.vectors[0], [0.0, 0.0])  # absent rows read as zero
+        assert (ps.num_classes, ps.dim) == (4, 2)
+        assert not ps.is_empty and PrototypeSet(np.ones((2, 2)), [0, 0]).is_empty
+
+    def test_is_immutable(self):
+        source = np.array([[1.0, 2.0]])
+        ps = PrototypeSet(source, [1])
+        source[0, 0] = 9.0
+        assert ps.vectors[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            ps.vectors[0, 0] = 5.0
 
 
 class TestBatchPrototypes:
     def test_singletons_equal_their_row(self):
         emb = np.array([[1.0, 2.0], [3.0, 4.0]])
-        ps = batch_prototypes(emb, np.array([5, 9]))
+        ps = batch_prototypes(emb, np.array([5, 9]), 10)
         np.testing.assert_array_equal(ps.vectors[5], [1.0, 2.0])
         np.testing.assert_array_equal(ps.vectors[9], [3.0, 4.0])
-        assert ps.counts == {5: 1, 9: 1}
+        assert ps.classes() == [5, 9]
+        assert ps.counts[5] == ps.counts[9] == 1
 
     def test_identical_rows_average_to_the_row(self):
         emb = np.array([[1.0, 1.0], [1.0, 1.0]])
-        ps = batch_prototypes(emb, np.array([0, 0]))
+        ps = batch_prototypes(emb, np.array([0, 0]), 1)
         np.testing.assert_array_equal(ps.vectors[0], [1.0, 1.0])
 
     def test_hand_mean(self):
-        ps = batch_prototypes(np.array([[1.0, 0.0], [3.0, 0.0]]), np.array([2, 2]))
+        ps = batch_prototypes(np.array([[1.0, 0.0], [3.0, 0.0]]), np.array([2, 2]), 3)
         np.testing.assert_array_equal(ps.vectors[2], [2.0, 0.0])
         assert ps.counts[2] == 2
 
+    def test_num_classes_pads_absent_classes(self):
+        ps = batch_prototypes(np.ones((2, 3)), np.array([1, 1]), num_classes=4)
+        assert ps.vectors.shape == (4, 3) and ps.classes() == [1]
+        with pytest.raises(ContractError):
+            batch_prototypes(np.ones((2, 3)), np.array([1, 4]), num_classes=4)
+        with pytest.raises(ContractError):
+            batch_prototypes(np.ones((2, 3)), np.array([0.0, 1.0]), 4)
+
+    def test_bit_identical_to_per_class_loop(self):
+        # d >= 2: numpy sums the rows of a one-column matrix pairwise, not in
+        # order, so at d == 1 the loop's means may differ in the last bit
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            n, d, classes = int(rng.integers(1, 65)), int(rng.integers(2, 17)), 10
+            emb = rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0)
+            labels = rng.integers(0, classes, n)
+            ps = batch_prototypes(emb, labels, classes)
+            vectors, counts = _loop_means(emb, labels, classes)
+            assert ps.vectors.tobytes() == vectors.tobytes()
+            np.testing.assert_array_equal(ps.counts, counts)
+
 
 class TestAggregatePrototypes:
-    def _ps(self, entries):
-        ps = PrototypeSet()
+    def _ps(self, entries, num_classes=8, dim=None):
+        dim = dim or len(entries[0][1])
+        vectors = np.zeros((num_classes, dim))
+        counts = np.zeros(num_classes, dtype=np.int64)
         for c, v, n in entries:
-            ps.set(c, v, n)
-        return ps
+            vectors[c], counts[c] = v, n
+        return PrototypeSet(vectors, counts)
 
     def test_single_upload_identity(self):
         up = self._ps([(0, [1.0, 2.0], 4)])
         agg = aggregate_prototypes([up])
         np.testing.assert_array_equal(agg.vectors[0], [1.0, 2.0])
         assert agg.counts[0] == 4
+        assert agg.classes() == [0]
 
     def test_symmetric_average(self):
         a = self._ps([(0, [0.0, 2.0], 5)])
@@ -126,6 +203,7 @@ class TestAggregatePrototypes:
         agg = aggregate_prototypes([up], previous=prev)
         np.testing.assert_array_equal(agg.vectors[7], [9.0, 9.0])
         assert agg.counts[7] == 2
+        assert agg.classes() == [0, 7]
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
@@ -136,8 +214,7 @@ class TestAggregatePrototypes:
         ]
         a = aggregate_prototypes(ups)
         b = aggregate_prototypes(ups[::-1])
-        for c in range(4):
-            np.testing.assert_allclose(a.vectors[c], b.vectors[c], atol=1e-12)
+        np.testing.assert_allclose(a.vectors, b.vectors, atol=1e-12)
 
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(1)
@@ -148,25 +225,44 @@ class TestAggregatePrototypes:
         assert np.all(agg >= stacked.min(axis=0) - 1e-12)
         assert np.all(agg <= stacked.max(axis=0) + 1e-12)
 
+    def test_bit_identical_to_per_class_loop(self):
+        rng = np.random.default_rng(41)  # dim >= 2, as in TestBatchPrototypes
+        for _ in range(200):
+            classes, dim = int(rng.integers(1, 12)), int(rng.integers(2, 17))
+            ups = [_random_set(rng, classes, dim) for _ in range(int(rng.integers(1, 33)))]
+            prev = _random_set(rng, classes, dim) if rng.random() < 0.7 else None
+            agg = aggregate_prototypes(ups, previous=prev)
+            vectors, counts = _loop_aggregate(ups, prev)
+            assert agg.vectors.tobytes() == vectors.tobytes()
+            np.testing.assert_array_equal(agg.counts, counts)
+
     def test_rejects_foreign_payloads(self):
         with pytest.raises(TypeError):
             aggregate_prototypes([{"weights": [1.0]}])
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ContractError):
+            aggregate_prototypes([self._ps([(0, [1.0, 2.0], 1)]),
+                                  self._ps([(0, [1.0, 2.0], 1)], num_classes=3)])
+        with pytest.raises(ContractError):
+            aggregate_prototypes([])
 
 
 class TestFixedHypersphere:
     def test_two_classes_antipodal(self):
         ps = fixed_hypersphere_prototypes(2, 4, seed=0)
+        assert ps.classes() == [0, 1]
         inner = float(ps.vectors[0] @ ps.vectors[1])
         assert inner <= -1.0 + 1e-6
 
     def test_unit_norms(self):
         ps = fixed_hypersphere_prototypes(6, 5, seed=1)
-        for v in ps.vectors.values():
+        for v in ps.vectors:
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-10
 
     def test_tetrahedral_angle(self):
         ps = fixed_hypersphere_prototypes(4, 3, seed=2)
-        mat = ps.stack()
+        mat = ps.vectors
         angles = []
         for i in range(4):
             for j in range(i + 1, 4):
@@ -174,8 +270,8 @@ class TestFixedHypersphere:
         assert min(angles) == pytest.approx(109.4712, abs=2.0)
 
     def test_deterministic(self):
-        a = fixed_hypersphere_prototypes(5, 4, seed=3).stack()
-        b = fixed_hypersphere_prototypes(5, 4, seed=3).stack()
+        a = fixed_hypersphere_prototypes(5, 4, seed=3).vectors
+        b = fixed_hypersphere_prototypes(5, 4, seed=3).vectors
         np.testing.assert_array_equal(a, b)
 
 
@@ -216,19 +312,18 @@ class TestLocalTrainStep:
     def test_bootstrap_with_empty_set_is_supervised_only(self):
         batch, labels = self._batch(seed=7)
         model = build_model(ArchitectureSpec((), 4), 5, 3, seed=8)
-        _, breakdown = local_train_step(model, batch, labels, PrototypeSet(), _cfg())
-        assert breakdown.proto == 0.0
-        assert breakdown.inst == 0.0
+        for protos in (None, PrototypeSet(np.zeros((3, 4)), np.zeros(3, dtype=np.int64))):
+            _, breakdown = local_train_step(model, batch, labels, protos, _cfg())
+            assert breakdown.proto == 0.0
+            assert breakdown.inst == 0.0
 
     def test_gcsa_proto_term_invariant_to_scaled_rotation(self):
         batch, labels = self._batch(seed=9, n=15, d=5, classes=4)
         model = build_model(ArchitectureSpec((8,), 4), 5, 4, seed=10)
         emb, _, _ = forward(model, batch)
-        class_means = batch_prototypes(emb, labels)
+        class_means = batch_prototypes(emb, labels, 4)
         rot = random_orthogonal(4, seed=11)
-        protos = PrototypeSet()
-        for c in class_means.classes():
-            protos.set(c, 1.7 * (class_means.vectors[c] @ rot), 1)
+        protos = PrototypeSet(1.7 * (class_means.vectors @ rot), class_means.present.astype(int))
         _, breakdown = local_train_step(model, batch, labels, protos, _cfg(gamma=0.0))
         assert breakdown.proto <= 1e-8
 
@@ -244,8 +339,8 @@ class TestLocalTrainStep:
         batch, labels = self._batch(seed=15, n=12, d=5, classes=3)
         model = build_model(ArchitectureSpec((6,), 4), 5, 3, seed=16)
         emb, logits, _ = forward(model, batch)
-        protos = fixed_hypersphere_prototypes(3, 4, seed=17)
-        del protos.vectors[2], protos.counts[2]  # class 2 unknown globally
+        anchors = fixed_hypersphere_prototypes(3, 4, seed=17)
+        protos = PrototypeSet(anchors.vectors, [1, 1, 0])  # class 2 unknown globally
         cfg = _cfg(alignment=_kind("mse"), lam=0.0, gamma=1.0)
         _, br = local_train_step(copy.deepcopy(model), batch, labels, protos, cfg)
         known = np.isin(labels, [0, 1])
@@ -253,6 +348,12 @@ class TestLocalTrainStep:
         expected = float(np.mean(np.sum((emb[known] - targets) ** 2, axis=1)))
         assert br.inst == pytest.approx(expected, rel=1e-12)
         assert br.sup == pytest.approx(loss_supervised(logits, labels)[0], rel=1e-12)
+
+    def test_rejects_global_set_of_another_shape(self):
+        batch, labels = self._batch(seed=21)
+        model = build_model(ArchitectureSpec((6,), 4), 5, 3, seed=22)
+        with pytest.raises(ContractError):
+            local_train_step(model, batch, labels, fixed_hypersphere_prototypes(4, 4, 23), _cfg())
 
     def test_structural_skip_below_minimum_rows(self):
         batch, labels = self._batch(seed=18, n=10, d=5, classes=2)
@@ -280,20 +381,15 @@ class TestClientRound:
 
     def test_empty_schedule_leaves_model_unchanged(self):
         # config validation forbids local_epochs=0, so exercise the engine's
-        # empty-schedule tolerance directly: no steps -> no parameter change,
-        # upload computed from the initial extractor
+        # empty-schedule tolerance directly: no steps -> no parameter change
         shard = self._shard()
         model = build_model(ArchitectureSpec((4,), 3), 5, 3, seed=21)
         before = copy.deepcopy(model)
         cfg = _cfg()
         object.__setattr__(cfg, "local_epochs", 0)
-        updated, upload, metrics = client_round(model, shard, PrototypeSet(), cfg, seed=0)
+        updated, metrics = client_round(model, shard, None, cfg, seed=0)
         assert metrics.steps == 0
         assert _models_equal(updated, before)
-        emb, _, _ = forward(before, shard.train_features)
-        expected = batch_prototypes(emb, shard.train_labels)
-        for c in expected.classes():
-            np.testing.assert_array_equal(upload.vectors[c], expected.vectors[c])
 
     def test_deterministic(self):
         shard = self._shard(seed=1)
@@ -302,17 +398,22 @@ class TestClientRound:
         for _ in range(2):
             model = build_model(ArchitectureSpec((4,), 3), 5, 3, seed=23)
             out.append(client_round(model, shard, protos, _cfg(), seed=99))
-        (m1, u1, met1), (m2, u2, met2) = out
+        (m1, met1), (m2, met2) = out
         assert _models_equal(m1, m2)
-        for c in u1.classes():
-            np.testing.assert_array_equal(u1.vectors[c], u2.vectors[c])
         assert met1 == met2
 
-    def test_upload_covers_exactly_train_classes(self):
+    def test_upload_covers_exactly_train_classes(self, tmp_path):
+        # one client whose train split lacks class 2: after round 0 the
+        # global set is its upload alone, so the snapshot lists its classes
         shard = self._shard(seed=2)
-        model = build_model(ArchitectureSpec((4,), 3), 5, 3, seed=24)
-        _, upload, _ = client_round(model, shard, PrototypeSet(), _cfg(), seed=0)
-        assert upload.classes() == sorted(np.unique(shard.train_labels).tolist())
+        keep = shard.train_labels != 2
+        shard.train_features = shard.train_features[keep]
+        shard.train_labels = shard.train_labels[keep]
+        run_experiment([shard], [ArchitectureSpec((4,), 3)], _cfg(), rounds=1, seed=2,
+                       num_classes=3, snapshot_dir=tmp_path)
+        with open(tmp_path / "round_0.csv") as fh:
+            classes = [int(line.split(",")[0]) for line in fh.read().splitlines()[1:]]
+        assert classes == sorted(np.unique(shard.train_labels).tolist()) == [0, 1]
 
     def test_numeric_failure_carries_client_id(self):
         ds = generate_mixture(3, 5, 12, 1.0, 0.5, seed=3)
@@ -333,7 +434,7 @@ class TestClientRound:
         with pytest.raises(ContractError):
             client_round(
                 build_model(ArchitectureSpec((), 3), 4, 2, seed=27),
-                shard, PrototypeSet(), _cfg(), seed=0,
+                shard, None, _cfg(), seed=0,
             )
 
 

@@ -16,6 +16,7 @@ from fedstruct.losses import (
     procrustes_decompose,
 )
 from fedstruct.tensor import random_orthogonal
+from oracles import gcsa_gram_form
 
 
 def _pair(seed, n, d):
@@ -119,6 +120,17 @@ class TestGcsa:
         p, q = _pair(9, 5, 8)
         report = check_gradient("gcsa", p, q, tolerance=1e-4)
         assert report.passed, report
+
+    # prototype- and instance-level desk shapes, a large batch, unequal widths
+    @pytest.mark.parametrize("n,d,dq", [(3, 8, 8), (32, 8, 8), (256, 16, 16), (6, 3, 7)])
+    def test_feature_space_matches_gram_form(self, n, d, dq):
+        rng = np.random.default_rng(n * d)
+        p = rng.standard_normal((n, d)) + rng.standard_normal(d)
+        q = rng.standard_normal((n, dq)) @ rng.standard_normal((dq, dq))
+        value, grad = gcsa_gram_form(p, q)
+        res = loss_gcsa(p, q)
+        assert res.value == pytest.approx(value, rel=1e-12)
+        assert np.max(np.abs(res.grad - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
 class TestRcsa:

@@ -1,4 +1,4 @@
-"""Dense-array helpers: centering, normalization, SVD, rotations."""
+"""Dense-array helpers: validation, normalization, SVD, rotations."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from fedstruct.errors import ContractError, DegenerateInputError
 from fedstruct.tensor import (
     as_matrix,
-    center_rows,
     normalize_rows,
     random_orthogonal,
     svd,
@@ -30,18 +29,6 @@ class TestAsMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ContractError):
             as_matrix([[1.0, np.nan]])
-
-
-class TestCenterRows:
-    def test_hand_example(self):
-        m = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-        expected = m - np.array([1.0, 1.0])
-        np.testing.assert_allclose(center_rows(m), expected, atol=0)
-
-    def test_centered_mean_is_zero(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((7, 4))
-        np.testing.assert_allclose(center_rows(m).mean(axis=0), 0.0, atol=1e-15)
 
 
 class TestNormalizeRows:
