@@ -26,7 +26,7 @@ from .config import ExperimentConfig, load_config, validate_config
 from .errors import ContractError, NumericFailureError, PartitionFailureError
 from .federation import SCENARIOS
 from .losses import KNOWN_LOSSES
-from .runner import execute_run, run_scenario, write_rounds_jsonl
+from .runner import execute_run, run_scenario, run_scenarios, write_rounds_jsonl
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -134,23 +134,26 @@ def _cmd_sweep(args) -> int:
     out_dir = cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
 
-    baseline = run_scenario(_with_weights(cfg, 0.0, 0.0)).best_mean_accuracy
+    # the baseline and every grid point advance together, one lockstep run
+    baseline, *results = run_scenarios([_with_weights(cfg, 0.0, 0.0)] + points)
+    if isinstance(baseline, NumericFailureError):
+        raise baseline
+    baseline = baseline.best_mean_accuracy
 
     rows = []
-    for point in points:
+    for point, result in zip(points, results):
         lam, gamma = point.training.lam, point.training.gamma
         # A diverged grid point is a result, not a crash: record it as NaN
         # and keep sweeping.  (`run` stays strict and aborts instead.)
-        try:
-            best = run_scenario(point).best_mean_accuracy
-        except NumericFailureError as exc:
+        if isinstance(result, NumericFailureError):
             rows.append((cfg.training.alignment, lam, gamma, cfg.seed, baseline,
                          float("nan"), float("nan")))
             print(
                 f"sweep {cfg.training.alignment} lambda={lam} gamma={gamma}: "
-                f"diverged ({exc})"
+                f"diverged ({result})"
             )
             continue
+        best = result.best_mean_accuracy
         rows.append((cfg.training.alignment, lam, gamma, cfg.seed, baseline,
                      best, best - baseline))
         print(
@@ -176,11 +179,17 @@ def _cmd_compare_alignments(args) -> int:
     _require_rounds(cfg, "compare-alignments")
     out_dir = cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
+    points = []
     for loss in KNOWN_LOSSES:
         point = copy.deepcopy(cfg)
         point.training.alignment = loss
-        run = run_scenario(point)
+        points.append(point)
+    rows = []
+    # the five losses advance together, one lockstep run; a diverged loss
+    # ends the command where a run of the losses one by one would end it
+    for loss, run in zip(KNOWN_LOSSES, run_scenarios(points)):
+        if isinstance(run, NumericFailureError):
+            raise run
         loss_dir = os.path.join(out_dir, loss)
         os.makedirs(loss_dir, exist_ok=True)
         write_rounds_jsonl(run.reports, os.path.join(loss_dir, "rounds.jsonl"))

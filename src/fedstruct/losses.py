@@ -18,8 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError
-from .tensor import EPS_NORM, _unit_rows, as_matrix, check_labels, svd
+from .errors import ContractError
+from .tensor import (
+    _raise_skip,
+    _short_rows,
+    _unit_rows,
+    as_matrix,
+    check_labels,
+    normalize_rows,
+    svd,
+)
 
 # A matrix whose centered rows have Frobenius norm at or below
 # GRAM_DEGENERATE_RTOL * max(1, ||P||_F) has no usable Gram structure
@@ -118,9 +126,14 @@ def _check_pair(a, b, same_cols: bool):
 
 
 # Each public loss below is its contract checks followed by one of these
-# kernels.  A kernel trusts its inputs to be finite 2-D float64 arrays of
-# compatible shapes; it still raises DegenerateInputError wherever the value
-# or gradient is undefined, which the training loop reads as a skip.
+# kernels on a stack of one.  A kernel trusts its inputs to be finite,
+# C-contiguous (R, n, d) float64 stacks of compatible shapes (see tensor.py
+# on stacks): numpy sums a row pairwise only where it is contiguous, and BLAS
+# takes another path for strided vectors, so a replica of a strided stack
+# could round differently from its run alone.
+# It returns (values (R,), grad (R, n, d), skipped): skipped maps each replica
+# whose value or gradient is undefined to the reason, which the training
+# loop reads as a skip and the public losses raise as DegenerateInputError.
 
 
 def loss_mse(a, b) -> LossValue:
@@ -128,10 +141,10 @@ def loss_mse(a, b) -> LossValue:
     return pairwise_loss("mse", a, b)
 
 
-def _mse(a, b) -> LossValue:
+def _mse(a, b):
     diff = a - b
-    n = a.shape[0]
-    return LossValue(float(np.sum(diff * diff)) / n, 2.0 * diff / n)
+    n = a.shape[1]
+    return (diff * diff).sum(axis=(1, 2)) / n, 2.0 * diff / n, {}
 
 
 def loss_cosine(a, b) -> LossValue:
@@ -139,46 +152,50 @@ def loss_cosine(a, b) -> LossValue:
     return pairwise_loss("cosine", a, b)
 
 
-def _cosine(a, b) -> LossValue:
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    for name, norms in (("first matrix", na), ("second matrix", nb)):
-        bad = np.nonzero(norms <= EPS_NORM)[0]
-        if bad.size:
-            raise DegenerateInputError(
-                f"{name} row {int(bad[0])} has near-zero norm {norms[bad[0]]:.3e}"
-            )
-    ah = a / na[:, None]
-    bh = b / nb[:, None]
-    cos = np.sum(ah * bh, axis=1)
-    n = a.shape[0]
-    value = float(np.mean(1.0 - cos))
-    # d(1 - cos_i)/da_i = -(b^_i - cos_i a^_i)/||a_i||
-    grad = -(bh - cos[:, None] * ah) / (n * na[:, None])
-    return LossValue(value, grad)
+def _cosine(a, b):
+    na = np.linalg.norm(a, axis=2)
+    nb = np.linalg.norm(b, axis=2)
+    skipped = {}
+    # the first matrix is checked first, so its reason wins
+    for name, norms in (("second matrix", nb), ("first matrix", na)):
+        skipped.update(_short_rows(norms, lambda k, v: f"{name} row {k} has near-zero norm "
+                                                       f"{v:.3e}"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ah = a / na[:, :, None]
+        bh = b / nb[:, :, None]
+        cos = np.sum(ah * bh, axis=2)
+        n = a.shape[1]
+        values = (1.0 - cos).sum(axis=1) / n  # the mean, without its dispatch
+        # d(1 - cos_i)/da_i = -(b^_i - cos_i a^_i)/||a_i||
+        grad = -(bh - cos[:, :, None] * ah) / (n * na[:, :, None])
+    return values, grad, skipped
 
 
 def _centered(m):
-    """Subtract the mean row: output columns each sum to zero."""
-    return m - m.sum(axis=0, keepdims=True) / m.shape[0]
+    """Subtract each replica's mean row: its columns then each sum to zero."""
+    return m - m.sum(axis=1, keepdims=True) / m.shape[1]
 
 
-def _sum_sq(m) -> float:
-    """np.linalg.norm(m) ** 2 for a real matrix, without the norm's dispatch."""
-    flat = m.ravel(order="K")
-    return float(flat.dot(flat))
+def _sum_sq(m) -> np.ndarray:
+    """(R,) squared Frobenius norms of a contiguous (R, ...) stack, each one
+    BLAS dot product (the np.linalg.norm(m[r]) ** 2 of a one-replica matrix)."""
+    flat = m.reshape(m.shape[0], 1, -1)
+    return (flat @ flat.swapaxes(1, 2))[:, 0, 0]
 
 
 def _centered_or_degenerate(m, name):
+    """The centered stack, and the replicas whose rows are (numerically) identical."""
     c = _centered(m)
-    scale = max(1.0, math.sqrt(_sum_sq(m)))
-    cn = math.sqrt(_sum_sq(c))
-    if cn <= GRAM_DEGENERATE_RTOL * scale:
-        raise DegenerateInputError(
-            f"{name} rows are (numerically) identical: centered norm "
-            f"{cn:.3e} vs scale {scale:.3e}"
-        )
-    return c
+    skipped = {}
+    for r, (total, centered) in enumerate(zip(_sum_sq(m).tolist(), _sum_sq(c).tolist())):
+        scale = max(1.0, math.sqrt(total))
+        cn = math.sqrt(centered)
+        if cn <= GRAM_DEGENERATE_RTOL * scale:
+            skipped[r] = (
+                f"{name} rows are (numerically) identical: centered norm "
+                f"{cn:.3e} vs scale {scale:.3e}"
+            )
+    return c, skipped
 
 
 def loss_gcsa(p, q) -> LossValue:
@@ -192,24 +209,52 @@ def loss_gcsa(p, q) -> LossValue:
     return pairwise_loss("gcsa", p, q)
 
 
-def _gcsa(p, q) -> LossValue:
-    if p.shape[0] < 2:
-        raise DegenerateInputError(f"need >= 2 rows, got {p.shape[0]}")
-    pc = _centered_or_degenerate(p, "first matrix")
-    qc = _centered_or_degenerate(q, "second matrix")
+def _too_few_rows(p):
+    n = p.shape[1]
+    if n < 2:
+        why = f"need >= 2 rows, got {n}"
+        return np.zeros(p.shape[0]), np.zeros(p.shape), dict.fromkeys(range(p.shape[0]), why)
+    return None
+
+
+def _gcsa(p, q):
+    short = _too_few_rows(p)
+    if short:
+        return short
+    qc, q_skipped = _centered_or_degenerate(q, "second matrix")
+    pc, p_skipped = _centered_or_degenerate(p, "first matrix")
+    skipped = {**q_skipped, **p_skipped}  # the first matrix is checked first
     # Feature space instead of the n x n Grams (the linear CKA identity):
     # <K_P, K_Q> = ||P_c^T Q_c||^2 and ||K_P|| = ||P_c^T P_c||, all Frobenius.
-    a = pc.T @ pc
-    m = pc.T @ qc
-    s = float(np.sum(m * m))
-    f = math.sqrt(_sum_sq(a))
-    g = math.sqrt(_sum_sq(qc.T @ qc))
-    value = max(0.0, 1.0 - s / (f * g))
+    pct = pc.swapaxes(1, 2)
+    a = pct @ pc
+    m = pct @ qc
+    replicas = p.shape[0]
+    values, coef_a, coef_q = [0.0] * replicas, [0.0] * replicas, [1.0] * replicas
+    # the scalar factors are Python floats, one replica at a time: numpy's
+    # array power rounds differently from Python's float power
+    for r, (s, fa, gq) in enumerate(zip((m * m).sum(axis=(1, 2)).tolist(),
+                                        _sum_sq(a).tolist(),
+                                        _sum_sq(qc.swapaxes(1, 2) @ qc).tolist())):
+        if r in skipped:
+            continue
+        f = math.sqrt(fa)
+        g = math.sqrt(gq)
+        try:
+            cube = f ** 3
+        except OverflowError:  # a Python float power raises where numpy's gives inf
+            skipped[r] = f"first matrix Gram norm {f:.3e} is too large to cube"
+            continue
+        values[r] = max(0.0, 1.0 - s / (f * g))
+        coef_a[r] = s / (cube * g)
+        coef_q[r] = f * g
     # dL/dK_P = (s / f^3 g) K_P - K_Q / (f g), pulled back through
     # K_P = C P (C P)^T with C the (symmetric, idempotent) centering map:
     # dL/dP = 2 C (dL/dK_P) P_c, where K_P P_c = P_c A and K_Q P_c = Q_c M^T.
-    grad = 2.0 * _centered((s / (f ** 3 * g)) * (pc @ a) - (qc @ m.T) / (f * g))
-    return LossValue(value, grad)
+    coef_a = np.array(coef_a)[:, None, None]
+    coef_q = np.array(coef_q)[:, None, None]
+    grad = 2.0 * _centered(coef_a * (pc @ a) - (qc @ m.swapaxes(1, 2)) / coef_q)
+    return np.array(values), grad, skipped
 
 
 def loss_rcsa(p, q) -> LossValue:
@@ -222,41 +267,54 @@ def loss_rcsa(p, q) -> LossValue:
     return pairwise_loss("rcsa", p, q)
 
 
-def _rcsa(p, q) -> LossValue:
-    n = p.shape[0]
-    if n < 2:
-        raise DegenerateInputError(f"need >= 2 rows, got {n}")
-    ph = _unit_rows(p, "first matrix")
-    qh = _unit_rows(q, "second matrix")
+def _rcsa(p, q):
+    short = _too_few_rows(p)
+    if short:
+        return short
+    n = p.shape[1]
+    qh, q_skipped = _unit_rows(q, "second matrix")
+    ph, p_skipped = _unit_rows(p, "first matrix")
+    skipped = {**q_skipped, **p_skipped}  # the first matrix is checked first
     iu = np.triu_indices(n, k=1)
+    upper = iu[0] * n + iu[1]
 
     def descriptor(mh):
-        d = 2.0 - 2.0 * (mh @ mh.T)
+        d = 2.0 - 2.0 * (mh @ mh.swapaxes(1, 2))
         np.clip(d, 0.0, None, out=d)
-        return d[iu]
+        return d.reshape(d.shape[0], n * n).take(upper, axis=1)
 
-    u = descriptor(ph)
-    v = descriptor(qh)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu <= RDM_DEGENERATE_TOL:
-        raise DegenerateInputError(f"first matrix distance descriptor collapsed (|u|={nu:.3e})")
-    if nv <= RDM_DEGENERATE_TOL:
-        raise DegenerateInputError(f"second matrix distance descriptor collapsed (|v|={nv:.3e})")
-    cu = float(np.dot(u, v))
-    value = max(0.0, 1.0 - cu / (nu * nv))
-    # dL/du, scattered back into a symmetric weight matrix over pairs
-    du = (cu / (nu ** 3 * nv)) * u - v / (nu * nv)
-    w = np.zeros((n, n))
-    w[iu] = du
-    w = w + w.T
-    # d u_ij / d ph_i = 2 (ph_i - ph_j)  =>  grad wrt ph = 2 (diag(W 1) - W) ph
-    lap = np.diag(w.sum(axis=1)) - w
-    grad_ph = 2.0 * (lap @ ph)
-    # pull back through row normalization: project out the radial component
-    radial = np.sum(grad_ph * ph, axis=1, keepdims=True)
-    grad = (grad_ph - radial * ph) / np.linalg.norm(p, axis=1)[:, None]
-    return LossValue(value, grad)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = descriptor(ph)
+        v = descriptor(qh)
+        replicas = p.shape[0]
+        values, coef_u, coef_v = [0.0] * replicas, [0.0] * replicas, [1.0] * replicas
+        for r, (nu, nv, cu) in enumerate(zip(np.sqrt(_sum_sq(u)).tolist(),
+                                             np.sqrt(_sum_sq(v)).tolist(),
+                                             (u[:, None] @ v[:, :, None])[:, 0, 0].tolist())):
+            if r in skipped:
+                continue
+            if nu <= RDM_DEGENERATE_TOL:
+                skipped[r] = f"first matrix distance descriptor collapsed (|u|={nu:.3e})"
+            elif nv <= RDM_DEGENERATE_TOL:
+                skipped[r] = f"second matrix distance descriptor collapsed (|v|={nv:.3e})"
+            else:
+                values[r] = max(0.0, 1.0 - cu / (nu * nv))
+                coef_u[r] = cu / (nu ** 3 * nv)
+                coef_v[r] = nu * nv
+        # dL/du, scattered back into a symmetric weight matrix over pairs
+        du = np.array(coef_u)[:, None] * u - v / np.array(coef_v)[:, None]
+        w = np.zeros((p.shape[0], n, n))
+        w[:, iu[0], iu[1]] = du
+        w = w + w.swapaxes(1, 2)
+        # d u_ij / d ph_i = 2 (ph_i - ph_j)  =>  grad wrt ph = 2 (diag(W 1) - W) ph
+        lap = np.zeros_like(w)
+        lap[:, np.arange(n), np.arange(n)] = w.sum(axis=2)
+        lap -= w
+        grad_ph = 2.0 * (lap @ ph)
+        # pull back through row normalization: project out the radial component
+        radial = np.sum(grad_ph * ph, axis=2, keepdims=True)
+        grad = (grad_ph - radial * ph) / np.linalg.norm(p, axis=2)[:, :, None]
+    return np.array(values), grad, skipped
 
 
 def loss_contrastive(z, prototypes, labels, temperature: float) -> ContrastiveParts:
@@ -277,42 +335,49 @@ def loss_contrastive(z, prototypes, labels, temperature: float) -> ContrastivePa
     if not (temperature > 0.0) or not np.isfinite(temperature):
         raise ContractError(f"temperature must be positive and finite, got {temperature!r}")
     labels = check_labels(labels, z.shape[0], prototypes.shape[0])
-    return _contrastive(z, prototypes, labels, temperature)
+    parts, skipped = _contrastive(z[None], prototypes[None], labels, temperature)
+    _raise_skip(skipped)
+    return ContrastiveParts(*(LossValue(float(part.value[0]), part.grad[0])
+                              for part in (parts.total, parts.alignment, parts.uniformity)))
 
 
-def _contrastive(z, prototypes, labels, temperature: float) -> ContrastiveParts:
-    nz = np.linalg.norm(z, axis=1)
-    bad = np.nonzero(nz <= EPS_NORM)[0]
-    if bad.size:
-        raise DegenerateInputError(f"embedding row {int(bad[0])} has near-zero norm")
-    zh = z / nz[:, None]
-    ph = _unit_rows(prototypes, "prototypes")
+def _contrastive(z, prototypes, labels, temperature: float):
+    """ContrastiveParts of (R,) values and (R, n, d) gradients, and the skipped replicas."""
+    nz = np.linalg.norm(z, axis=2)
+    skipped = _short_rows(nz, lambda k, v: f"embedding row {k} has near-zero norm")
+    ph, p_skipped = _unit_rows(prototypes, "prototypes")
+    skipped = {**p_skipped, **skipped}  # the embeddings are checked first
 
-    n = z.shape[0]
-    sims = zh @ ph.T  # (n, c) cosines in [-1, 1]
-    scaled = sims / temperature
-    shift = scaled.max(axis=1, keepdims=True)
-    lse = shift[:, 0] + np.log(np.sum(np.exp(scaled - shift), axis=1))
-    picked = sims[np.arange(n), labels]
+    n = z.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zh = z / nz[:, :, None]
+        sims = zh @ ph.swapaxes(1, 2)  # (R, n, c) cosines in [-1, 1]
+        scaled = sims / temperature
+        shift = scaled.max(axis=2, keepdims=True)
+        lse = shift[:, :, 0] + np.log(np.sum(np.exp(scaled - shift), axis=2))
+        # contiguous, so that each replica's mean sums its row as a run of
+        # one does (a slice plus two index arrays lays it out replica-minor)
+        picked = np.ascontiguousarray(sims[:, np.arange(n), labels])
 
-    align_val = float(np.mean(-picked / temperature))
-    unif_val = float(np.mean(lse))
-    total_val = align_val + unif_val
+        # means, without their dispatch
+        align_val = (-picked / temperature).sum(axis=1) / n
+        unif_val = lse.sum(axis=1) / n
 
-    # d cos(z_i, P_j) / d z_i = (ph_j - sims_ij zh_i) / ||z_i||
-    inv = 1.0 / (n * temperature)
-    ga = -inv * (ph[labels] - picked[:, None] * zh) / nz[:, None]
-    probs = np.exp(scaled - shift)
-    probs /= probs.sum(axis=1, keepdims=True)
-    mix = probs @ ph
-    mix_sim = np.sum(probs * sims, axis=1)
-    gu = inv * (mix - mix_sim[:, None] * zh) / nz[:, None]
+        # d cos(z_i, P_j) / d z_i = (ph_j - sims_ij zh_i) / ||z_i||
+        inv = 1.0 / (n * temperature)
+        ga = -inv * (ph[:, labels] - picked[:, :, None] * zh) / nz[:, :, None]
+        probs = np.exp(scaled - shift)
+        probs /= probs.sum(axis=2, keepdims=True)
+        mix = probs @ ph
+        mix_sim = np.sum(probs * sims, axis=2)
+        gu = inv * (mix - mix_sim[:, :, None] * zh) / nz[:, :, None]
 
-    return ContrastiveParts(
-        total=LossValue(total_val, ga + gu),
+    parts = ContrastiveParts(
+        total=LossValue(align_val + unif_val, ga + gu),
         alignment=LossValue(align_val, ga),
         uniformity=LossValue(unif_val, gu),
     )
+    return parts, skipped
 
 
 # the unchecked kernel of each pairwise loss (everything except contrastive)
@@ -329,7 +394,9 @@ def pairwise_loss(kind: AlignmentKind | str, a, b) -> LossValue:
     if name not in _PAIRWISE_KERNELS:
         raise ContractError(f"{name!r} is not a pairwise loss")
     a, b = _check_pair(a, b, same_cols=name not in STRUCTURAL_LOSSES)
-    return _PAIRWISE_KERNELS[name](a, b)
+    values, grad, skipped = _PAIRWISE_KERNELS[name](a[None], b[None])
+    _raise_skip(skipped)
+    return LossValue(float(values[0]), grad[0])
 
 
 def procrustes_decompose(z, p) -> ProcrustesDecomposition:
@@ -340,8 +407,8 @@ def procrustes_decompose(z, p) -> ProcrustesDecomposition:
     satisfy l_coord = l_shape + l_rigid exactly and l_rigid >= 0.
     """
     z, p = _check_pair(z, p, same_cols=True)
-    zh = _unit_rows(z, "first matrix")
-    ph = _unit_rows(p, "second matrix")
+    zh = normalize_rows(z, "first matrix")
+    ph = normalize_rows(p, "second matrix")
     res = svd(ph.T @ zh)
     r = res.left_factor @ res.right_factor.T
     pr = ph @ r

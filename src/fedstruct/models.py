@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, NumericFailureError
+from .errors import ContractError, ReplicaFailure
 from .tensor import check_labels
 
 @dataclass(frozen=True)
@@ -38,6 +38,10 @@ class Layer:
 
 @dataclass
 class ClientModel:
+    """One client's parameters.  A model from build_model is one replica
+    (2-D weights); the kernels below take stacks, models whose every array
+    has a leading axis of R replicas (see `replicate`)."""
+
     extractor: list[Layer]
     classifier_weights: np.ndarray  # (feature_dim, num_classes)
     classifier_bias: np.ndarray  # (num_classes,)
@@ -46,11 +50,32 @@ class ClientModel:
 
     @property
     def input_dim(self) -> int:
-        return self.extractor[0].weights.shape[0]
+        return self.extractor[0].weights.shape[-2]
 
     @property
     def num_classes(self) -> int:
-        return self.classifier_weights.shape[1]
+        return self.classifier_weights.shape[-1]
+
+    def map_arrays(self, fn) -> "ClientModel":
+        """A model of the same architecture holding fn(array) for each array."""
+        return ClientModel(
+            [Layer(fn(l.weights), fn(l.bias), l.activation) for l in self.extractor],
+            fn(self.classifier_weights),
+            fn(self.classifier_bias),
+            self.feature_dim,
+            self.architecture_id,
+        )
+
+
+def replicate(model: ClientModel, copies: int) -> ClientModel:
+    """A stack of `copies` identical replicas of a one-replica model."""
+    return model.map_arrays(lambda a: np.repeat(a[None], copies, axis=0))
+
+
+def _stack_of_one(model: ClientModel) -> ClientModel:
+    """A one-replica model as a stack of one that shares its memory, so a
+    kernel's in-place step updates the model itself."""
+    return model.map_arrays(lambda a: a[None])
 
 
 @dataclass
@@ -102,34 +127,60 @@ def build_model(
 
 def forward(model: ClientModel, batch) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Return (embeddings, logits, cache). batch is (n, input_dim)."""
+    batch = check_batch(model, batch)
+    emb, logits, cache = _forward(_stack_of_one(model), batch[None])
+    return emb[0], logits[0], ForwardCache([x[0] for x in cache.layer_inputs])
+
+
+def check_batch(model: ClientModel, batch) -> np.ndarray:
+    """`batch` as an (n, input_dim) float64 array."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.input_dim:
         raise ContractError(
             f"batch shape {batch.shape} incompatible with input_dim {model.input_dim}"
         )
-    return _forward(model, batch)
+    return batch
 
 
 # forward, loss_supervised and backward_and_step are each their contract
-# checks followed by one of the kernels below, which trust their inputs; the
-# training step checks its batch once and calls the kernels directly.  The
-# non-finite checks are part of the kernels, so they fire on every path.
+# checks followed by one of the kernels below on a stack of one.  The kernels
+# trust their inputs and take stacks (see ClientModel); a batch may be one
+# (n, input_dim) array shared by every replica.  The non-finite checks are
+# part of the kernels, so they fire on every path, per replica.
 
 
-def _forward(model: ClientModel, batch: np.ndarray):
+def _check_finite(arrays, message: str) -> None:
+    """Fail each replica with a non-finite entry in any of the (R, ...) stacks."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            break
+    else:
+        return
+    ok = np.logical_and.reduce([np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
+                                for a in arrays])
+    raise ReplicaFailure({int(r): message for r in np.flatnonzero(~ok)})
+
+
+def _forward(model: ClientModel, batch: np.ndarray, keep_layers: bool = True):
     cache = ForwardCache([batch])
     # overflow is detected explicitly below, so the IEEE warnings that
     # precede the non-finite check are suppressed rather than surfaced
     with np.errstate(over="ignore", invalid="ignore"):
+        # in place, so that a stack holds one array per layer; without
+        # keep_layers (no backward pass follows) each layer's output is
+        # dropped once the next one is computed
         h = batch
         for layer in model.extractor:
-            pre = h @ layer.weights + layer.bias
-            h = np.tanh(pre) if layer.activation == "tanh" else pre
-            cache.layer_inputs.append(h)
+            h = h @ layer.weights
+            h += layer.bias[:, None]
+            if layer.activation == "tanh":
+                np.tanh(h, out=h)
+            if keep_layers:
+                cache.layer_inputs.append(h)
         embeddings = h
-        logits = embeddings @ model.classifier_weights + model.classifier_bias
-    if not (np.isfinite(embeddings).all() and np.isfinite(logits).all()):
-        raise NumericFailureError("forward pass produced non-finite values")
+        logits = embeddings @ model.classifier_weights
+        logits += model.classifier_bias[:, None]
+    _check_finite((embeddings, logits), "forward pass produced non-finite values")
     return embeddings, logits, cache
 
 
@@ -143,24 +194,29 @@ def loss_supervised(logits, labels) -> tuple[float, np.ndarray]:
     if logits.ndim != 2:
         raise ContractError(f"logits must be 2-D, got shape {logits.shape}")
     labels = check_labels(labels, *logits.shape)
-    return _softmax_cross_entropy(logits, labels)
+    values, grad = _softmax_cross_entropy(logits[None], labels)
+    return float(values[0]), grad[0]
 
 
 def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    rows = np.arange(logits.shape[0])
+    """(R,) mean cross-entropies of an (R, n, C) stack of logits, and the
+    gradient w.r.t. the logits."""
+    rows = np.arange(logits.shape[1])
     # shifting makes the softmax stable for any reasonable logits; extreme
     # (runaway-training) magnitudes may still overflow the mean, which the
     # caller's non-finite check turns into a NumericFailureError, so the
     # intermediate IEEE warnings are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = logits - logits.max(axis=2, keepdims=True)
         expz = np.exp(shifted)
-        norm = expz.sum(axis=1)
-        grad = expz / norm[:, None]  # the softmax, turned into the gradient below
-        picked = shifted[rows, labels] - np.log(norm)
-        value = float(-picked.mean())
-    grad[rows, labels] -= 1.0
-    return value, grad / rows.shape[0]
+        norm = expz.sum(axis=2)
+        grad = expz / norm[:, :, None]  # the softmax, turned into the gradient below
+        # contiguous, so that each replica's mean sums its row as a run of
+        # one does (a slice plus two index arrays lays it out replica-minor)
+        picked = np.ascontiguousarray(shifted[:, rows, labels]) - np.log(norm)
+        values = -(picked.sum(axis=1) / rows.shape[0])  # the mean, without its dispatch
+    grad[:, rows, labels] -= 1.0
+    return values, grad / rows.shape[0]
 
 
 def backward_and_step(
@@ -192,7 +248,11 @@ def backward_and_step(
         )
     if not (learning_rate >= 0.0 and np.isfinite(learning_rate)):
         raise ContractError(f"learning_rate must be finite and >= 0, got {learning_rate}")
-    return _backward_and_step(model, cache, grad_logits, grad_embeddings, learning_rate)
+    stacked = ForwardCache([x[None] for x in cache.layer_inputs])
+    _backward_and_step(
+        _stack_of_one(model), stacked, grad_logits[None], grad_embeddings[None], learning_rate
+    )
+    return model
 
 
 def _backward_and_step(
@@ -204,23 +264,22 @@ def _backward_and_step(
 ) -> ClientModel:
     embeddings = cache.layer_inputs[-1]
     grads = []
-    gcw = embeddings.T @ grad_logits
-    gcb = grad_logits.sum(axis=0)
+    gcw = embeddings.swapaxes(-1, -2) @ grad_logits
+    gcb = grad_logits.sum(axis=1)
     g = grad_embeddings
     for i in range(len(model.extractor) - 1, -1, -1):
         layer = model.extractor[i]
         out = cache.layer_inputs[i + 1]
         if layer.activation == "tanh":
             g = g * (1.0 - out * out)
-        gw = cache.layer_inputs[i].T @ g
-        gb = g.sum(axis=0)
+        gw = cache.layer_inputs[i].swapaxes(-1, -2) @ g
+        gb = g.sum(axis=1)
         grads.append((i, gw, gb))
         if i > 0:
-            g = g @ layer.weights.T
+            g = g @ layer.weights.swapaxes(-1, -2)
 
-    for arr in (gcw, gcb, *(x for _, gw, gb in grads for x in (gw, gb))):
-        if not np.isfinite(arr).all():
-            raise NumericFailureError("non-finite parameter gradient; step aborted")
+    _check_finite([gcw, gcb] + [x for _, gw, gb in grads for x in (gw, gb)],
+                  "non-finite parameter gradient; step aborted")
 
     model.classifier_weights -= learning_rate * gcw
     model.classifier_bias -= learning_rate * gcb

@@ -9,6 +9,7 @@ produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 
@@ -17,7 +18,8 @@ import numpy as np
 from .analysis import ScenarioRun, summary_rows, write_round_summary_csv
 from .config import ExperimentConfig, architectures, echo_config, round_config
 from .data import generate_mixture, partition_dirichlet, partition_domain_shift
-from .federation import run_experiment
+from .errors import ContractError, NumericFailureError
+from .federation import PER_REPLICA_FIELDS, run_experiment, run_experiments
 
 
 def build_shards(cfg: ExperimentConfig):
@@ -56,6 +58,39 @@ def run_scenario(cfg: ExperimentConfig, scenario: str | None = None, snapshot_di
         normalize_stacking=cfg.output.normalized_stacking,
     )
     return ScenarioRun(scenario=scenario, data_seed=cfg.seed, reports=reports)
+
+
+def run_scenarios(cfgs: list[ExperimentConfig]) -> list[ScenarioRun | NumericFailureError]:
+    """run_scenario for each config, all in one lockstep run (see
+    federation.run_experiments): per config its run, or the
+    NumericFailureError that ended it.  The configs may differ only in the
+    training alignment, lambda and gamma; the shards are built once."""
+
+    def shared_part(cfg):
+        point = copy.deepcopy(cfg)
+        for name in PER_REPLICA_FIELDS:
+            setattr(point.training, name, None)
+        return point
+
+    if any(shared_part(c) != shared_part(cfgs[0]) for c in cfgs):
+        raise ContractError(f"lockstep runs may differ only in training {PER_REPLICA_FIELDS}")
+    cfg = cfgs[0]
+    _, shards = build_shards(cfg)
+    results = run_experiments(
+        shards,
+        architectures(cfg),
+        [round_config(c) for c in cfgs],
+        rounds=cfg.training.rounds,
+        seed=cfg.seed,
+        num_classes=cfg.dataset.classes,
+        scenario=cfg.model.scenario,
+        normalize_stacking=cfg.output.normalized_stacking,
+    )
+    return [
+        result if isinstance(result, NumericFailureError)
+        else ScenarioRun(scenario=cfg.model.scenario, data_seed=cfg.seed, reports=result)
+        for result in results
+    ]
 
 
 def write_rounds_jsonl(reports, path) -> None:

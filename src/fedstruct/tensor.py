@@ -46,18 +46,42 @@ def check_labels(labels, n: int, num_classes: int) -> np.ndarray:
 
 def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Scale each row to unit l2 norm; zero rows are rejected."""
-    return _unit_rows(as_matrix(m, name), name)
+    unit, skipped = _unit_rows(as_matrix(m, name)[None], name)
+    _raise_skip(skipped)
+    return unit[0]
 
 
-def _unit_rows(m: np.ndarray, name: str) -> np.ndarray:
-    """normalize_rows without the input checks: m is a finite 2-D float64 array."""
-    norms = np.linalg.norm(m, axis=1)
-    bad = np.nonzero(norms <= EPS_NORM)[0]
-    if bad.size:
-        raise DegenerateInputError(
-            f"{name} row {int(bad[0])} has norm {norms[bad[0]]:.3e} <= {EPS_NORM}"
-        )
-    return m / norms[:, None]
+# The private kernels of the package work on stacks: arrays with a leading
+# replica axis, one slice per replica of a lockstep run.  Each replica's
+# slice is computed exactly as a stack of one would compute it, so a kernel
+# that meets an undefined value reports it per replica, as {replica: why},
+# and leaves that replica's outputs unspecified for its caller to skip.
+
+
+def _raise_skip(skipped: dict[int, str]) -> None:
+    """Raise DegenerateInputError for a stack of one whose replica was skipped."""
+    if skipped:
+        raise DegenerateInputError(skipped[0])
+
+
+def _short_rows(norms: np.ndarray, describe) -> dict[int, str]:
+    """{replica: describe(row, norm)} for the first row of each replica of an
+    (R, n) norm array whose norm is <= EPS_NORM."""
+    short = norms <= EPS_NORM
+    skipped = {}
+    for r in np.flatnonzero(short.any(axis=1)):
+        k = int(np.argmax(short[r]))
+        skipped[int(r)] = describe(k, norms[r, k])
+    return skipped
+
+
+def _unit_rows(m: np.ndarray, name: str) -> tuple[np.ndarray, dict[int, str]]:
+    """The rows of a finite (R, n, d) stack scaled to unit l2 norm, and the
+    replicas that hold a row of norm <= EPS_NORM."""
+    norms = np.linalg.norm(m, axis=2)
+    skipped = _short_rows(norms, lambda k, v: f"{name} row {k} has norm {v:.3e} <= {EPS_NORM}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return m / norms[:, :, None], skipped
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from fedstruct.losses import (
     procrustes_decompose,
 )
 from fedstruct.models import ArchitectureSpec, build_model
-from fedstruct.runner import run_scenario
+from fedstruct.runner import run_scenario, run_scenarios
 from fedstruct.tensor import random_orthogonal
 from fedstruct import cli
 
@@ -73,19 +73,33 @@ def _desk_config(loss: str, lam: float, gamma: float, seed: int,
     return validate_config(cfg)
 
 
+LOSSES = ("mse", "cosine", "gcsa", "rcsa", "contrastive")
+GRID = (0.1, 1.0, 5.0)
+# every desk run of criteria 7 and 8 at one seed, as (loss, lambda, gamma):
+# the weight-free baseline, the five losses at (1.25, 1.0), and the gcsa and
+# mse grids
+DESK_RUNS = (
+    [("gcsa", 0.0, 0.0)]
+    + [(loss, 1.25, 1.0) for loss in LOSSES]
+    + [(loss, lam, gamma) for loss in ("gcsa", "mse") for lam in GRID for gamma in GRID]
+)
+
+
 @lru_cache(maxsize=None)
-def _desk_best(loss: str, lam: float, gamma: float, seed: int) -> float:
-    """Best mean accuracy of one desk run; NaN marks a diverged run."""
-    if lam == 0.0 and gamma == 0.0:
-        loss = "gcsa"  # weight-free runs are identical across alignment kinds
-    try:
-        return run_scenario(_desk_config(loss, lam, gamma, seed)).best_mean_accuracy
-    except NumericFailureError:
-        return float("nan")
+def _desk_bests(seed: int) -> dict:
+    """Best mean accuracy of every desk run at one seed, all in one lockstep
+    run; NaN marks a diverged run."""
+    runs = run_scenarios([_desk_config(*run, seed) for run in DESK_RUNS])
+    return {
+        run: float("nan") if isinstance(result, NumericFailureError) else result.best_mean_accuracy
+        for run, result in zip(DESK_RUNS, runs)
+    }
 
 
 def _mean_best(loss: str, lam: float, gamma: float) -> float:
-    return float(np.mean([_desk_best(loss, lam, gamma, s) for s in SEEDS]))
+    if lam == 0.0 and gamma == 0.0:
+        loss = "gcsa"  # weight-free runs are identical across alignment kinds
+    return float(np.mean([_desk_bests(s)[(loss, lam, gamma)] for s in SEEDS]))
 
 
 def test_acceptance_1_gcsa_similarity_invariance():
@@ -291,8 +305,7 @@ def test_acceptance_7_alignment_ordering():
     t0 = time.perf_counter()
     lam, gamma = 1.25, 1.0
     baseline = _mean_best("gcsa", 0.0, 0.0)
-    best = {loss: _mean_best(loss, lam, gamma)
-            for loss in ("mse", "cosine", "gcsa", "rcsa", "contrastive")}
+    best = {loss: _mean_best(loss, lam, gamma) for loss in LOSSES}
     margins = {
         "gcsa-mse": best["gcsa"] - best["mse"],
         "gcsa-cosine": best["gcsa"] - best["cosine"],
@@ -314,12 +327,11 @@ def test_acceptance_7_alignment_ordering():
 
 def test_acceptance_8_weight_grid_robustness():
     t0 = time.perf_counter()
-    grid = (0.1, 1.0, 5.0)
     baseline = _mean_best("gcsa", 0.0, 0.0)
     gcsa_improvements = {}
     mse_improvements = {}
-    for lam in grid:
-        for gamma in grid:
+    for lam in GRID:
+        for gamma in GRID:
             gcsa_improvements[(lam, gamma)] = _mean_best("gcsa", lam, gamma) - baseline
             mse_improvements[(lam, gamma)] = _mean_best("mse", lam, gamma) - baseline
     dt = time.perf_counter() - t0

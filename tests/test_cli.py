@@ -188,6 +188,45 @@ def test_compare_alignments_writes_all_losses(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_alignments_stops_at_the_first_diverged_loss(tmp_path, capsys):
+    # a vanishing temperature makes the contrastive run fail at its first
+    # step; the four losses before it in KNOWN_LOSSES order must be written
+    # and printed exactly as their own runs write them, and no more
+    payload = json.loads(json.dumps(TINY))
+    payload["training"]["prototype_mode"] = "fixed_hypersphere"
+    cfg = _write_cfg(tmp_path, payload)
+    out = tmp_path / "cmp"
+    assert cli.main(["compare-alignments", "--config", cfg, "--tau", "1e-300",
+                     "--out", str(out)]) == 4
+    got = capsys.readouterr()
+    lines = []
+    for loss in KNOWN_LOSSES:
+        solo = tmp_path / f"solo-{loss}"
+        code = cli.main(["run", "--config", cfg, "--tau", "1e-300", "--loss", loss,
+                         "--out", str(solo)])
+        err = capsys.readouterr().err
+        if code == 4:
+            assert got.err == err
+            break
+        assert code == 0
+        assert (out / loss / "rounds.jsonl").read_bytes() == (solo / "rounds.jsonl").read_bytes()
+        final = json.loads((solo / "rounds.jsonl").read_text().splitlines()[-1])
+        lines.append(f"{loss:12s} best {final['best_mean_accuracy']:.4f} "
+                     f"final {final['mean_accuracy']:.4f}")
+    assert loss == "contrastive"
+    assert got.out.splitlines() == lines
+    assert sorted(p.name for p in out.iterdir()) == sorted(KNOWN_LOSSES[:-1])
+
+
+def test_sweep_survives_a_gcsa_gram_norm_too_large_to_cube(tmp_path, capsys):
+    # gcsa at weight 1000 drives the Gram norm past the cube's range; the
+    # term is skipped like any degenerate batch instead of crashing
+    cfg = _write_cfg(tmp_path, UNSTABLE)
+    assert cli.main(["sweep", "--config", cfg, "--loss", "gcsa", "--grid", "0,10,1000",
+                     "--out", str(tmp_path / "sw")]) == 0
+    capsys.readouterr()
+
+
 def test_compare_alignments_needs_rounds(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, TINY)
     assert cli.main(["compare-alignments", "--config", cfg, "--rounds", "0",

@@ -14,7 +14,6 @@ from fedstruct.federation import (
     RoundConfig,
     aggregate_prototypes,
     batch_prototypes,
-    client_round,
     evaluate_accuracy,
     fixed_hypersphere_prototypes,
     local_train_step,
@@ -376,31 +375,32 @@ def _shard_from(ds, client_id=0):
 
 
 class TestClientRound:
+    """A participant's local training within run_experiment."""
+
     def _shard(self, seed=0):
         return _shard_from(generate_mixture(3, 5, 12, 1.0, 0.5, seed=seed))
 
     def test_empty_schedule_leaves_model_unchanged(self):
         # config validation forbids local_epochs=0, so exercise the engine's
-        # empty-schedule tolerance directly: no steps -> no parameter change
+        # empty-schedule tolerance directly: no steps -> zero loss terms and
+        # the untrained model's accuracy in every round
         shard = self._shard()
-        model = build_model(ArchitectureSpec((4,), 3), 5, 3, seed=21)
-        before = copy.deepcopy(model)
         cfg = _cfg()
         object.__setattr__(cfg, "local_epochs", 0)
-        updated, metrics = client_round(model, shard, None, cfg, seed=0)
-        assert metrics.steps == 0
-        assert _models_equal(updated, before)
+        reports = run_experiment([shard], [ArchitectureSpec((4,), 3)], cfg, rounds=2, seed=21,
+                                 num_classes=3)
+        untrained = build_model(ArchitectureSpec((4,), 3), 5, 3, np.random.SeedSequence([21, 0, 0]))
+        acc = evaluate_accuracy(untrained, shard.test_features, shard.test_labels)
+        for rep in reports:
+            assert rep.loss_terms == {0: dict.fromkeys(("sup", "proto", "inst", "total"), 0.0)}
+            assert rep.per_client_accuracy == [acc]
 
     def test_deterministic(self):
         shard = self._shard(seed=1)
-        protos = fixed_hypersphere_prototypes(3, 3, seed=22)
-        out = []
-        for _ in range(2):
-            model = build_model(ArchitectureSpec((4,), 3), 5, 3, seed=23)
-            out.append(client_round(model, shard, protos, _cfg(), seed=99))
-        (m1, met1), (m2, met2) = out
-        assert _models_equal(m1, m2)
-        assert met1 == met2
+        cfg = _cfg(prototype_mode="fixed_hypersphere")
+        a, b = (run_experiment([shard], [ArchitectureSpec((4,), 3)], cfg, rounds=2, seed=99,
+                               num_classes=3) for _ in range(2))
+        assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
 
     def test_upload_covers_exactly_train_classes(self, tmp_path):
         # one client whose train split lacks class 2: after round 0 the
@@ -419,23 +419,20 @@ class TestClientRound:
         ds = generate_mixture(3, 5, 12, 1.0, 0.5, seed=3)
         shard = _shard_from(ds, client_id=7)
         shard.train_features = shard.train_features * 1e200
-        model = build_model(ArchitectureSpec((), 3), 5, 3, seed=25)
-        protos = fixed_hypersphere_prototypes(3, 3, seed=26)
-        cfg = _cfg(alignment=_kind("mse"))
+        cfg = _cfg(alignment=_kind("mse"), prototype_mode="fixed_hypersphere")
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericFailureError, match="client 7"):
-                client_round(model, shard, protos, cfg, seed=0)
+            with pytest.raises(NumericFailureError, match="^round 0: client 7: "):
+                run_experiment([shard], [ArchitectureSpec((), 3)], cfg, rounds=1, seed=0,
+                               num_classes=3)
 
     def test_tiny_shard_rejected(self):
         ds = generate_mixture(2, 4, 10, 1.0, 0.5, seed=4)
         shard = _shard_from(ds)
         shard.train_features = shard.train_features[:1]
         shard.train_labels = shard.train_labels[:1]
-        with pytest.raises(ContractError):
-            client_round(
-                build_model(ArchitectureSpec((), 3), 4, 2, seed=27),
-                shard, None, _cfg(), seed=0,
-            )
+        with pytest.raises(ContractError, match="1 train rows"):
+            run_experiment([shard], [ArchitectureSpec((), 3)], _cfg(), rounds=1, seed=0,
+                           num_classes=2)
 
 
 class TestRunExperiment:
@@ -508,3 +505,10 @@ class TestRunExperiment:
         model.classifier_bias[:] = 0.0
         feats = np.zeros((4, 3))
         assert evaluate_accuracy(model, feats, np.array([0, 0, 0, 1])) == 0.75
+
+    def test_evaluate_accuracy_rejects_labels_that_do_not_fit(self):
+        model = build_model(ArchitectureSpec((), 2), 3, 3, seed=29)
+        feats = np.zeros((6, 3))
+        for labels in ([0], [0, 1, 2, 0, 1, 7], [0, 1]):
+            with pytest.raises(ContractError, match="labels"):
+                evaluate_accuracy(model, feats, np.array(labels))

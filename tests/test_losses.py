@@ -116,6 +116,12 @@ class TestGcsa:
         with pytest.raises(ContractError):
             loss_gcsa(np.ones((3, 2)) + np.eye(3, 2), np.eye(4, 2))
 
+    def test_gram_norm_too_large_to_cube_is_degenerate(self):
+        # ||P_c^T P_c|| ~ 1e120 is finite, but its cube overflows a double
+        p, q = _pair(10, 5, 3)
+        with pytest.raises(DegenerateInputError, match="too large to cube"):
+            loss_gcsa(1e60 * p, q)
+
     def test_gradient_check(self):
         p, q = _pair(9, 5, 8)
         report = check_gradient("gcsa", p, q, tolerance=1e-4)
