@@ -8,14 +8,16 @@ Subcommands:
     selftest            fast built-in property checks
 
 Every flag overrides the corresponding config field; without --config the
-built-in defaults apply.  Exit codes: 0 ok, 2 bad configuration/arguments,
-3 partition failure, 4 numeric failure, 1 selftest failure.
+built-in defaults apply.  Exit codes: 0 ok, 2 bad configuration/arguments
+(an unreadable config or unwritable output path included), 3 partition
+failure, 4 numeric failure, 1 selftest failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import json
 import logging
 import os
@@ -118,6 +120,14 @@ def _with_weights(cfg: ExperimentConfig, lam: float, gamma: float) -> Experiment
     return validate_config(point)
 
 
+def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    print(f"wrote {path}")
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
     _require_rounds(cfg, "sweep")
@@ -160,17 +170,9 @@ def _cmd_sweep(args) -> int:
             f"sweep {cfg.training.alignment} lambda={lam} gamma={gamma}: "
             f"best {best:.4f} (baseline {baseline:.4f}, delta {best - baseline:+.4f})"
         )
-    import csv
-
-    path = os.path.join(out_dir, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["loss", "lambda", "gamma", "seed", "baseline_best", "best_accuracy", "improvement"]
-        )
-        for row in rows:
-            writer.writerow(row)
-    print(f"wrote {path}")
+    _write_csv(os.path.join(out_dir, "sweep.csv"),
+               ["loss", "lambda", "gamma", "seed", "baseline_best", "best_accuracy", "improvement"],
+               rows)
     return 0
 
 
@@ -199,15 +201,8 @@ def _cmd_compare_alignments(args) -> int:
             f"{loss:12s} best {final.best_mean_accuracy:.4f} "
             f"final {final.mean_accuracy:.4f}"
         )
-    import csv
-
-    path = os.path.join(out_dir, "comparison.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["loss", "seed", "best_accuracy", "final_accuracy"])
-        for row in rows:
-            writer.writerow(row)
-    print(f"wrote {path}")
+    _write_csv(os.path.join(out_dir, "comparison.csv"),
+               ["loss", "seed", "best_accuracy", "final_accuracy"], rows)
     return 0
 
 
@@ -272,8 +267,8 @@ def main(argv=None) -> int:
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # a path that cannot be read or written
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
 
 

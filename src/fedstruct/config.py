@@ -112,11 +112,13 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ContractError(f"config {path} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ContractError(f"config {path} is not valid UTF-8: {exc}") from exc
     return config_from_dict(payload)
 
 

@@ -16,8 +16,10 @@ from the global set are excluded from alignment terms only.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,7 +38,7 @@ from .models import (
     check_batch,
     replicate,
 )
-from .tensor import check_labels
+from .tensor import _kept, check_labels
 
 logger = logging.getLogger(__name__)
 
@@ -245,37 +247,41 @@ class LossBreakdown:
 
 # The training step below runs every replica of a lockstep stack at once.
 # Each term's kernel sees only the replicas that weight it (> 0), grouped by
-# loss kind; a kernel reports the replicas it must skip, whose value then
-# reads 0 and whose gradient is left out, exactly as in a run of one.
+# loss kind; a kernel reports the replicas it must skip (see tensor.py),
+# whose value then reads 0 and whose gradient is left out, exactly as in a
+# run of one.
+
+
+def _align(kind, rows, classes, protos, replicas):
+    """Each replica's loss of `rows` (R, m, d) against the global prototypes
+    of their `classes` (m,), `replicas` indexing the stack of `protos`:
+    (values (R,), grad w.r.t. the rows or None, why)."""
+    if kind.name == "contrastive":
+        parts, why = _contrastive(rows, protos.rows[replicas], protos.slot[classes],
+                                  kind.temperature)
+        return parts.total.value, parts.total.grad, why
+    if kind.is_structural and rows.shape[1] < MIN_STRUCTURAL_ROWS:
+        why = np.full(rows.shape[0], f"{rows.shape[1]} rows < {MIN_STRUCTURAL_ROWS}", dtype=object)
+        return np.zeros(rows.shape[0]), None, why
+    return _PAIRWISE_KERNELS[kind.name](rows, protos.vectors[replicas].take(classes, axis=1))
 
 
 def _proto_term(kind, means, counts, labels, protos, replicas):
     """Prototype-level loss of each replica's batch prototypes (`means`
     (R, C, d) and `counts`, from _class_means) against its global
-    prototypes (`replicas` indexes the stack of `protos`), and the gradient
-    w.r.t. the batch embeddings: (values (R,), grad or None, skipped).
-    Classes missing from the global set are excluded."""
+    prototypes, and the gradient w.r.t. the batch embeddings: (values (R,),
+    grad or None, why).  Classes missing from the global set are excluded."""
     common = np.flatnonzero((counts >= 1) & protos.present)
     if common.size == 0:
-        return np.zeros(means.shape[0]), None, {}
-    local = means.take(common, axis=1)
-    if kind.name == "contrastive":
-        parts, skipped = _contrastive(
-            local, protos.rows[replicas], protos.slot[common], kind.temperature
-        )
-        values, grad_local = parts.total.value, parts.total.grad
-    else:
-        if kind.is_structural and common.size < MIN_STRUCTURAL_ROWS:
-            why = f"{common.size} shared classes < {MIN_STRUCTURAL_ROWS}"
-            return np.zeros(means.shape[0]), None, dict.fromkeys(range(means.shape[0]), why)
-        values, grad_local, skipped = _PAIRWISE_KERNELS[kind.name](
-            local, protos.vectors[replicas].take(common, axis=1)
-        )
+        return np.zeros(means.shape[0]), None, _kept(means.shape[0])
+    values, grad_local, why = _align(kind, means.take(common, axis=1), common, protos, replicas)
+    if grad_local is None:
+        return values, None, why
     # batch prototype of class c is the mean of its members, so each member
     # receives grad_row(c) / count(c)
     per_class = np.zeros(means.shape)
     per_class[:, common] = grad_local / counts[common][:, None]
-    return values, per_class[:, labels], skipped
+    return values, per_class[:, labels], why
 
 
 def _instance_term(kind, emb, labels, protos, replicas):
@@ -284,25 +290,14 @@ def _instance_term(kind, emb, labels, protos, replicas):
     known = protos.present[labels]
     every = known.all()
     if not (every or known.any()):
-        return np.zeros(emb.shape[0]), None, {}
+        return np.zeros(emb.shape[0]), None, _kept(emb.shape[0])
     sub, sub_labels = (emb, labels) if every else (emb.compress(known, axis=1), labels[known])
-    if kind.name == "contrastive":
-        parts, skipped = _contrastive(
-            sub, protos.rows[replicas], protos.slot[sub_labels], kind.temperature
-        )
-        values, grad_sub = parts.total.value, parts.total.grad
-    else:
-        if kind.is_structural and sub.shape[1] < MIN_STRUCTURAL_ROWS:
-            why = f"{sub.shape[1]} rows < {MIN_STRUCTURAL_ROWS}"
-            return np.zeros(emb.shape[0]), None, dict.fromkeys(range(emb.shape[0]), why)
-        values, grad_sub, skipped = _PAIRWISE_KERNELS[kind.name](
-            sub, protos.vectors[replicas].take(sub_labels, axis=1)
-        )
-    if every:
-        return values, grad_sub, skipped
+    values, grad_sub, why = _align(kind, sub, sub_labels, protos, replicas)
+    if every or grad_sub is None:
+        return values, grad_sub, why
     grad_emb = np.zeros_like(emb)
     grad_emb[:, known] = grad_sub
-    return values, grad_emb, skipped
+    return values, grad_emb, why
 
 
 class _Objective:
@@ -334,7 +329,7 @@ def _train_step(model, batch, labels, protos, objective, learning_rate):
     parameter gradient is non-finite fails with ReplicaFailure, before any
     replica's parameters change.
     """
-    emb, logits, cache = _forward(model, batch)
+    emb, logits, layers = _forward(model, batch)
     sup, grad_logits = _softmax_cross_entropy(logits, labels)
     grad_emb = grad_logits @ model.classifier_weights.swapaxes(1, 2)
     replicas = emb.shape[0]
@@ -357,16 +352,16 @@ def _train_step(model, batch, labels, protos, objective, learning_rate):
             def add(name, out, weights, kind, positions, result):
                 """Record a term's values and add its weighted gradient,
                 for the replicas of the group that did not skip it."""
-                got, grad, skips = result
-                for why in skips.values():
-                    logger.debug("%s term of %s skipped: %s", name, kind.name, why)
-                done = np.array([j for j in range(positions.size) if j not in skips],
-                                dtype=np.int64)
-                skipped[positions[list(skips)]] += 1
+                got, grad, why = result
+                done = why == ""
+                if not done.all():
+                    for reason in why[~done]:
+                        logger.debug("%s term of %s skipped: %s", name, kind.name, reason)
+                    skipped[positions[~done]] += 1
                 ok = positions[done]
                 out[ok] = got[done]
-                if grad is not None and ok.size:
-                    grad_emb[ok] = grad_emb[ok] + weights[ok, None, None] * grad[done]
+                if grad is not None:
+                    grad_emb[ok] += weights[ok, None, None] * grad[done]
 
             if objective.proto:
                 means, counts = _class_means(emb, labels, protos.num_classes)
@@ -383,7 +378,7 @@ def _train_step(model, batch, labels, protos, objective, learning_rate):
     bad = {r: f"non-finite training loss {t}" for r, t in enumerate(totals) if not math.isfinite(t)}
     if bad:
         raise ReplicaFailure(bad)
-    _backward_and_step(model, cache, grad_logits, grad_emb, learning_rate)
+    _backward_and_step(model, layers, grad_logits, grad_emb, learning_rate)
     terms[3] = totals
     return terms.T, skipped
 
@@ -741,9 +736,6 @@ def _spectrum(latest_uploads: dict[int, PrototypeSet], replica: int, normalize: 
 def _write_prototype_snapshot(protos: PrototypeSet, replica: int, snapshot_dir,
                               round_index: int) -> None:
     """Write one replica's slice of a stacked set as prototypes/round_<k>.csv."""
-    import csv
-    import os
-
     os.makedirs(snapshot_dir, exist_ok=True)
     path = os.path.join(snapshot_dir, f"round_{round_index}.csv")
     vectors = protos.vectors[replica]

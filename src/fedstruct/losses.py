@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, DegenerateInputError
 from .tensor import (
+    _kept,
     _raise_skip,
     _short_rows,
     _unit_rows,
@@ -131,9 +132,9 @@ def _check_pair(a, b, same_cols: bool):
 # on stacks): numpy sums a row pairwise only where it is contiguous, and BLAS
 # takes another path for strided vectors, so a replica of a strided stack
 # could round differently from its run alone.
-# It returns (values (R,), grad (R, n, d), skipped): skipped maps each replica
-# whose value or gradient is undefined to the reason, which the training
-# loop reads as a skip and the public losses raise as DegenerateInputError.
+# It returns (values (R,), grad (R, n, d), why), with why the reason array of
+# tensor.py: the training loop skips each replica whose value or gradient is
+# undefined, and the public losses raise its reason as DegenerateInputError.
 
 
 def loss_mse(a, b) -> LossValue:
@@ -144,7 +145,7 @@ def loss_mse(a, b) -> LossValue:
 def _mse(a, b):
     diff = a - b
     n = a.shape[1]
-    return (diff * diff).sum(axis=(1, 2)) / n, 2.0 * diff / n, {}
+    return (diff * diff).sum(axis=(1, 2)) / n, 2.0 * diff / n, _kept(a.shape[0])
 
 
 def loss_cosine(a, b) -> LossValue:
@@ -155,11 +156,9 @@ def loss_cosine(a, b) -> LossValue:
 def _cosine(a, b):
     na = np.linalg.norm(a, axis=2)
     nb = np.linalg.norm(b, axis=2)
-    skipped = {}
-    # the first matrix is checked first, so its reason wins
-    for name, norms in (("second matrix", nb), ("first matrix", na)):
-        skipped.update(_short_rows(norms, lambda k, v: f"{name} row {k} has near-zero norm "
-                                                       f"{v:.3e}"))
+    why = _kept(a.shape[0])
+    for name, norms in (("first matrix", na), ("second matrix", nb)):
+        _short_rows(why, norms, lambda k, v: f"{name} row {k} has near-zero norm {v:.3e}")
     with np.errstate(divide="ignore", invalid="ignore"):
         ah = a / na[:, :, None]
         bh = b / nb[:, :, None]
@@ -168,7 +167,7 @@ def _cosine(a, b):
         values = (1.0 - cos).sum(axis=1) / n  # the mean, without its dispatch
         # d(1 - cos_i)/da_i = -(b^_i - cos_i a^_i)/||a_i||
         grad = -(bh - cos[:, :, None] * ah) / (n * na[:, :, None])
-    return values, grad, skipped
+    return values, grad, why
 
 
 def _centered(m):
@@ -183,19 +182,16 @@ def _sum_sq(m) -> np.ndarray:
     return (flat @ flat.swapaxes(1, 2))[:, 0, 0]
 
 
-def _centered_or_degenerate(m, name):
-    """The centered stack, and the replicas whose rows are (numerically) identical."""
+def _centered_or_degenerate(m, why, name):
+    """The centered stack; a replica whose rows are (numerically) identical
+    is skipped."""
     c = _centered(m)
-    skipped = {}
-    for r, (total, centered) in enumerate(zip(_sum_sq(m).tolist(), _sum_sq(c).tolist())):
-        scale = max(1.0, math.sqrt(total))
-        cn = math.sqrt(centered)
-        if cn <= GRAM_DEGENERATE_RTOL * scale:
-            skipped[r] = (
-                f"{name} rows are (numerically) identical: centered norm "
-                f"{cn:.3e} vs scale {scale:.3e}"
-            )
-    return c, skipped
+    scale = np.maximum(1.0, np.sqrt(_sum_sq(m)))
+    cn = np.sqrt(_sum_sq(c))
+    for r in np.flatnonzero((cn <= GRAM_DEGENERATE_RTOL * scale) & (why == "")):
+        why[r] = (f"{name} rows are (numerically) identical: centered norm "
+                  f"{cn[r]:.3e} vs scale {scale[r]:.3e}")
+    return c
 
 
 def loss_gcsa(p, q) -> LossValue:
@@ -209,21 +205,10 @@ def loss_gcsa(p, q) -> LossValue:
     return pairwise_loss("gcsa", p, q)
 
 
-def _too_few_rows(p):
-    n = p.shape[1]
-    if n < 2:
-        why = f"need >= 2 rows, got {n}"
-        return np.zeros(p.shape[0]), np.zeros(p.shape), dict.fromkeys(range(p.shape[0]), why)
-    return None
-
-
 def _gcsa(p, q):
-    short = _too_few_rows(p)
-    if short:
-        return short
-    qc, q_skipped = _centered_or_degenerate(q, "second matrix")
-    pc, p_skipped = _centered_or_degenerate(p, "first matrix")
-    skipped = {**q_skipped, **p_skipped}  # the first matrix is checked first
+    why = _kept(p.shape[0])
+    pc = _centered_or_degenerate(p, why, "first matrix")
+    qc = _centered_or_degenerate(q, why, "second matrix")
     # Feature space instead of the n x n Grams (the linear CKA identity):
     # <K_P, K_Q> = ||P_c^T Q_c||^2 and ||K_P|| = ||P_c^T P_c||, all Frobenius.
     pct = pc.swapaxes(1, 2)
@@ -236,14 +221,14 @@ def _gcsa(p, q):
     for r, (s, fa, gq) in enumerate(zip((m * m).sum(axis=(1, 2)).tolist(),
                                         _sum_sq(a).tolist(),
                                         _sum_sq(qc.swapaxes(1, 2) @ qc).tolist())):
-        if r in skipped:
+        if why[r]:
             continue
         f = math.sqrt(fa)
         g = math.sqrt(gq)
         try:
             cube = f ** 3
         except OverflowError:  # a Python float power raises where numpy's gives inf
-            skipped[r] = f"first matrix Gram norm {f:.3e} is too large to cube"
+            why[r] = f"first matrix Gram norm {f:.3e} is too large to cube"
             continue
         values[r] = max(0.0, 1.0 - s / (f * g))
         coef_a[r] = s / (cube * g)
@@ -254,7 +239,7 @@ def _gcsa(p, q):
     coef_a = np.array(coef_a)[:, None, None]
     coef_q = np.array(coef_q)[:, None, None]
     grad = 2.0 * _centered(coef_a * (pc @ a) - (qc @ m.swapaxes(1, 2)) / coef_q)
-    return np.array(values), grad, skipped
+    return np.array(values), grad, why
 
 
 def loss_rcsa(p, q) -> LossValue:
@@ -268,13 +253,10 @@ def loss_rcsa(p, q) -> LossValue:
 
 
 def _rcsa(p, q):
-    short = _too_few_rows(p)
-    if short:
-        return short
     n = p.shape[1]
-    qh, q_skipped = _unit_rows(q, "second matrix")
-    ph, p_skipped = _unit_rows(p, "first matrix")
-    skipped = {**q_skipped, **p_skipped}  # the first matrix is checked first
+    why = _kept(p.shape[0])
+    ph = _unit_rows(p, why, "first matrix")
+    qh = _unit_rows(q, why, "second matrix")
     iu = np.triu_indices(n, k=1)
     upper = iu[0] * n + iu[1]
 
@@ -291,12 +273,12 @@ def _rcsa(p, q):
         for r, (nu, nv, cu) in enumerate(zip(np.sqrt(_sum_sq(u)).tolist(),
                                              np.sqrt(_sum_sq(v)).tolist(),
                                              (u[:, None] @ v[:, :, None])[:, 0, 0].tolist())):
-            if r in skipped:
+            if why[r]:
                 continue
             if nu <= RDM_DEGENERATE_TOL:
-                skipped[r] = f"first matrix distance descriptor collapsed (|u|={nu:.3e})"
+                why[r] = f"first matrix distance descriptor collapsed (|u|={nu:.3e})"
             elif nv <= RDM_DEGENERATE_TOL:
-                skipped[r] = f"second matrix distance descriptor collapsed (|v|={nv:.3e})"
+                why[r] = f"second matrix distance descriptor collapsed (|v|={nv:.3e})"
             else:
                 values[r] = max(0.0, 1.0 - cu / (nu * nv))
                 coef_u[r] = cu / (nu ** 3 * nv)
@@ -314,7 +296,7 @@ def _rcsa(p, q):
         # pull back through row normalization: project out the radial component
         radial = np.sum(grad_ph * ph, axis=2, keepdims=True)
         grad = (grad_ph - radial * ph) / np.linalg.norm(p, axis=2)[:, :, None]
-    return np.array(values), grad, skipped
+    return np.array(values), grad, why
 
 
 def loss_contrastive(z, prototypes, labels, temperature: float) -> ContrastiveParts:
@@ -335,18 +317,18 @@ def loss_contrastive(z, prototypes, labels, temperature: float) -> ContrastivePa
     if not (temperature > 0.0) or not np.isfinite(temperature):
         raise ContractError(f"temperature must be positive and finite, got {temperature!r}")
     labels = check_labels(labels, z.shape[0], prototypes.shape[0])
-    parts, skipped = _contrastive(z[None], prototypes[None], labels, temperature)
-    _raise_skip(skipped)
+    parts, why = _contrastive(z[None], prototypes[None], labels, temperature)
+    _raise_skip(why)
     return ContrastiveParts(*(LossValue(float(part.value[0]), part.grad[0])
                               for part in (parts.total, parts.alignment, parts.uniformity)))
 
 
 def _contrastive(z, prototypes, labels, temperature: float):
-    """ContrastiveParts of (R,) values and (R, n, d) gradients, and the skipped replicas."""
+    """ContrastiveParts of (R,) values and (R, n, d) gradients, and the reasons."""
+    why = _kept(z.shape[0])
     nz = np.linalg.norm(z, axis=2)
-    skipped = _short_rows(nz, lambda k, v: f"embedding row {k} has near-zero norm")
-    ph, p_skipped = _unit_rows(prototypes, "prototypes")
-    skipped = {**p_skipped, **skipped}  # the embeddings are checked first
+    _short_rows(why, nz, lambda k, v: f"embedding row {k} has near-zero norm")
+    ph = _unit_rows(prototypes, why, "prototypes")
 
     n = z.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -377,7 +359,7 @@ def _contrastive(z, prototypes, labels, temperature: float):
         alignment=LossValue(align_val, ga),
         uniformity=LossValue(unif_val, gu),
     )
-    return parts, skipped
+    return parts, why
 
 
 # the unchecked kernel of each pairwise loss (everything except contrastive)
@@ -394,8 +376,10 @@ def pairwise_loss(kind: AlignmentKind | str, a, b) -> LossValue:
     if name not in _PAIRWISE_KERNELS:
         raise ContractError(f"{name!r} is not a pairwise loss")
     a, b = _check_pair(a, b, same_cols=name not in STRUCTURAL_LOSSES)
-    values, grad, skipped = _PAIRWISE_KERNELS[name](a[None], b[None])
-    _raise_skip(skipped)
+    if name in STRUCTURAL_LOSSES and a.shape[0] < 2:
+        raise DegenerateInputError(f"need >= 2 rows, got {a.shape[0]}")
+    values, grad, why = _PAIRWISE_KERNELS[name](a[None], b[None])
+    _raise_skip(why)
     return LossValue(float(values[0]), grad[0])
 
 

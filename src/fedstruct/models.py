@@ -8,7 +8,7 @@ architectures differ only in their hidden widths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,14 +78,6 @@ def _stack_of_one(model: ClientModel) -> ClientModel:
     return model.map_arrays(lambda a: a[None])
 
 
-@dataclass
-class ForwardCache:
-    """Intermediate activations: layer_inputs[i] feeds extractor layer i;
-    layer_inputs[-1] is the embedding matrix."""
-
-    layer_inputs: list[np.ndarray] = field(default_factory=list)
-
-
 def build_model(
     spec: ArchitectureSpec,
     input_dim: int,
@@ -125,11 +117,13 @@ def build_model(
     return ClientModel(layers, cw, cb, spec.feature_dim, architecture_id)
 
 
-def forward(model: ClientModel, batch) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
-    """Return (embeddings, logits, cache). batch is (n, input_dim)."""
+def forward(model: ClientModel, batch) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Return (embeddings, logits, layer_inputs) for an (n, input_dim) batch:
+    layer_inputs[i] feeds extractor layer i, and layer_inputs[-1] is the
+    embedding matrix."""
     batch = check_batch(model, batch)
-    emb, logits, cache = _forward(_stack_of_one(model), batch[None])
-    return emb[0], logits[0], ForwardCache([x[0] for x in cache.layer_inputs])
+    emb, logits, layer_inputs = _forward(_stack_of_one(model), batch[None])
+    return emb[0], logits[0], [x[0] for x in layer_inputs]
 
 
 def check_batch(model: ClientModel, batch) -> np.ndarray:
@@ -162,7 +156,7 @@ def _check_finite(arrays, message: str) -> None:
 
 
 def _forward(model: ClientModel, batch: np.ndarray, keep_layers: bool = True):
-    cache = ForwardCache([batch])
+    layer_inputs = [batch]
     # overflow is detected explicitly below, so the IEEE warnings that
     # precede the non-finite check are suppressed rather than surfaced
     with np.errstate(over="ignore", invalid="ignore"):
@@ -176,12 +170,12 @@ def _forward(model: ClientModel, batch: np.ndarray, keep_layers: bool = True):
             if layer.activation == "tanh":
                 np.tanh(h, out=h)
             if keep_layers:
-                cache.layer_inputs.append(h)
+                layer_inputs.append(h)
         embeddings = h
         logits = embeddings @ model.classifier_weights
         logits += model.classifier_bias[:, None]
     _check_finite((embeddings, logits), "forward pass produced non-finite values")
-    return embeddings, logits, cache
+    return embeddings, logits, layer_inputs
 
 
 def loss_supervised(logits, labels) -> tuple[float, np.ndarray]:
@@ -221,7 +215,7 @@ def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 def backward_and_step(
     model: ClientModel,
-    cache: ForwardCache,
+    layer_inputs: list[np.ndarray],
     grad_logits,
     grad_embeddings,
     learning_rate: float,
@@ -236,7 +230,7 @@ def backward_and_step(
     """
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     grad_embeddings = np.asarray(grad_embeddings, dtype=np.float64)
-    embeddings = cache.layer_inputs[-1]
+    embeddings = layer_inputs[-1]
     n = embeddings.shape[0]
     if grad_logits.shape != (n, model.num_classes):
         raise ContractError(
@@ -248,31 +242,29 @@ def backward_and_step(
         )
     if not (learning_rate >= 0.0 and np.isfinite(learning_rate)):
         raise ContractError(f"learning_rate must be finite and >= 0, got {learning_rate}")
-    stacked = ForwardCache([x[None] for x in cache.layer_inputs])
-    _backward_and_step(
-        _stack_of_one(model), stacked, grad_logits[None], grad_embeddings[None], learning_rate
-    )
+    _backward_and_step(_stack_of_one(model), [x[None] for x in layer_inputs], grad_logits[None],
+                       grad_embeddings[None], learning_rate)
     return model
 
 
 def _backward_and_step(
     model: ClientModel,
-    cache: ForwardCache,
+    layer_inputs: list[np.ndarray],
     grad_logits: np.ndarray,
     grad_embeddings: np.ndarray,
     learning_rate: float,
 ) -> ClientModel:
-    embeddings = cache.layer_inputs[-1]
+    embeddings = layer_inputs[-1]
     grads = []
     gcw = embeddings.swapaxes(-1, -2) @ grad_logits
     gcb = grad_logits.sum(axis=1)
     g = grad_embeddings
     for i in range(len(model.extractor) - 1, -1, -1):
         layer = model.extractor[i]
-        out = cache.layer_inputs[i + 1]
+        out = layer_inputs[i + 1]
         if layer.activation == "tanh":
             g = g * (1.0 - out * out)
-        gw = cache.layer_inputs[i].swapaxes(-1, -2) @ g
+        gw = layer_inputs[i].swapaxes(-1, -2) @ g
         gb = g.sum(axis=1)
         grads.append((i, gw, gb))
         if i > 0:

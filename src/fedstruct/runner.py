@@ -19,7 +19,7 @@ from .analysis import ScenarioRun, summary_rows, write_round_summary_csv
 from .config import ExperimentConfig, architectures, echo_config, round_config
 from .data import generate_mixture, partition_dirichlet, partition_domain_shift
 from .errors import ContractError, NumericFailureError
-from .federation import PER_REPLICA_FIELDS, run_experiment, run_experiments
+from .federation import PER_REPLICA_FIELDS, run_experiments
 
 
 def build_shards(cfg: ExperimentConfig):
@@ -43,28 +43,26 @@ def build_shards(cfg: ExperimentConfig):
 
 
 def run_scenario(cfg: ExperimentConfig, scenario: str | None = None, snapshot_dir=None) -> ScenarioRun:
-    """Run one experiment and wrap the reports with scenario/seed metadata."""
-    scenario = scenario or cfg.model.scenario
-    _, shards = build_shards(cfg)
-    reports = run_experiment(
-        shards,
-        architectures(cfg),
-        round_config(cfg),
-        rounds=cfg.training.rounds,
-        seed=cfg.seed,
-        num_classes=cfg.dataset.classes,
-        scenario=scenario,
-        snapshot_dir=snapshot_dir,
-        normalize_stacking=cfg.output.normalized_stacking,
-    )
-    return ScenarioRun(scenario=scenario, data_seed=cfg.seed, reports=reports)
+    """Run one experiment (in `scenario` instead of the config's, if given)
+    and wrap the reports with scenario/seed metadata.  This is
+    run_scenarios with one config, and raises its NumericFailureError."""
+    if scenario:
+        cfg = copy.deepcopy(cfg)
+        cfg.model.scenario = scenario
+    (run,) = run_scenarios([cfg], snapshot_dirs=[snapshot_dir])
+    if isinstance(run, NumericFailureError):
+        raise run
+    return run
 
 
-def run_scenarios(cfgs: list[ExperimentConfig]) -> list[ScenarioRun | NumericFailureError]:
+def run_scenarios(cfgs: list[ExperimentConfig],
+                  snapshot_dirs=None) -> list[ScenarioRun | NumericFailureError]:
     """run_scenario for each config, all in one lockstep run (see
     federation.run_experiments): per config its run, or the
     NumericFailureError that ended it.  The configs may differ only in the
-    training alignment, lambda and gamma; the shards are built once."""
+    training alignment, lambda and gamma; the shards are built once.
+    `snapshot_dirs`, if given, holds one prototype-snapshot directory (or
+    None) per config."""
 
     def shared_part(cfg):
         point = copy.deepcopy(cfg)
@@ -84,6 +82,7 @@ def run_scenarios(cfgs: list[ExperimentConfig]) -> list[ScenarioRun | NumericFai
         seed=cfg.seed,
         num_classes=cfg.dataset.classes,
         scenario=cfg.model.scenario,
+        snapshot_dirs=snapshot_dirs,
         normalize_stacking=cfg.output.normalized_stacking,
     )
     return [

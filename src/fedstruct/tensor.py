@@ -46,42 +46,48 @@ def check_labels(labels, n: int, num_classes: int) -> np.ndarray:
 
 def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Scale each row to unit l2 norm; zero rows are rejected."""
-    unit, skipped = _unit_rows(as_matrix(m, name)[None], name)
-    _raise_skip(skipped)
+    why = _kept(1)
+    unit = _unit_rows(as_matrix(m, name)[None], why, name)
+    _raise_skip(why)
     return unit[0]
 
 
 # The private kernels of the package work on stacks: arrays with a leading
 # replica axis, one slice per replica of a lockstep run.  Each replica's
 # slice is computed exactly as a stack of one would compute it, so a kernel
-# that meets an undefined value reports it per replica, as {replica: why},
-# and leaves that replica's outputs unspecified for its caller to skip.
+# that meets an undefined value reports it per replica, in an (R,) object
+# array `why`: "" for each replica it kept, the reason for each one it
+# skipped (why != "" is the skip mask), whose outputs are then unspecified.
+# Checks run in order, and a replica keeps the reason of the first it fails.
 
 
-def _raise_skip(skipped: dict[int, str]) -> None:
+def _kept(replicas: int) -> np.ndarray:
+    """The reasons of a stack of which no replica is skipped (yet)."""
+    return np.full(replicas, "", dtype=object)
+
+
+def _raise_skip(why: np.ndarray) -> None:
     """Raise DegenerateInputError for a stack of one whose replica was skipped."""
-    if skipped:
-        raise DegenerateInputError(skipped[0])
+    if why[0]:
+        raise DegenerateInputError(why[0])
 
 
-def _short_rows(norms: np.ndarray, describe) -> dict[int, str]:
-    """{replica: describe(row, norm)} for the first row of each replica of an
-    (R, n) norm array whose norm is <= EPS_NORM."""
+def _short_rows(why: np.ndarray, norms: np.ndarray, describe) -> None:
+    """Give each replica not yet skipped whose row of the (R, n) `norms` is
+    <= EPS_NORM the reason describe(row, norm), for its first such row."""
     short = norms <= EPS_NORM
-    skipped = {}
-    for r in np.flatnonzero(short.any(axis=1)):
+    for r in np.flatnonzero(short.any(axis=1) & (why == "")):
         k = int(np.argmax(short[r]))
-        skipped[int(r)] = describe(k, norms[r, k])
-    return skipped
+        why[r] = describe(k, norms[r, k])
 
 
-def _unit_rows(m: np.ndarray, name: str) -> tuple[np.ndarray, dict[int, str]]:
-    """The rows of a finite (R, n, d) stack scaled to unit l2 norm, and the
-    replicas that hold a row of norm <= EPS_NORM."""
+def _unit_rows(m: np.ndarray, why: np.ndarray, name: str) -> np.ndarray:
+    """The rows of a finite (R, n, d) stack scaled to unit l2 norm; a replica
+    that holds a row of norm <= EPS_NORM is skipped."""
     norms = np.linalg.norm(m, axis=2)
-    skipped = _short_rows(norms, lambda k, v: f"{name} row {k} has norm {v:.3e} <= {EPS_NORM}")
+    _short_rows(why, norms, lambda k, v: f"{name} row {k} has norm {v:.3e} <= {EPS_NORM}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return m / norms[:, :, None], skipped
+        return m / norms[:, :, None]
 
 
 @dataclass(frozen=True)

@@ -139,10 +139,21 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "training.lerning_rate" in capsys.readouterr().err
 
 
-def test_missing_config_file_exits_2(tmp_path, capsys):
-    assert cli.main(["run", "--config", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path / "x")]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("command, unusable", [
+    ("run", "missing"), ("run", "directory"), ("run", "not-utf8"), ("run", "out-is-a-file"),
+    ("sweep", "out-is-a-file"), ("compare-alignments", "out-is-a-file"),
+])
+def test_missing_config_file_exits_2(tmp_path, capsys, command, unusable):
+    config, out = tmp_path / "cfg.json", tmp_path / "x"
+    if unusable == "directory":
+        config.mkdir()
+    elif unusable == "not-utf8":
+        config.write_bytes(b'{"seed": "\xff"}')
+    elif unusable == "out-is-a-file":
+        config.write_text(json.dumps(TINY))
+        out.write_text("")
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert str(config if unusable != "out-is-a-file" else out) in capsys.readouterr().err
 
 
 def test_unknown_subcommand_rejected():

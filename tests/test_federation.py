@@ -1,6 +1,7 @@
 """Client/server prototype protocol: local steps, rounds, aggregation, runs."""
 
 import copy
+import logging
 
 import numpy as np
 import pytest
@@ -361,6 +362,18 @@ class TestLocalTrainStep:
         _, br = local_train_step(model, batch, labels, protos, _cfg(gamma=0.0))
         assert br.proto == 0.0
         assert br.skipped_structural >= 1
+
+    def test_skipped_terms_are_logged_with_their_reason(self, caplog):
+        batch, _ = self._batch(seed=24, n=10)
+        labels = np.array([0, 0, 1, 1, 1, 2, 2, 2, 1, 2])
+        model = build_model(ArchitectureSpec((6,), 4), 5, 3, seed=25)
+        anchors = fixed_hypersphere_prototypes(3, 4, seed=26)
+        protos = PrototypeSet(anchors.vectors, [1, 0, 0])  # class 0 alone is known
+        with caplog.at_level(logging.DEBUG, logger="fedstruct.federation"):
+            _, br = local_train_step(model, batch, labels, protos, _cfg())
+        assert br.skipped_structural == 2
+        assert "proto term of gcsa skipped: 1 rows < 3" in caplog.messages
+        assert "inst term of gcsa skipped: 2 rows < 3" in caplog.messages
 
 
 def _shard_from(ds, client_id=0):

@@ -137,6 +137,20 @@ def test_diverging_replicas_fail_alone_with_their_solo_message(scenario):
     assert all(isinstance(w, str) and w.startswith("round ") for w in want[1:])
 
 
+def test_replicas_that_skip_differently_equal_their_solo_runs():
+    cfg, shards, archs, kwargs = _setup(UNSTABLE, "hetero", "fixed_hypersphere")
+    weights = (0.0, 10.0, 1000.0)
+    points = [(lam, gamma) for lam in weights for gamma in weights]
+    rcs = [_round_config(cfg, "gcsa", lam, gamma) for lam, gamma in points]
+    results = run_experiments(shards, archs, rcs, **kwargs)
+    assert not any(isinstance(r, NumericFailureError) for r in results)
+    # in some round the replicas that weight the proto term skip it unequally
+    group = [[rep.skipped_structural_steps for rep in reports]
+             for (lam, _), reports in zip(points, results) if lam > 0]
+    assert any(len(set(counts)) > 1 for counts in zip(*group))
+    assert [_jsonl(r) for r in results] == [_solo(shards, archs, rc, kwargs) for rc in rcs]
+
+
 def test_configs_must_agree_outside_the_alignment_weights():
     cfg, shards, archs, kwargs = _setup(TINY, "hetero", "aggregate")
     rc = round_config(cfg)
@@ -194,16 +208,17 @@ def test_pairwise_kernels_equal_their_slices(name):
         a, b = _stacks(rng, n=int(rng.integers(3, 33)), d=int(rng.integers(2, 17)))
         if name in ("mse", "cosine"):
             a[1, 2] = 0.0  # a zero row: the only degenerate input of cosine
-        values, grad, skipped = _PAIRWISE_KERNELS[name](a, b)
+        values, grad, why = _PAIRWISE_KERNELS[name](a, b)
         for r, want in enumerate(_slice_wise(lambda x, y: pairwise_loss(name, x, y), a, b)):
             if isinstance(want, str):
-                assert skipped[r] == want
+                assert why[r] == want
             else:
-                assert r not in skipped
+                assert why[r] == ""
                 assert values[r] == want.value
                 assert np.array_equal(grad[r], want.grad)
         if name in ("gcsa", "rcsa"):
-            assert set(skipped) == {1}  # the replica with identical rows alone
+            # the replica with identical rows alone
+            assert np.flatnonzero(why != "").tolist() == [1]
 
 
 def test_contrastive_kernel_equals_its_slices():
@@ -214,13 +229,14 @@ def test_contrastive_kernel_equals_its_slices():
         z[1, 0] = 0.0  # a zero embedding: replica 1 alone skips
         protos = rng.standard_normal((R, c, 4))
         labels = rng.integers(0, c, n)
-        parts, skipped = _contrastive(z, protos, labels, 0.5)
-        assert set(skipped) == {1}
+        parts, why = _contrastive(z, protos, labels, 0.5)
+        assert np.flatnonzero(why != "").tolist() == [1]
         slices = _slice_wise(lambda x, p: loss_contrastive(x, p, labels, 0.5), z, protos)
         for r, want in enumerate(slices):
             if isinstance(want, str):
-                assert skipped[r] == want
+                assert why[r] == want
                 continue
+            assert why[r] == ""
             for got, ref in ((parts.total, want.total), (parts.alignment, want.alignment),
                              (parts.uniformity, want.uniformity)):
                 assert got.value[r] == ref.value

@@ -15,7 +15,7 @@ from fedstruct.losses import (
     pairwise_loss,
     procrustes_decompose,
 )
-from fedstruct.tensor import random_orthogonal
+from fedstruct.tensor import normalize_rows, random_orthogonal
 from oracles import gcsa_gram_form
 
 
@@ -254,3 +254,51 @@ class TestPairwiseDispatcher:
         a, b = _pair(33, 4, 3)
         with pytest.raises(ContractError):
             pairwise_loss("contrastive", a, b)
+
+
+# The reasons a loss refuses an input, word for word: the training loop logs
+# them as skips, and the public losses raise them.  Where both sides are
+# degenerate the first check wins: first matrix before second, embeddings
+# before prototypes.
+_P = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0], [2.0, 1.0, 0.0], [-1.0, 3.0, 1.0]])
+_ZERO_ROW = np.where(np.arange(4)[:, None] == 2, 0.0, _P)
+_TINY_ROW = np.where(np.arange(4)[:, None] == 1, [1e-13, 0.0, 0.0], _P)
+_SAME = np.ones((4, 3))
+_RAY = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+_IDENTICAL = "rows are (numerically) identical: centered norm 0.000e+00 vs scale"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: loss_cosine(_ZERO_ROW, _P), "first matrix row 2 has near-zero norm 0.000e+00"),
+    (lambda: loss_cosine(_P, _ZERO_ROW), "second matrix row 2 has near-zero norm 0.000e+00"),
+    (lambda: loss_cosine(_TINY_ROW, _ZERO_ROW), "first matrix row 1 has near-zero norm 1.000e-13"),
+    (lambda: loss_rcsa(_ZERO_ROW, _P), "first matrix row 2 has norm 0.000e+00 <= 1e-12"),
+    (lambda: loss_rcsa(_P, _ZERO_ROW), "second matrix row 2 has norm 0.000e+00 <= 1e-12"),
+    (lambda: loss_rcsa(_ZERO_ROW, _TINY_ROW), "first matrix row 2 has norm 0.000e+00 <= 1e-12"),
+    (lambda: loss_rcsa(_RAY, _P), "first matrix distance descriptor collapsed (|u|=0.000e+00)"),
+    (lambda: loss_rcsa(_P, _RAY), "second matrix distance descriptor collapsed (|v|=0.000e+00)"),
+    (lambda: loss_rcsa(_RAY, 2.0 * _RAY),
+     "first matrix distance descriptor collapsed (|u|=0.000e+00)"),
+    (lambda: loss_gcsa(_SAME, _P), f"first matrix {_IDENTICAL} 3.464e+00"),
+    (lambda: loss_gcsa(_P, 2.0 * _SAME), f"second matrix {_IDENTICAL} 6.928e+00"),
+    (lambda: loss_gcsa(_SAME, 2.0 * _SAME), f"first matrix {_IDENTICAL} 3.464e+00"),
+    (lambda: loss_gcsa(1e60 * _P, _P), "first matrix Gram norm 9.877e+120 is too large to cube"),
+    (lambda: loss_gcsa(_P[:1], _P[:1]), "need >= 2 rows, got 1"),
+    (lambda: loss_rcsa(_P[:1], _P[:1]), "need >= 2 rows, got 1"),
+    (lambda: loss_contrastive(_ZERO_ROW, _P[:3], [0, 1, 2, 0], 0.5),
+     "embedding row 2 has near-zero norm"),
+    (lambda: loss_contrastive(_P, _ZERO_ROW[:3], [0, 1, 2, 0], 0.5),
+     "prototypes row 2 has norm 0.000e+00 <= 1e-12"),
+    (lambda: loss_contrastive(_ZERO_ROW, _ZERO_ROW[:3], [0, 1, 2, 0], 0.5),
+     "embedding row 2 has near-zero norm"),
+    (lambda: normalize_rows(_ZERO_ROW), "matrix row 2 has norm 0.000e+00 <= 1e-12"),
+    (lambda: normalize_rows(_TINY_ROW, "z"), "z row 1 has norm 1.000e-13 <= 1e-12"),
+], ids=["cosine-first", "cosine-second", "cosine-both", "rcsa-zero-first", "rcsa-zero-second",
+        "rcsa-zero-both", "rcsa-collapsed-first", "rcsa-collapsed-second", "rcsa-collapsed-both",
+        "gcsa-identical-first", "gcsa-identical-second", "gcsa-identical-both", "gcsa-cube",
+        "gcsa-one-row", "rcsa-one-row", "contrastive-embedding", "contrastive-prototype",
+        "contrastive-both", "normalize-rows", "normalize-rows-named"])
+def test_degenerate_input_messages(call, message):
+    with pytest.raises(DegenerateInputError) as exc:
+        call()
+    assert str(exc.value) == message
