@@ -10,7 +10,7 @@ a shared subspace.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,15 +93,7 @@ class ScenarioComparison:
     ordering_holds: bool  # hetero keeps strictly more directions than shared
 
     def to_json_dict(self) -> dict:
-        return {
-            "homo_shared_dim": self.homo_shared_dim,
-            "homo_local_dim": self.homo_local_dim,
-            "hetero_dim": self.hetero_dim,
-            "homo_shared_ratio": self.homo_shared_ratio,
-            "homo_local_ratio": self.homo_local_ratio,
-            "hetero_ratio": self.hetero_ratio,
-            "ordering_holds": self.ordering_holds,
-        }
+        return asdict(self)
 
 
 def compare_scenarios(
@@ -132,16 +124,19 @@ def compare_scenarios(
     )
 
 
+def write_csv(path, header, rows) -> None:
+    """Write the header row, then the rows, with the csv module's defaults."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_round_summary_csv(rows, path) -> None:
     """rows: iterables of (scenario, seed, round, threshold_dim,
     participation_ratio, mean_accuracy)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["scenario", "seed", "round", "threshold_dim", "participation_ratio", "mean_accuracy"]
-        )
-        for row in rows:
-            writer.writerow(list(row))
+    write_csv(path, ["scenario", "seed", "round", "threshold_dim", "participation_ratio",
+                     "mean_accuracy"], rows)
 
 
 def summary_rows(run: ScenarioRun):

@@ -7,23 +7,23 @@ Subcommands:
     dimensionality      three sharing scenarios + spectral comparison
     selftest            fast built-in property checks
 
-Every flag overrides the corresponding config field; without --config the
-built-in defaults apply.  Exit codes: 0 ok, 2 bad configuration/arguments
-(an unreadable config or unwritable output path included), 3 partition
-failure, 4 numeric failure, 1 selftest failure.
+Every flag but --config and --grid overrides one config field (see _FLAGS);
+without --config the built-in defaults apply.  --snapshots is run's alone,
+--grid is sweep's, and selftest takes only -v.  Exit codes: 0 ok, 2 bad
+configuration/arguments (an unreadable config or unwritable output path
+included), 3 partition failure, 4 numeric failure, 1 selftest failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import json
 import logging
 import os
 import sys
 
-from .analysis import compare_scenarios, summary_rows, write_round_summary_csv
+from .analysis import compare_scenarios, summary_rows, write_csv, write_round_summary_csv
 from .config import ExperimentConfig, load_config, validate_config
 from .errors import ContractError, NumericFailureError, PartitionFailureError
 from .federation import SCENARIOS
@@ -31,21 +31,27 @@ from .losses import KNOWN_LOSSES
 from .runner import execute_run, run_scenario, run_scenarios, write_rounds_jsonl
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (defaults apply if omitted)")
-    p.add_argument("--seed", type=int, help="master seed override")
-    p.add_argument("--loss", help="alignment loss: " + "|".join(KNOWN_LOSSES))
-    p.add_argument("--lambda", dest="lam", type=float, help="prototype-term weight")
-    p.add_argument("--gamma", type=float, help="instance-term weight")
-    p.add_argument("--tau", type=float, help="contrastive temperature")
-    p.add_argument("--rounds", type=int, help="communication rounds")
-    p.add_argument("--clients", type=int, help="number of clients")
-    p.add_argument("--alpha", type=float, help="Dirichlet concentration")
-    p.add_argument("--scenario", help="|".join(SCENARIOS))
-    p.add_argument("--out", help="output directory override")
-    p.add_argument("--snapshots", action="store_true", default=None,
-                   help="write per-round prototype CSVs")
-    p.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+# flag -> (config block it overrides, None for the top level; the field it
+# overrides, None for a flag that overrides none; argparse options)
+_FLAGS = {
+    "config": (None, None, {"help": "JSON config file (defaults apply if omitted)"}),
+    "seed": (None, "seed", {"type": int, "help": "master seed override"}),
+    "loss": ("training", "alignment", {"help": "alignment loss: " + "|".join(KNOWN_LOSSES)}),
+    "lambda": ("training", "lam", {"type": float, "help": "prototype-term weight"}),
+    "gamma": ("training", "gamma", {"type": float, "help": "instance-term weight"}),
+    "tau": ("training", "temperature", {"type": float, "help": "contrastive temperature"}),
+    "rounds": ("training", "rounds", {"type": int, "help": "communication rounds"}),
+    "clients": ("partition", "clients", {"type": int, "help": "number of clients"}),
+    "alpha": ("partition", "alpha", {"type": float, "help": "Dirichlet concentration"}),
+    "scenario": ("model", "scenario", {"help": "|".join(SCENARIOS)}),
+    "out": ("output", "directory", {"help": "output directory override"}),
+    "snapshots": ("output", "prototype_snapshots", {"action": "store_true", "default": None,
+                                                    "help": "write per-round prototype CSVs"}),
+    "grid": (None, None, {"default": "0.1,1,5",
+                          "help": "comma-separated weights tried for lambda and gamma"}),
+}
+# the flags every command that reads a config takes
+_CONFIG_FLAGS = tuple(flag for flag in _FLAGS if flag not in ("snapshots", "grid"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,42 +60,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Prototype-based federated learning with structural alignment losses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("run", "run one experiment and write artifacts"),
-        ("sweep", "lambda x gamma sensitivity grid for one loss"),
-        ("compare-alignments", "run all five alignment losses on identical data"),
-        ("dimensionality", "compare prototype spectra across sharing scenarios"),
-        ("selftest", "run built-in property checks"),
-    ):
+    for name, (_, helptext, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        if name == "sweep":
-            p.add_argument("--grid", default="0.1,1,5",
-                           help="comma-separated weights tried for lambda and gamma")
+        for flag in flags:
+            p.add_argument("--" + flag, **_FLAGS[flag][2])
+        p.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     return parser
-
-
-# flag -> (config block, field) it overrides; None is the top level
-_OVERRIDES = {
-    "seed": (None, "seed"),
-    "loss": ("training", "alignment"),
-    "lam": ("training", "lam"),
-    "gamma": ("training", "gamma"),
-    "tau": ("training", "temperature"),
-    "rounds": ("training", "rounds"),
-    "clients": ("partition", "clients"),
-    "alpha": ("partition", "alpha"),
-    "scenario": ("model", "scenario"),
-    "out": ("output", "directory"),
-    "snapshots": ("output", "prototype_snapshots"),
-}
 
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    for flag, (block, name) in _OVERRIDES.items():
-        value = getattr(args, flag)
-        if value is not None:
+    for flag, (block, name, _) in _FLAGS.items():
+        value = getattr(args, flag, None)
+        if name is not None and value is not None:
             setattr(getattr(cfg, block) if block else cfg, name, value)
     return validate_config(cfg)
 
@@ -121,10 +104,7 @@ def _with_weights(cfg: ExperimentConfig, lam: float, gamma: float) -> Experiment
 
 
 def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(path, header, rows)
     print(f"wrote {path}")
 
 
@@ -211,7 +191,7 @@ def _cmd_dimensionality(args) -> int:
     _require_rounds(cfg, "dimensionality")
     # isolate the sharing effect: local training stays purely supervised
     # unless weights were requested explicitly
-    if args.lam is None:
+    if getattr(args, "lambda") is None:
         cfg.training.lam = 0.0
     if args.gamma is None:
         cfg.training.gamma = 0.0
@@ -243,21 +223,27 @@ def _cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
+# command -> (handler, help, flags)
+_COMMANDS = {
+    "run": (_cmd_run, "run one experiment and write artifacts", _CONFIG_FLAGS + ("snapshots",)),
+    "sweep": (_cmd_sweep, "lambda x gamma sensitivity grid for one loss",
+              _CONFIG_FLAGS + ("grid",)),
+    "compare-alignments": (_cmd_compare_alignments,
+                           "run all five alignment losses on identical data", _CONFIG_FLAGS),
+    "dimensionality": (_cmd_dimensionality,
+                       "compare prototype spectra across sharing scenarios", _CONFIG_FLAGS),
+    "selftest": (_cmd_selftest, "run built-in property checks", ()),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "compare-alignments": _cmd_compare_alignments,
-        "dimensionality": _cmd_dimensionality,
-        "selftest": _cmd_selftest,
-    }
     try:
-        return handlers[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ContractError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

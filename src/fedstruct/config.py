@@ -80,25 +80,25 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        for (block, key), name in _KEY_ALIASES.items():
+        for (block, name), key in _EXTERNAL_KEYS.items():
             out[block][key] = out[block].pop(name)
         return out
 
 
-# external key names: "lambda"/"gamma" match the CLI flags
-_KEY_ALIASES = {("training", "lambda"): "lam"}
-_EXTERNAL_KEYS = {(block, name): key for (block, key), name in _KEY_ALIASES.items()}
+# (block, field) -> its external key name: "lambda"/"gamma" match the CLI flags
+_EXTERNAL_KEYS = {("training", "lam"): "lambda"}
 
 
 def _fill(obj, payload, block: str | None = None) -> None:
     """Copy a JSON object onto a config dataclass; unknown keys are rejected."""
     if not isinstance(payload, dict):
         raise ContractError(f"config {block or 'root'} must be a JSON object")
-    known = {f.name for f in dataclasses.fields(obj)}
+    # key -> field; a field with an external key is known by that key only
+    names = {_EXTERNAL_KEYS.get((block, f.name), f.name): f.name for f in dataclasses.fields(obj)}
     for key, value in payload.items():
-        name = _KEY_ALIASES.get((block, key), key)
-        if name not in known:
+        if key not in names:
             raise ContractError(f"unknown config key {block + '.' if block else ''}{key}")
+        name = names[key]
         if dataclasses.is_dataclass(getattr(obj, name)):
             _fill(getattr(obj, name), value, name)
         else:

@@ -110,13 +110,23 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def _split_by_counts(indices: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-    out = []
-    start = 0
-    for c in counts:
-        out.append(indices[start : start + int(c)])
-        start += int(c)
-    return out
+def _class_pools(ds: LabeledDataset) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per class, its train rows and its test rows, each ascending."""
+    return [(np.flatnonzero((ds.labels == c) & ~ds.test_mask),
+             np.flatnonzero((ds.labels == c) & ds.test_mask)) for c in range(ds.num_classes)]
+
+
+def _shards(ds: LabeledDataset, owner: np.ndarray, num_clients: int,
+            transform=lambda i, x: x) -> list[DatasetShard]:
+    """Client i's shard holds the rows with owner == i, in dataset order,
+    its features mapped through transform(i, features)."""
+    shards = []
+    for i in range(num_clients):
+        rows = np.flatnonzero(owner == i)
+        tr, te = rows[~ds.test_mask[rows]], rows[ds.test_mask[rows]]
+        shards.append(DatasetShard(i, transform(i, ds.features[tr]), ds.labels[tr],
+                                   transform(i, ds.features[te]), ds.labels[te]))
+    return shards
 
 
 def _check_enough_rows(ds: LabeledDataset, num_clients: int, scheme: str) -> None:
@@ -147,46 +157,21 @@ def partition_dirichlet(
     if num_clients < 2:
         raise ContractError(f"num_clients must be >= 2, got {num_clients}")
     _check_enough_rows(ds, num_clients, f"Dirichlet partition (alpha={alpha})")
+    pools = _class_pools(ds)
+    clients = np.arange(num_clients)
+    owner = np.empty(len(ds.labels), dtype=np.int64)
     for attempt in range(MAX_PARTITION_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), attempt]))
-        train_parts = [[] for _ in range(num_clients)]
-        test_parts = [[] for _ in range(num_clients)]
-        for c in range(ds.num_classes):
-            class_rows = np.nonzero(ds.labels == c)[0]
-            tr = class_rows[~ds.test_mask[class_rows]]
-            te = class_rows[ds.test_mask[class_rows]]
+        for pool_pair in pools:
             w = rng.dirichlet(np.full(num_clients, alpha))
-            tr_counts = _largest_remainder(w, len(tr))
-            te_counts = _largest_remainder(w, len(te))
-            for i, chunk in enumerate(_split_by_counts(rng.permutation(tr), tr_counts)):
-                train_parts[i].append(chunk)
-            for i, chunk in enumerate(_split_by_counts(rng.permutation(te), te_counts)):
-                test_parts[i].append(chunk)
-        shards = []
-        valid = True
-        for i in range(num_clients):
-            tr_idx = np.concatenate(train_parts[i]) if train_parts[i] else np.array([], dtype=np.int64)
-            te_idx = np.concatenate(test_parts[i]) if test_parts[i] else np.array([], dtype=np.int64)
-            tr_idx = np.sort(tr_idx)
-            te_idx = np.sort(te_idx)
-            if (
-                len(tr_idx) < 2
-                or len(np.unique(ds.labels[tr_idx])) < 2
-                or len(te_idx) < 1
-            ):
-                valid = False
-                break
-            shards.append(
-                DatasetShard(
-                    client_id=i,
-                    train_features=ds.features[tr_idx].copy(),
-                    train_labels=ds.labels[tr_idx].copy(),
-                    test_features=ds.features[te_idx].copy(),
-                    test_labels=ds.labels[te_idx].copy(),
-                )
-            )
-        if valid:
-            return shards
+            for pool in pool_pair:  # train rows, then test rows
+                owner[rng.permutation(pool)] = np.repeat(clients, _largest_remainder(w, len(pool)))
+        has_class = np.zeros((num_clients, ds.num_classes), dtype=bool)
+        has_class[owner[~ds.test_mask], ds.labels[~ds.test_mask]] = True
+        test = np.bincount(owner[ds.test_mask], minlength=num_clients)
+        # >= 2 distinct train classes implies >= 2 train rows
+        if has_class.sum(axis=1).min() >= 2 and test.min() >= 1:
+            return _shards(ds, owner, num_clients)
     raise PartitionFailureError(
         f"no valid Dirichlet partition after {MAX_PARTITION_ATTEMPTS} attempts "
         f"(alpha={alpha}, clients={num_clients}); try a larger alpha or fewer clients"
@@ -214,20 +199,21 @@ def partition_domain_shift(
         raise ContractError(f"shift_scale must be finite and >= 0, got {shift_scale}")
     _check_enough_rows(ds, num_clients, "domain-shift partition")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
-    train_parts = [[] for _ in range(num_clients)]
-    test_parts = [[] for _ in range(num_clients)]
-    for c in range(ds.num_classes):
-        class_rows = np.nonzero(ds.labels == c)[0]
-        for pool, parts in (
-            (class_rows[~ds.test_mask[class_rows]], train_parts),
-            (class_rows[ds.test_mask[class_rows]], test_parts),
-        ):
-            perm = rng.permutation(pool)
-            for i in range(num_clients):
-                # offset the round-robin start per class so remainders spread out
-                parts[i].append(perm[(i + c) % num_clients :: num_clients])
+    owner = np.empty(len(ds.labels), dtype=np.int64)
+    for c, pool_pair in enumerate(_class_pools(ds)):
+        for pool in pool_pair:
+            # offset the round-robin start per class so remainders spread out
+            owner[rng.permutation(pool)] = (np.arange(len(pool)) - c) % num_clients
+    train = np.bincount(owner[~ds.test_mask], minlength=num_clients)
+    test = np.bincount(owner[ds.test_mask], minlength=num_clients)
+    short = np.flatnonzero((train < 2) | (test < 1))
+    if short.size:
+        raise PartitionFailureError(
+            f"domain-shift partition left client {short[0]} with too little data; "
+            f"reduce num_clients"
+        )
     dim = ds.features.shape[1]
-    shards = []
+    maps = []
     for i in range(num_clients):
         rot = (
             random_orthogonal(dim, np.random.SeedSequence([int(seed), 7, i]))
@@ -237,21 +223,5 @@ def partition_domain_shift(
         direction = rng.standard_normal(dim)
         norm = np.linalg.norm(direction)
         shift = (shift_scale / norm) * direction if shift_scale > 0 and norm > 0 else np.zeros(dim)
-        tr_idx = np.sort(np.concatenate(train_parts[i]))
-        te_idx = np.sort(np.concatenate(test_parts[i]))
-        if len(tr_idx) < 2 or len(te_idx) < 1:
-            raise PartitionFailureError(
-                f"domain-shift partition left client {i} with too little data; "
-                f"reduce num_clients"
-            )
-        shards.append(
-            DatasetShard(
-                client_id=i,
-                train_features=ds.features[tr_idx] @ rot + shift,
-                train_labels=ds.labels[tr_idx].copy(),
-                test_features=ds.features[te_idx] @ rot + shift,
-                test_labels=ds.labels[te_idx].copy(),
-            )
-        )
-    return shards
-
+        maps.append((rot, shift))
+    return _shards(ds, owner, num_clients, lambda i, x: x @ maps[i][0] + maps[i][1])

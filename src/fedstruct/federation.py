@@ -16,7 +16,6 @@ from the global set are excluded from alignment terms only.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .analysis import effective_dimensionality
+from .analysis import effective_dimensionality, write_csv
 from .errors import ContractError, DegenerateInputError, NumericFailureError, ReplicaFailure
 from .losses import _PAIRWISE_KERNELS, AlignmentKind, _contrastive
 from .models import (
@@ -602,7 +601,7 @@ def run_experiments(
 
     if scenario == "homo_shared":
         shared_model = build_model(
-            archs[0], input_dim, num_classes, np.random.SeedSequence([seed, 0, 0]), 0
+            archs[0], input_dim, num_classes, np.random.SeedSequence([seed, 0, 0])
         )
         models = [replicate(shared_model, copies)] * n_clients
     else:
@@ -610,8 +609,7 @@ def run_experiments(
         for i in range(n_clients):
             arch_id = i % len(archs) if scenario == "hetero" else 0
             model = build_model(
-                archs[arch_id], input_dim, num_classes, np.random.SeedSequence([seed, 0, i]),
-                arch_id,
+                archs[arch_id], input_dim, num_classes, np.random.SeedSequence([seed, 0, i])
             )
             models.append(replicate(model, copies))
 
@@ -739,10 +737,6 @@ def _write_prototype_snapshot(protos: PrototypeSet, replica: int, snapshot_dir,
     os.makedirs(snapshot_dir, exist_ok=True)
     path = os.path.join(snapshot_dir, f"round_{round_index}.csv")
     vectors = protos.vectors[replica]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class"] + [f"v{k}" for k in range(protos.dim)] + ["weight"])
-        for c in protos.classes():
-            writer.writerow(
-                [c] + [repr(float(x)) for x in vectors[c]] + [int(protos.counts[c])]
-            )
+    write_csv(path, ["class"] + [f"v{k}" for k in range(protos.dim)] + ["weight"],
+              ([c] + [repr(float(x)) for x in vectors[c]] + [int(protos.counts[c])]
+               for c in protos.classes()))

@@ -46,7 +46,6 @@ class ClientModel:
     classifier_weights: np.ndarray  # (feature_dim, num_classes)
     classifier_bias: np.ndarray  # (num_classes,)
     feature_dim: int
-    architecture_id: int = 0
 
     @property
     def input_dim(self) -> int:
@@ -63,7 +62,6 @@ class ClientModel:
             fn(self.classifier_weights),
             fn(self.classifier_bias),
             self.feature_dim,
-            self.architecture_id,
         )
 
 
@@ -83,7 +81,6 @@ def build_model(
     input_dim: int,
     num_classes: int,
     seed,
-    architecture_id: int = 0,
 ) -> ClientModel:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) initialization.
 
@@ -114,7 +111,7 @@ def build_model(
             f"cannot allocate a model of widths {widths} on {input_dim} inputs and "
             f"{num_classes} classes: {exc}"
         ) from exc
-    return ClientModel(layers, cw, cb, spec.feature_dim, architecture_id)
+    return ClientModel(layers, cw, cb, spec.feature_dim)
 
 
 def forward(model: ClientModel, batch) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:

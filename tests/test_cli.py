@@ -156,6 +156,29 @@ def test_missing_config_file_exits_2(tmp_path, capsys, command, unusable):
     assert str(config if unusable != "out-is-a-file" else out) in capsys.readouterr().err
 
 
+def test_internal_field_name_lam_is_not_a_config_key(tmp_path, capsys):
+    # training.lam is known by its external key "lambda" only
+    cfg = _write_cfg(tmp_path, {"training": {"lam": 2.5}})
+    assert cli.main(["run", "--config", cfg, "--rounds", "0", "--out", str(tmp_path / "x")]) == 2
+    assert "unknown config key training.lam" in capsys.readouterr().err
+    cfg = _write_cfg(tmp_path, {"training": {"lambda": 2.5}}, "ok.json")
+    assert cli.main(["run", "--config", cfg, "--rounds", "0", "--out", str(tmp_path / "y")]) == 0
+    assert json.loads((tmp_path / "y" / "config.echo").read_text())["training"]["lambda"] == 2.5
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--snapshots"],  # only run writes prototype snapshots
+    ["compare-alignments", "--snapshots"],
+    ["dimensionality", "--grid", "1"],  # only sweep reads a grid
+    ["selftest", "--config", "x"],  # selftest reads no config
+    ["selftest", "--rounds", "1"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["federate"])

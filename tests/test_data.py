@@ -1,5 +1,7 @@
 """Synthetic mixtures and the two non-IID partitioners."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,40 @@ class TestPartitionDomainShift:
         with pytest.raises(PartitionFailureError):
             partition_domain_shift(ds, 10, 1.0, seed=12)
 
+
+# (classes, input_dim, samples_per_class, clients): three shapes that partition
+# (though at alpha 0.05 the Dirichlet draw fails on (4, 3, 10, 4) for most
+# seeds), one with fewer test rows than clients and one with too few train rows
+_DIGEST_SHAPES = [(3, 2, 5, 2), (4, 3, 10, 4), (10, 16, 100, 8), (3, 2, 5, 6), (2, 2, 3, 3)]
+_DIGEST_ALPHAS = [0.05, 0.5, 1e3]
+_DIGEST_SHIFTS = [(0.0, True), (1.5, True), (0.7, False)]  # (shift_scale, rotate)
+
+
+def _partition_digest() -> str:
+    """sha256 over every shard's bytes, shapes and dtypes (or the
+    PartitionFailureError text) across seeds, shapes and settings."""
+    h = hashlib.sha256()
+    for seed in range(6):
+        for classes, dim, per_class, clients in _DIGEST_SHAPES:
+            ds = generate_mixture(classes, dim, per_class, 1.0, 0.5, seed=seed)
+            calls = [lambda a=a: partition_dirichlet(ds, a, clients, seed) for a in _DIGEST_ALPHAS]
+            calls += [lambda s=s, r=r: partition_domain_shift(ds, clients, s, seed, rotate=r)
+                      for s, r in _DIGEST_SHIFTS]
+            for call in calls:
+                try:
+                    shards = call()
+                except PartitionFailureError as exc:
+                    h.update(f"failure {exc}".encode())
+                    continue
+                for s in shards:
+                    h.update(f"client {s.client_id}".encode())
+                    for a in (s.train_features, s.train_labels, s.test_features, s.test_labels):
+                        h.update(f"{a.dtype} {a.shape}".encode())
+                        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_partitions_match_pinned_digest():
+    # recorded from the chunk-list partitioners that the owner-array ones
+    # replaced; any change to a draw, a row order or a transform moves it
+    assert _partition_digest() == "3822c988f0ba8ed1c7fb652aef986183b42a857204ffad6534aac5b43ab2fd0c"
