@@ -130,13 +130,15 @@ def _shards(ds: LabeledDataset, owner: np.ndarray, num_clients: int,
 
 
 def _check_enough_rows(ds: LabeledDataset, num_clients: int, scheme: str) -> None:
-    """Every client needs >= 2 train rows; fail before building any per-client state."""
-    n_train = int(np.count_nonzero(~ds.test_mask))
-    if 2 * num_clients > n_train:
-        raise PartitionFailureError(
-            f"no valid {scheme}: {num_clients} clients cannot each get 2 of the "
-            f"{n_train} train rows; reduce num_clients"
-        )
+    """Every client needs >= 2 train rows and >= 1 test row; fail before
+    building any per-client state."""
+    for split, rows, least in (("train", ~ds.test_mask, 2), ("test", ds.test_mask, 1)):
+        n = int(np.count_nonzero(rows))
+        if least * num_clients > n:
+            raise PartitionFailureError(
+                f"no valid {scheme}: {num_clients} clients cannot each get {least} of the "
+                f"{n} {split} rows; reduce num_clients"
+            )
 
 
 def partition_dirichlet(

@@ -37,7 +37,7 @@ from .models import (
     check_batch,
     replicate,
 )
-from .tensor import _kept, check_labels
+from .tensor import _kept, as_matrix, check_labels
 
 logger = logging.getLogger(__name__)
 
@@ -146,8 +146,8 @@ def aggregate_prototypes(uploads, previous: PrototypeSet | None = None) -> Proto
 
     Classes present in any upload get the weighted mean (weights = per-class
     sample counts); classes only present in `previous` are carried over
-    unchanged.  The server sees nothing but PrototypeSet values, all of one
-    shape: (classes, dim), or (replicas, classes, dim) in a lockstep run.
+    unchanged.  The uploads and `previous` are PrototypeSet values of one
+    shape: (classes, dim), or (replicas, classes, dim) for a lockstep stack.
     """
     uploads = list(uploads)
     for u in uploads:
@@ -162,11 +162,16 @@ def aggregate_prototypes(uploads, previous: PrototypeSet | None = None) -> Proto
     shapes = {u.vectors.shape for u in uploads + ([previous] if previous is not None else [])}
     if len(shapes) != 1:
         raise ContractError(f"uploads must share one vector shape, got {sorted(shapes)}")
-    counts = np.stack([u.counts for u in uploads])  # (U, C)
+    return _aggregate(np.stack([u.vectors for u in uploads], axis=-3),
+                      np.stack([u.counts for u in uploads]), previous)
+
+
+def _aggregate(stacked, counts, previous: PrototypeSet | None) -> PrototypeSet:
+    """aggregate_prototypes over ([R,] U, C, d) upload vectors, zero where
+    absent, and their (U, C) counts."""
     total = counts.sum(axis=0)
     # absent rows are zero with weight zero, so each adds +0.0 to its class's
-    # sum; the uploads are summed in order along the U axis of ([R,] U, C, d)
-    stacked = np.stack([u.vectors for u in uploads], axis=-3)
+    # sum; the uploads are summed in order along the U axis
     weighted = (counts[:, :, None] * stacked).sum(axis=-3)
     vectors = weighted / np.maximum(total, 1)[:, None]
     if previous is not None:
@@ -299,35 +304,30 @@ def _instance_term(kind, emb, labels, protos, replicas):
     return values, grad_emb, why
 
 
-class _Objective:
-    """The alignment weights of each replica of a stack and, per term, the
-    replicas that weight it (> 0) grouped by loss kind."""
-
-    def __init__(self, cfgs: list[RoundConfig]):
-        self.lam = np.array([c.lam for c in cfgs], dtype=np.float64)
-        self.gamma = np.array([c.gamma for c in cfgs], dtype=np.float64)
-        # [(AlignmentKind, replica positions)] per term
-        self.proto = self._groups(cfgs, "lam")
-        self.inst = self._groups(cfgs, "gamma")
-
-    @staticmethod
-    def _groups(cfgs, weight: str) -> list:
-        by_kind: dict[AlignmentKind, list[int]] = {}
-        for pos, c in enumerate(cfgs):
-            if getattr(c, weight) > 0:
-                by_kind.setdefault(c.alignment, []).append(pos)
-        return [(kind, np.array(pos)) for kind, pos in by_kind.items()]
+def _objective(cfgs: list[RoundConfig]) -> tuple[np.ndarray, list]:
+    """The (2, R) lam and gamma of each replica of a stack, and the groups
+    [(term, kind, replica positions)] of the replicas that weight a term
+    (> 0) with one loss kind: term 0 (proto) before term 1 (inst), kinds in
+    first-seen order, which fixes the order of the gradient sums."""
+    weights = np.array([[c.lam for c in cfgs], [c.gamma for c in cfgs]], dtype=np.float64)
+    groups: dict[tuple[int, AlignmentKind], list[int]] = {}
+    for term, row in enumerate(weights):
+        for pos, (c, w) in enumerate(zip(cfgs, row)):
+            if w > 0:
+                groups.setdefault((term, c.alignment), []).append(pos)
+    return weights, [(term, kind, np.array(pos)) for (term, kind), pos in groups.items()]
 
 
 def _train_step(model, batch, labels, protos, objective, learning_rate):
     """One SGD step of L_sup + lam*L_proto + gamma*L_inst for every replica
-    of a stacked model on one shared batch.
+    of a stacked model on one shared batch; `objective` is _objective's.
 
     Returns each replica's [sup, proto, inst, total] as an (R, 4) array and
     its structural skips.  A replica whose forward pass, total loss or
     parameter gradient is non-finite fails with ReplicaFailure, before any
     replica's parameters change.
     """
+    weights, groups = objective
     emb, logits, layers = _forward(model, batch)
     sup, grad_logits = _softmax_cross_entropy(logits, labels)
     grad_emb = grad_logits @ model.classifier_weights.swapaxes(1, 2)
@@ -339,41 +339,36 @@ def _train_step(model, batch, labels, protos, objective, learning_rate):
     # the non-finite check on the totals below turns that into a clean
     # NumericFailureError, so the IEEE warnings along the way are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
-        aligned = protos is not None and not protos.is_empty
-        if aligned and (objective.proto or objective.inst):
+        if groups and protos is not None and not protos.is_empty:
             if logger.isEnabledFor(logging.DEBUG):
                 missing = sorted(set(labels.tolist()) - set(protos.classes()))
                 if missing:
                     logger.debug(
                         "classes %s missing from global set; excluded from alignment", missing
                     )
-
-            def add(name, out, weights, kind, positions, result):
-                """Record a term's values and add its weighted gradient,
-                for the replicas of the group that did not skip it."""
-                got, grad, why = result
+            if groups[0][0] == 0:  # a proto group, so the batch prototypes are needed
+                means, counts = _class_means(emb, labels, protos.num_classes)
+            for term, kind, positions in groups:
+                if term == 0:
+                    got, grad, why = _proto_term(kind, means[positions], counts, labels, protos,
+                                                 positions)
+                else:
+                    got, grad, why = _instance_term(kind, emb[positions], labels, protos, positions)
+                # record the values and add the weighted gradient of the
+                # group's replicas that did not skip the term
                 done = why == ""
                 if not done.all():
                     for reason in why[~done]:
-                        logger.debug("%s term of %s skipped: %s", name, kind.name, reason)
+                        logger.debug("%s term of %s skipped: %s", ("proto", "inst")[term],
+                                     kind.name, reason)
                     skipped[positions[~done]] += 1
                 ok = positions[done]
-                out[ok] = got[done]
+                terms[1 + term, ok] = got[done]
                 if grad is not None:
-                    grad_emb[ok] += weights[ok, None, None] * grad[done]
-
-            if objective.proto:
-                means, counts = _class_means(emb, labels, protos.num_classes)
-            for kind, positions in objective.proto:
-                add("proto", terms[1], objective.lam, kind, positions,
-                    _proto_term(kind, means[positions], counts, labels, protos, positions))
-            for kind, positions in objective.inst:
-                add("inst", terms[2], objective.gamma, kind, positions,
-                    _instance_term(kind, emb[positions], labels, protos, positions))
+                    grad_emb[ok] += weights[term, ok, None, None] * grad[done]
         # Python floats, one replica at a time, as in a run of one
         totals = [s + lam * p + gamma * i
-                  for s, p, i, lam, gamma in zip(*terms[:3].tolist(), objective.lam.tolist(),
-                                                 objective.gamma.tolist())]
+                  for s, p, i, lam, gamma in zip(*terms[:3].tolist(), *weights.tolist())]
     bad = {r: f"non-finite training loss {t}" for r, t in enumerate(totals) if not math.isfinite(t)}
     if bad:
         raise ReplicaFailure(bad)
@@ -411,7 +406,7 @@ def local_train_step(
         global_protos.vectors[None], global_protos.counts
     )
     terms, skipped = _train_step(
-        _stack_of_one(model), batch, labels, stacked, _Objective([cfg]), cfg.learning_rate
+        _stack_of_one(model), batch, labels, stacked, _objective([cfg]), cfg.learning_rate
     )
     return model, LossBreakdown(*terms[0].tolist(), int(skipped[0]))
 
@@ -425,10 +420,9 @@ def _accuracy(model: ClientModel, features, labels) -> np.ndarray:
 
 def evaluate_accuracy(model: ClientModel, features, labels) -> float:
     """Top-1 accuracy of the classifier head on the given rows."""
-    features = np.asarray(features, dtype=np.float64)
+    features = check_batch(model, features)
     if features.shape[0] < 1:
         raise ContractError("cannot evaluate on an empty set")
-    features = check_batch(model, features)
     labels = check_labels(labels, features.shape[0], model.num_classes)
     return float(_accuracy(_stack_of_one(model), features, labels)[0])
 
@@ -501,19 +495,46 @@ def run_experiment(
     return result
 
 
+def _check_shards(shards, num_classes: int) -> int:
+    """Check every shard once, before any training: non-empty finite 2-D
+    features with the first shard's column count, labels in [0, num_classes)
+    and >= 2 train rows.  Returns the column count."""
+    columns = None
+    for s in shards:
+        for split, features, labels in (("train", s.train_features, s.train_labels),
+                                        ("test", s.test_features, s.test_labels)):
+            try:
+                x = as_matrix(features, "features")
+                check_labels(labels, x.shape[0], num_classes)
+            except ContractError as exc:
+                raise ContractError(f"client {s.client_id}: {split} {exc}") from None
+            columns = columns or x.shape[1]
+            if x.shape[1] != columns:
+                raise ContractError(f"client {s.client_id}: {split} features have {x.shape[1]} "
+                                    f"columns, the first shard's {columns}")
+        if s.num_train < 2:
+            raise ContractError(f"client {s.client_id} has {s.num_train} train rows; need >= 2")
+    return columns
+
+
 class _Replicas:
     """The live replicas of a lockstep run and everything that carries the
     replica axis; a replica that fails leaves every stack at once."""
 
-    def __init__(self, cfgs: list[RoundConfig], models, global_protos):
+    def __init__(self, cfgs: list[RoundConfig], models, global_protos, clients: int,
+                 num_classes: int, feature_dim: int):
         self.cfgs = cfgs
         self.live = list(range(len(cfgs)))  # the config index at each stack position
         self.models = models  # per client; homo_shared lists one stack n times
         self.global_protos = global_protos
-        self.latest_uploads: dict[int, PrototypeSet] = {}
         self.errors: dict[int, NumericFailureError] = {}
-        self.objective = _Objective(cfgs)
-        self.sums = np.zeros((len(cfgs), 4))  # the current client's summed loss terms
+        self.objective = _objective(cfgs)
+        # each client's latest upload, as _class_means returns it; a client
+        # that has not uploaded yet has no present class
+        self.latest = np.zeros((len(cfgs), clients, num_classes, feature_dim))
+        self.latest_counts = np.zeros((clients, num_classes), dtype=np.int64)
+        # the current round's mean loss terms per client and structural skips
+        self.terms = np.zeros((len(cfgs), clients, 4))
         self.skips = np.zeros(len(cfgs), dtype=np.int64)
 
     def attempt(self, work, prefix: str):
@@ -535,15 +556,11 @@ class _Replicas:
         self.live = [self.live[pos] for pos in keep]
         stacks = {id(m): m.map_arrays(lambda a: a[keep]) for m in self.models}
         self.models = [stacks[id(m)] for m in self.models]
-
-        def take(protos):
-            return PrototypeSet(protos.vectors[keep], protos.counts)
-
         if self.global_protos is not None:
-            self.global_protos = take(self.global_protos)
-        self.latest_uploads = {cid: take(u) for cid, u in self.latest_uploads.items()}
-        self.objective = _Objective([self.cfgs[k] for k in self.live])
-        self.sums, self.skips = self.sums[keep], self.skips[keep]
+            self.global_protos = PrototypeSet(self.global_protos.vectors[keep],
+                                              self.global_protos.counts)
+        self.objective = _objective([self.cfgs[k] for k in self.live])
+        self.latest, self.terms, self.skips = self.latest[keep], self.terms[keep], self.skips[keep]
 
 
 def run_experiments(
@@ -582,7 +599,7 @@ def run_experiments(
     n_clients = len(shards)
     if n_clients < 1:
         raise ContractError("need at least one shard")
-    input_dim = shards[0].train_features.shape[1]
+    input_dim = _check_shards(shards, num_classes)
     feature_dim = archs[0].feature_dim
     if any(a.feature_dim != feature_dim for a in archs):
         raise ContractError("all architectures must share one feature_dim")
@@ -599,19 +616,14 @@ def run_experiments(
     cfg = cfgs[0]  # for the fields every config shares
     copies = len(cfgs)
 
-    if scenario == "homo_shared":
-        shared_model = build_model(
-            archs[0], input_dim, num_classes, np.random.SeedSequence([seed, 0, 0])
-        )
-        models = [replicate(shared_model, copies)] * n_clients
-    else:
-        models = []
-        for i in range(n_clients):
-            arch_id = i % len(archs) if scenario == "hetero" else 0
-            model = build_model(
-                archs[arch_id], input_dim, num_classes, np.random.SeedSequence([seed, 0, i])
-            )
-            models.append(replicate(model, copies))
+    def client_model(i):
+        arch = archs[i % len(archs) if scenario == "hetero" else 0]
+        model = build_model(arch, input_dim, num_classes, np.random.SeedSequence([seed, 0, i]))
+        return replicate(model, copies)
+
+    # homo_shared trains client 0's model, which every client visits in turn
+    models = ([client_model(0)] * n_clients if scenario == "homo_shared"
+              else [client_model(i) for i in range(n_clients)])
 
     if cfg.prototype_mode == "fixed_hypersphere":
         anchors = fixed_hypersphere_prototypes(
@@ -622,7 +634,7 @@ def run_experiments(
     else:
         global_protos = None  # no prototypes yet: round 0 runs supervised-only
 
-    state = _Replicas(cfgs, models, global_protos)
+    state = _Replicas(cfgs, models, global_protos, n_clients, num_classes, feature_dim)
     reports: list[list[RoundReport]] = [[] for _ in cfgs]
     best = [0.0] * copies
 
@@ -637,16 +649,12 @@ def run_experiments(
             rng = np.random.default_rng(np.random.SeedSequence([seed, 2, r]))
             participants = sorted(rng.choice(n_clients, size=k, replace=False).tolist())
 
-        loss_terms: dict[int, dict[int, dict[str, float]]] = {k: {} for k in state.live}
-        skipped = dict.fromkeys(state.live, 0)
+        state.terms[:] = 0.0
+        state.skips[:] = 0
         for i in participants:
             shard = shards[i]
             rng = np.random.default_rng(np.random.SeedSequence([seed, 1, r, i]))
             n = shard.num_train
-            if n < 2:
-                raise ContractError(f"client {shard.client_id} has {n} train rows; need >= 2")
-            state.sums[:] = 0.0
-            state.skips[:] = 0
             steps = 0
             for _ in range(cfg.local_epochs):
                 perm = rng.permutation(n)
@@ -662,27 +670,23 @@ def run_experiments(
                     )
                     if done is None:
                         return results()
-                    state.sums += done[0]
+                    state.terms[:, i] += done[0]
                     state.skips += done[1]
                     steps += 1
-            means = state.sums / steps if steps else state.sums
-            for pos, k in enumerate(state.live):
-                loss_terms[k][i] = dict(zip(("sup", "proto", "inst", "total"),
-                                            means[pos].tolist()))
-                skipped[k] += int(state.skips[pos])
+            state.terms[:, i] /= max(steps, 1)
 
-        def upload(i):
-            emb = _forward(state.models[i], shards[i].train_features, keep_layers=False)[0]
-            return PrototypeSet(*_class_means(emb, shards[i].train_labels, num_classes))
+        def upload():
+            for i in participants:
+                emb = _forward(state.models[i], shards[i].train_features, keep_layers=False)[0]
+                means = _class_means(emb, shards[i].train_labels, num_classes)
+                state.latest[:, i], state.latest_counts[i] = means
+            return participants
 
-        uploads = state.attempt(lambda: {i: upload(i) for i in participants}, f"round {r}: ")
-        if uploads is None:
+        if state.attempt(upload, f"round {r}: ") is None:
             return results()
         if cfg.prototype_mode == "aggregate":
-            state.global_protos = aggregate_prototypes(
-                [uploads[i] for i in participants], previous=state.global_protos
-            )
-        state.latest_uploads.update(uploads)
+            state.global_protos = _aggregate(state.latest[:, participants],
+                                             state.latest_counts[participants], state.global_protos)
 
         accs = state.attempt(
             lambda: np.stack([_accuracy(state.models[i], s.test_features, s.test_labels)
@@ -696,7 +700,9 @@ def run_experiments(
             per_client = accs[pos].tolist()
             mean_acc = float(np.mean(per_client))
             best[k] = max(best[k], mean_acc)
-            eff_dim, pr = _spectrum(state.latest_uploads, pos, normalize_stacking, r)
+            # the latest uploads' present rows, client by client, class by class
+            eff_dim, pr = _spectrum(state.latest[pos][state.latest_counts >= 1],
+                                    normalize_stacking, r)
             reports[k].append(
                 RoundReport(
                     round_index=r,
@@ -704,8 +710,10 @@ def run_experiments(
                     per_client_accuracy=per_client,
                     mean_accuracy=mean_acc,
                     best_mean_accuracy=best[k],
-                    loss_terms=loss_terms[k],
-                    skipped_structural_steps=skipped[k],
+                    loss_terms={i: dict(zip(("sup", "proto", "inst", "total"),
+                                            state.terms[pos, i].tolist()))
+                                for i in participants},
+                    skipped_structural_steps=int(state.skips[pos]),
                     effective_dimensionality=eff_dim,
                     participation_ratio=pr,
                 )
@@ -715,20 +723,16 @@ def run_experiments(
     return results()
 
 
-def _spectrum(latest_uploads: dict[int, PrototypeSet], replica: int, normalize: bool,
-              round_index: int) -> tuple[int, float]:
-    """Threshold dimension and participation ratio of one replica's latest
-    uploads, stacked in client order; (1, 1.0) for fewer than 2 rows or a
-    degenerate stack."""
-    stacked = np.concatenate([latest_uploads[cid].rows[replica] for cid in sorted(latest_uploads)])
-    if stacked.shape[0] < 2:
-        return 1, 1.0
+def _spectrum(stacked: np.ndarray, normalize: bool, round_index: int) -> tuple[int, float]:
+    """Threshold dimension and participation ratio of a stack of prototype
+    rows; (1, 1.0) for fewer than 2 rows or a degenerate stack."""
     try:
-        eff = effective_dimensionality(stacked, normalize_rows_first=normalize)
+        if stacked.shape[0] >= 2:
+            eff = effective_dimensionality(stacked, normalize_rows_first=normalize)
+            return eff.threshold_dim, eff.participation_ratio
     except DegenerateInputError:
         logger.debug("round %d: degenerate prototype stack", round_index)
-        return 1, 1.0
-    return eff.threshold_dim, eff.participation_ratio
+    return 1, 1.0
 
 
 def _write_prototype_snapshot(protos: PrototypeSet, replica: int, snapshot_dir,

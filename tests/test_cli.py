@@ -294,6 +294,12 @@ def test_sweep_rejects_bad_grid(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_names_an_unparsable_grid(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, TINY)
+    assert cli.main(["sweep", "--config", cfg, "--grid", "a", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "configuration error: bad --grid value: 'a'\n"
+
+
 def test_dimensionality_compares_scenarios(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, TINY)
     out = tmp_path / "dim"
@@ -352,6 +358,19 @@ def test_mistyped_field_exits_2_and_names_it(block, key, value, extra):
     assert code == 2
     assert f"{block}.{key}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    pytest.param(None, "seed", -1, "seed must be >= 0, got -1", id="seed"),
+    pytest.param("partition", "scheme", "iid", "partition.scheme must be one of", id="scheme"),
+    pytest.param("model", "scenario", "solo", "model.scenario must be one of", id="scenario"),
+])
+def test_out_of_range_field_exits_2_and_names_it(block, key, value, message):
+    payload = json.loads(json.dumps(TINY))
+    (payload.setdefault(block, {}) if block else payload)[key] = value
+    code, err = _run_zero_rounds(payload)
+    assert code == 2
+    assert err.startswith(f"configuration error: {message}") and f"got {value!r}" in err
 
 
 # Sizes beyond numpy's largest dimension: numpy rejects every one of them

@@ -119,6 +119,20 @@ class TestPartitionDirichlet:
             partition_dirichlet(ds, alpha=0.0, num_clients=2, seed=9)
 
 
+@pytest.mark.parametrize("partition", [
+    lambda ds: partition_dirichlet(ds, alpha=1e3, num_clients=20, seed=0),
+    lambda ds: partition_domain_shift(ds, 20, 1.0, seed=0),
+], ids=["dirichlet", "domain_shift"])
+def test_fewer_test_rows_than_clients_fails_before_any_draw(partition):
+    # 10 classes x 5 samples: 40 train rows are enough for 20 clients, the
+    # 10 test rows are not, and no draw or redraw can change that
+    ds = generate_mixture(10, 4, 5, 1.0, 1.0, seed=0)
+    with pytest.raises(PartitionFailureError,
+                       match=r": 20 clients cannot each get 1 of the 10 test rows; "
+                             r"reduce num_clients$"):
+        partition(ds)
+
+
 class TestPartitionDomainShift:
     def test_zero_shift_identity_transform_is_iid_subset(self):
         ds = generate_mixture(3, 4, 20, 1.0, 1.0, seed=10)
@@ -191,5 +205,7 @@ def _partition_digest() -> str:
 
 def test_partitions_match_pinned_digest():
     # recorded from the chunk-list partitioners that the owner-array ones
-    # replaced; any change to a draw, a row order or a transform moves it
-    assert _partition_digest() == "3822c988f0ba8ed1c7fb652aef986183b42a857204ffad6534aac5b43ab2fd0c"
+    # replaced, then moved only by the failure text of the (3, 2, 5, 6) shape
+    # (3 test rows for 6 clients); any change to a draw, a row order or a
+    # transform moves it
+    assert _partition_digest() == "7a759ffbd2b5a6be13d75eaf20e5742338766c638d541bbc27541e1d7ebb0a06"

@@ -20,7 +20,7 @@ from fedstruct.federation import (
     local_train_step,
     run_experiment,
 )
-from fedstruct.losses import AlignmentKind
+from fedstruct.losses import KNOWN_LOSSES, AlignmentKind
 from fedstruct.models import (
     ArchitectureSpec,
     build_model,
@@ -375,6 +375,20 @@ class TestLocalTrainStep:
         assert "proto term of gcsa skipped: 1 rows < 3" in caplog.messages
         assert "inst term of gcsa skipped: 2 rows < 3" in caplog.messages
 
+    @pytest.mark.parametrize("loss", KNOWN_LOSSES)
+    def test_no_batch_class_in_global_set_is_a_supervised_step(self, loss):
+        batch, _ = self._batch(seed=27)
+        labels = np.array([0, 1] * 6)
+        model = build_model(ArchitectureSpec((6,), 4), 5, 3, seed=28)
+        anchors = fixed_hypersphere_prototypes(3, 4, seed=29)
+        protos = PrototypeSet(anchors.vectors, [0, 0, 1])  # class 2 alone is known
+        aligned, br = local_train_step(copy.deepcopy(model), batch, labels, protos,
+                                       _cfg(alignment=_kind(loss)))
+        plain, _ = local_train_step(model, batch, labels, protos,
+                                    _cfg(alignment=_kind(loss), lam=0.0, gamma=0.0))
+        assert (br.proto, br.inst, br.skipped_structural) == (0.0, 0.0, 0)
+        assert _models_equal(aligned, plain)
+
 
 def _shard_from(ds, client_id=0):
     tr, te = np.nonzero(~ds.test_mask)[0], np.nonzero(ds.test_mask)[0]
@@ -448,6 +462,35 @@ class TestClientRound:
                            num_classes=2)
 
 
+def _no_test_rows(s):
+    s.test_features, s.test_labels = s.test_features[:0], s.test_labels[:0]
+
+
+def _set(name, index, value):
+    def corrupt(s):
+        array = getattr(s, name).copy()
+        array[index] = value
+        setattr(s, name, array)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_no_test_rows, r"client 1: test features must be non-empty, got shape \(0, 5\)"),
+    (_set("train_labels", 0, 3), r"client 1: train labels out of range \[0, 3\): got 3"),
+    (lambda s: setattr(s, "train_features", s.train_features[:, :-1]),
+     "client 1: train features have 4 columns, the first shard's 5"),
+    (_set("test_labels", 0, 7), r"client 1: test labels out of range \[0, 3\): got 7"),
+    (_set("train_features", (0, 0), np.nan), "client 1: train features contains non-finite"),
+], ids=["no_test_rows", "train_label", "columns", "test_label", "nan"])
+def test_run_checks_every_shard_before_training(corrupt, message):
+    ds = generate_mixture(3, 5, 30, 1.0, 0.6, seed=0)
+    shards = partition_dirichlet(ds, alpha=2.0, num_clients=2, seed=0)
+    corrupt(shards[1])
+    with pytest.raises(ContractError, match=message):
+        run_experiment(shards, [ArchitectureSpec((), 3)], _cfg(), rounds=1, seed=0,
+                       num_classes=3)
+
+
 class TestRunExperiment:
     def _shards(self, seed=0, classes=4, clients=3):
         ds = generate_mixture(classes, 5, 30, 1.0, 0.6, seed=seed)
@@ -518,6 +561,14 @@ class TestRunExperiment:
         model.classifier_bias[:] = 0.0
         feats = np.zeros((4, 3))
         assert evaluate_accuracy(model, feats, np.array([0, 0, 0, 1])) == 0.75
+
+    def test_evaluate_accuracy_rejects_features_that_are_not_rows(self):
+        model = build_model(ArchitectureSpec((), 2), 3, 2, seed=30)
+        for features, labels, message in ((5.0, [0], "batch shape"),
+                                          (np.zeros(3), [0], "batch shape"),
+                                          (np.zeros((0, 3)), [], "empty set")):
+            with pytest.raises(ContractError, match=message):
+                evaluate_accuracy(model, features, np.array(labels, dtype=np.int64))
 
     def test_evaluate_accuracy_rejects_labels_that_do_not_fit(self):
         model = build_model(ArchitectureSpec((), 2), 3, 3, seed=29)

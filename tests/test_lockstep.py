@@ -8,6 +8,7 @@ on.  The stacked kernels are checked the same way against their slices.
 """
 
 import copy
+import hashlib
 import io
 import json
 
@@ -135,6 +136,57 @@ def test_diverging_replicas_fail_alone_with_their_solo_message(scenario):
     assert got == want
     assert isinstance(want[0], bytes)  # the weight-free baseline survives
     assert all(isinstance(w, str) and w.startswith("round ") for w in want[1:])
+
+
+@pytest.mark.parametrize("scenario, failed_round", [("hetero", 7), ("homo_shared", 4)])
+def test_aggregate_mode_replicas_fail_alone_with_their_solo_message(scenario, failed_round):
+    # with aggregated prototypes a replica can also fail after training, in
+    # the upload pass, and leave the stack before the server aggregates
+    cfg, shards, archs, kwargs = _setup(UNSTABLE, scenario, "aggregate")
+    weights = (0.0, 1000.0)
+    rcs = [_round_config(cfg, "mse", lam, gamma) for lam in weights for gamma in weights]
+    got = _lockstep(shards, archs, rcs, kwargs)
+    assert got == [_solo(shards, archs, rc, kwargs) for rc in rcs]
+    assert isinstance(got[0], bytes)
+    assert all(g.startswith(f"round {failed_round}: ") for g in got[1:])
+    after_training = [g for g in got[1:] if not g.startswith(f"round {failed_round}: client ")]
+    assert len(after_training) == (2 if scenario == "hetero" else 0)
+
+
+# a small domain-shift config at participation 0.5, for the digest below
+SHIFTED = {
+    "dataset": {"classes": 4, "input_dim": 6, "samples_per_class": 30},
+    "partition": {"scheme": "domain_shift", "clients": 6, "shift_scale": 1.0},
+    "model": {"hidden_widths": [[], [8], [12, 8]], "feature_dim": 5},
+    "training": {"rounds": 4, "batch_size": 8, "local_epochs": 1,
+                 "participation_fraction": 0.5},
+    "seed": 3,
+}
+
+
+def test_lockstep_runs_match_pinned_digest(tmp_path):
+    # sha256 over every rounds.jsonl and prototype snapshot of the five
+    # losses in lockstep, in every scenario and prototype mode; recorded
+    # from the engine that kept one PrototypeSet per client upload
+    h = hashlib.sha256()
+    for scenario in SCENARIOS:
+        for mode in PROTOTYPE_MODES:
+            payload = copy.deepcopy(SHIFTED)
+            payload["model"]["scenario"] = scenario
+            payload["training"]["prototype_mode"] = mode
+            cfg = config_from_dict(payload)
+            points, dirs = [], []
+            for loss, lam, gamma in MIXED:
+                point = copy.deepcopy(cfg)
+                point.training.alignment, point.training.lam, point.training.gamma = (
+                    loss, lam, gamma)
+                points.append(point)
+                dirs.append(tmp_path / scenario / mode / loss)
+            for run, snapshots in zip(run_scenarios(points, snapshot_dirs=dirs), dirs):
+                h.update(_jsonl(run.reports))
+                for k in range(cfg.training.rounds):
+                    h.update((snapshots / f"round_{k}.csv").read_bytes())
+    assert h.hexdigest() == "7bd3c1951fae51af1ba2747d1bbcc4bd63b92d720e39594aac9b038238a36ef7"
 
 
 def test_replicas_that_skip_differently_equal_their_solo_runs():
