@@ -17,7 +17,6 @@ included), 3 partition failure, 4 numeric failure, 1 selftest failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import logging
 import os
@@ -97,12 +96,6 @@ def _require_rounds(cfg: ExperimentConfig, command: str) -> None:
         raise ContractError(f"{command} compares trained runs and needs rounds >= 1")
 
 
-def _with_weights(cfg: ExperimentConfig, lam: float, gamma: float) -> ExperimentConfig:
-    point = copy.deepcopy(cfg)
-    point.training.lam, point.training.gamma = lam, gamma
-    return validate_config(point)
-
-
 def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
     write_csv(path, header, rows)
     print(f"wrote {path}")
@@ -117,37 +110,32 @@ def _cmd_sweep(args) -> int:
         raise ContractError(f"bad --grid value: {args.grid!r}") from exc
     if not grid:
         raise ContractError("--grid must name at least one weight")
-    try:
-        points = [_with_weights(cfg, lam, gamma) for lam in grid for gamma in grid]
-    except ContractError as exc:
-        raise ContractError(f"--grid: {exc}") from exc
+    loss = cfg.training.alignment
+    points = [(loss, lam, gamma) for lam in grid for gamma in grid]
     out_dir = cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
 
     # the baseline and every grid point advance together, one lockstep run
-    baseline, *results = run_scenarios([_with_weights(cfg, 0.0, 0.0)] + points)
+    baseline, *results = run_scenarios(cfg, [(loss, 0.0, 0.0)] + points)
     if isinstance(baseline, NumericFailureError):
         raise baseline
     baseline = baseline.best_mean_accuracy
 
     rows = []
-    for point, result in zip(points, results):
-        lam, gamma = point.training.lam, point.training.gamma
+    for (_, lam, gamma), result in zip(points, results):
         # A diverged grid point is a result, not a crash: record it as NaN
         # and keep sweeping.  (`run` stays strict and aborts instead.)
         if isinstance(result, NumericFailureError):
-            rows.append((cfg.training.alignment, lam, gamma, cfg.seed, baseline,
-                         float("nan"), float("nan")))
+            rows.append((loss, lam, gamma, cfg.seed, baseline, float("nan"), float("nan")))
             print(
-                f"sweep {cfg.training.alignment} lambda={lam} gamma={gamma}: "
+                f"sweep {loss} lambda={lam} gamma={gamma}: "
                 f"diverged ({result})"
             )
             continue
         best = result.best_mean_accuracy
-        rows.append((cfg.training.alignment, lam, gamma, cfg.seed, baseline,
-                     best, best - baseline))
+        rows.append((loss, lam, gamma, cfg.seed, baseline, best, best - baseline))
         print(
-            f"sweep {cfg.training.alignment} lambda={lam} gamma={gamma}: "
+            f"sweep {loss} lambda={lam} gamma={gamma}: "
             f"best {best:.4f} (baseline {baseline:.4f}, delta {best - baseline:+.4f})"
         )
     _write_csv(os.path.join(out_dir, "sweep.csv"),
@@ -161,15 +149,11 @@ def _cmd_compare_alignments(args) -> int:
     _require_rounds(cfg, "compare-alignments")
     out_dir = cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
-    points = []
-    for loss in KNOWN_LOSSES:
-        point = copy.deepcopy(cfg)
-        point.training.alignment = loss
-        points.append(point)
+    points = [(loss, cfg.training.lam, cfg.training.gamma) for loss in KNOWN_LOSSES]
     rows = []
     # the five losses advance together, one lockstep run; a diverged loss
     # ends the command where a run of the losses one by one would end it
-    for loss, run in zip(KNOWN_LOSSES, run_scenarios(points)):
+    for loss, run in zip(KNOWN_LOSSES, run_scenarios(cfg, points)):
         if isinstance(run, NumericFailureError):
             raise run
         loss_dir = os.path.join(out_dir, loss)

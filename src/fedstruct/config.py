@@ -52,13 +52,13 @@ class ModelConfig:
 class TrainingConfig:
     alignment: str = "gcsa"
     temperature: float = 0.5
-    lam: float = 1.0
-    gamma: float = 1.0
-    local_epochs: int = 2
-    batch_size: int = 32
-    learning_rate: float = 0.18
-    participation_fraction: float = 1.0
-    prototype_mode: str = "aggregate"
+    lam: float = RoundConfig.lam
+    gamma: float = RoundConfig.gamma
+    local_epochs: int = RoundConfig.local_epochs
+    batch_size: int = RoundConfig.batch_size
+    learning_rate: float = RoundConfig.learning_rate
+    participation_fraction: float = RoundConfig.participation_fraction
+    prototype_mode: str = RoundConfig.prototype_mode
     rounds: int = 30
 
 

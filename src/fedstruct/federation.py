@@ -49,6 +49,8 @@ SCENARIOS = ("homo_shared", "homo_local", "hetero")
 PROTOTYPE_MODES = ("aggregate", "fixed_hypersphere")
 # the RoundConfig fields in which the runs of one lockstep call may differ
 PER_REPLICA_FIELDS = ("alignment", "lam", "gamma")
+# the loss terms a round reports per client, in the columns of the terms table
+LOSS_TERMS = ("sup", "proto", "inst", "total")
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +217,7 @@ class RoundConfig:
     gamma: float = 1.0  # weight of the instance-level alignment term
     local_epochs: int = 2
     batch_size: int = 32
-    learning_rate: float = 0.05
+    learning_rate: float = 0.18
     participation_fraction: float = 1.0
     prototype_mode: str = "aggregate"
 
@@ -359,7 +361,7 @@ def _train_step(model, batch, labels, protos, objective, learning_rate):
                 done = why == ""
                 if not done.all():
                     for reason in why[~done]:
-                        logger.debug("%s term of %s skipped: %s", ("proto", "inst")[term],
+                        logger.debug("%s term of %s skipped: %s", LOSS_TERMS[1 + term],
                                      kind.name, reason)
                     skipped[positions[~done]] += 1
                 ok = positions[done]
@@ -642,12 +644,9 @@ def run_experiments(
         return [state.errors.get(k, reports[k]) for k in range(copies)]
 
     for r in range(rounds):
-        if cfg.participation_fraction >= 1.0:
-            participants = list(range(n_clients))
-        else:
-            k = max(1, round(cfg.participation_fraction * n_clients))
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 2, r]))
-            participants = sorted(rng.choice(n_clients, size=k, replace=False).tolist())
+        k = max(1, round(cfg.participation_fraction * n_clients))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 2, r]))
+        participants = sorted(rng.choice(n_clients, size=k, replace=False).tolist())
 
         state.terms[:] = 0.0
         state.skips[:] = 0
@@ -691,7 +690,7 @@ def run_experiments(
         accs = state.attempt(
             lambda: np.stack([_accuracy(state.models[i], s.test_features, s.test_labels)
                               for i, s in enumerate(shards)], axis=1),
-            "",
+            f"round {r}: ",
         )
         if accs is None:
             return results()
@@ -710,8 +709,7 @@ def run_experiments(
                     per_client_accuracy=per_client,
                     mean_accuracy=mean_acc,
                     best_mean_accuracy=best[k],
-                    loss_terms={i: dict(zip(("sup", "proto", "inst", "total"),
-                                            state.terms[pos, i].tolist()))
+                    loss_terms={i: dict(zip(LOSS_TERMS, state.terms[pos, i].tolist()))
                                 for i in participants},
                     skipped_structural_steps=int(state.skips[pos]),
                     effective_dimensionality=eff_dim,

@@ -9,7 +9,7 @@ produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import json
 import os
 
@@ -19,7 +19,8 @@ from .analysis import ScenarioRun, summary_rows, write_round_summary_csv
 from .config import ExperimentConfig, architectures, echo_config, round_config
 from .data import generate_mixture, partition_dirichlet, partition_domain_shift
 from .errors import ContractError, NumericFailureError
-from .federation import PER_REPLICA_FIELDS, run_experiments
+from .federation import run_experiments
+from .losses import AlignmentKind
 
 
 def build_shards(cfg: ExperimentConfig):
@@ -45,39 +46,37 @@ def build_shards(cfg: ExperimentConfig):
 def run_scenario(cfg: ExperimentConfig, scenario: str | None = None, snapshot_dir=None) -> ScenarioRun:
     """Run one experiment (in `scenario` instead of the config's, if given)
     and wrap the reports with scenario/seed metadata.  This is
-    run_scenarios with one config, and raises its NumericFailureError."""
+    run_scenarios at the config's own point, and raises its
+    NumericFailureError."""
     if scenario:
-        cfg = copy.deepcopy(cfg)
-        cfg.model.scenario = scenario
-    (run,) = run_scenarios([cfg], snapshot_dirs=[snapshot_dir])
+        cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, scenario=scenario))
+    tr = cfg.training
+    (run,) = run_scenarios(cfg, [(tr.alignment, tr.lam, tr.gamma)], snapshot_dirs=[snapshot_dir])
     if isinstance(run, NumericFailureError):
         raise run
     return run
 
 
-def run_scenarios(cfgs: list[ExperimentConfig],
+def run_scenarios(cfg: ExperimentConfig, points: list[tuple[str, float, float]],
                   snapshot_dirs=None) -> list[ScenarioRun | NumericFailureError]:
-    """run_scenario for each config, all in one lockstep run (see
-    federation.run_experiments): per config its run, or the
-    NumericFailureError that ended it.  The configs may differ only in the
-    training alignment, lambda and gamma; the shards are built once.
-    `snapshot_dirs`, if given, holds one prototype-snapshot directory (or
-    None) per config."""
-
-    def shared_part(cfg):
-        point = copy.deepcopy(cfg)
-        for name in PER_REPLICA_FIELDS:
-            setattr(point.training, name, None)
-        return point
-
-    if any(shared_part(c) != shared_part(cfgs[0]) for c in cfgs):
-        raise ContractError(f"lockstep runs may differ only in training {PER_REPLICA_FIELDS}")
-    cfg = cfgs[0]
+    """run_scenario at each (alignment, lam, gamma) point of one config, all
+    in one lockstep run (see federation.run_experiments): per point its run,
+    or the NumericFailureError that ended it.  Every point is checked before
+    the shards are built, once.  `snapshot_dirs`, if given, holds one
+    prototype-snapshot directory (or None) per point."""
+    base = round_config(cfg)
+    rcs = []
+    for alignment, lam, gamma in points:
+        try:
+            kind = AlignmentKind.parse(alignment, cfg.training.temperature)
+            rcs.append(dataclasses.replace(base, alignment=kind, lam=lam, gamma=gamma))
+        except ContractError as exc:
+            raise ContractError(f"{alignment} lambda={lam} gamma={gamma}: {exc}") from exc
     _, shards = build_shards(cfg)
     results = run_experiments(
         shards,
         architectures(cfg),
-        [round_config(c) for c in cfgs],
+        rcs,
         rounds=cfg.training.rounds,
         seed=cfg.seed,
         num_classes=cfg.dataset.classes,

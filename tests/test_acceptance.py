@@ -89,7 +89,7 @@ DESK_RUNS = (
 def _desk_bests(seed: int) -> dict:
     """Best mean accuracy of every desk run at one seed, all in one lockstep
     run; NaN marks a diverged run."""
-    runs = run_scenarios([_desk_config(*run, seed) for run in DESK_RUNS])
+    runs = run_scenarios(_desk_config(*DESK_RUNS[0], seed), DESK_RUNS)
     return {
         run: float("nan") if isinstance(result, NumericFailureError) else result.best_mean_accuracy
         for run, result in zip(DESK_RUNS, runs)

@@ -140,7 +140,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, unusable", [
-    ("run", "missing"), ("run", "directory"), ("run", "not-utf8"), ("run", "out-is-a-file"),
+    ("run", "missing"), ("run", "directory"), ("run", "not-utf8"), ("run", "not-json"),
+    ("run", "out-is-a-file"),
     ("sweep", "out-is-a-file"), ("compare-alignments", "out-is-a-file"),
 ])
 def test_missing_config_file_exits_2(tmp_path, capsys, command, unusable):
@@ -149,11 +150,23 @@ def test_missing_config_file_exits_2(tmp_path, capsys, command, unusable):
         config.mkdir()
     elif unusable == "not-utf8":
         config.write_bytes(b'{"seed": "\xff"}')
+    elif unusable == "not-json":
+        config.write_text('{"seed": ')
     elif unusable == "out-is-a-file":
         config.write_text(json.dumps(TINY))
         out.write_text("")
     assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
     assert str(config if unusable != "out-is-a-file" else out) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([], "config root must be a JSON object"),
+    ({"dataset": 5}, "config dataset must be a JSON object"),
+])
+def test_config_block_that_is_not_an_object_exits_2(tmp_path, capsys, payload, message):
+    cfg = _write_cfg(tmp_path, payload)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_internal_field_name_lam_is_not_a_config_key(tmp_path, capsys):
@@ -197,6 +210,17 @@ def test_impossible_partition_exits_3(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, payload)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
     assert "partition failure" in capsys.readouterr().err
+
+
+def test_domain_shift_client_without_test_rows_exits_3(tmp_path, capsys):
+    payload = {
+        "dataset": {"classes": 5, "input_dim": 4, "samples_per_class": 10},
+        "partition": {"scheme": "domain_shift", "clients": 10},
+        "training": {"rounds": 1},
+    }
+    cfg = _write_cfg(tmp_path, payload)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    assert "left client 2 with too little data" in capsys.readouterr().err
 
 
 def test_divergent_run_exits_4(tmp_path, capsys):
@@ -287,11 +311,26 @@ def test_sweep_grid_and_divergence_rows(tmp_path, capsys):
 
 def test_sweep_rejects_bad_grid(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, TINY)
-    for grid in ("a,b", "nan,1", "-1"):
+    for grid, message in (
+        ("a,b", "bad --grid value: 'a,b'"),
+        ("nan,1", "gcsa lambda=nan gamma=nan: lam/gamma must be finite and >= 0, got nan, nan"),
+        ("-1", "gcsa lambda=-1.0 gamma=-1.0: lam/gamma must be finite and >= 0, got -1.0, -1.0"),
+    ):
         out = tmp_path / "x"
         assert cli.main(["sweep", "--config", cfg, "--grid", grid, "--out", str(out)]) == 2
         assert not (out / "sweep.csv").exists()
-    capsys.readouterr()
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_sweep_with_a_diverging_baseline_exits_4(tmp_path, capsys):
+    payload = json.loads(json.dumps(UNSTABLE))
+    payload["training"]["learning_rate"] = 1e50
+    cfg = _write_cfg(tmp_path, payload)
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", "--config", cfg, "--grid", "0,1", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "numeric failure: round 1: client 0: forward pass produced non-finite values\n")
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_names_an_unparsable_grid(tmp_path, capsys):

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from fedstruct.config import ModelConfig
+from fedstruct.config import ExperimentConfig, ModelConfig, round_config
 from fedstruct.data import DatasetShard, generate_mixture, partition_dirichlet
 from fedstruct.errors import ContractError, NumericFailureError
 from fedstruct.federation import (
@@ -19,6 +19,7 @@ from fedstruct.federation import (
     fixed_hypersphere_prototypes,
     local_train_step,
     run_experiment,
+    run_experiments,
 )
 from fedstruct.losses import KNOWN_LOSSES, AlignmentKind
 from fedstruct.models import (
@@ -491,6 +492,27 @@ def test_run_checks_every_shard_before_training(corrupt, message):
                        num_classes=3)
 
 
+def test_round_config_defaults_are_the_config_files():
+    assert round_config(ExperimentConfig()) == RoundConfig(AlignmentKind.parse("gcsa", 0.5))
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(rounds=-1), "rounds must be >= 0"),
+    (dict(archs=[]), "at least one architecture"),
+    (dict(shards=[]), "at least one shard"),
+    (dict(archs=[ArchitectureSpec((), 3), ArchitectureSpec((), 4)]), "share one feature_dim"),
+    (dict(cfgs=[]), "at least one RoundConfig"),
+    (dict(snapshot_dirs=[None, None]), "one snapshot directory per config"),
+], ids=["rounds", "no_archs", "no_shards", "feature_dims", "no_cfgs", "snapshot_dirs"])
+def test_run_experiments_rejects_bad_arguments(change, message):
+    ds = generate_mixture(3, 5, 30, 1.0, 0.6, seed=0)
+    args = dict(shards=partition_dirichlet(ds, alpha=2.0, num_clients=2, seed=0),
+                archs=[ArchitectureSpec((), 3)], cfgs=[_cfg()], rounds=1, seed=0,
+                num_classes=3)
+    with pytest.raises(ContractError, match=message):
+        run_experiments(**{**args, **change})
+
+
 class TestRunExperiment:
     def _shards(self, seed=0, classes=4, clients=3):
         ds = generate_mixture(classes, 5, 30, 1.0, 0.6, seed=seed)
@@ -547,6 +569,20 @@ class TestRunExperiment:
         cfg = _cfg(alignment=_kind("gcsa"), prototype_mode="fixed_hypersphere")
         reports = run_experiment(shards, ZOO, cfg, rounds=2, seed=5, num_classes=2)
         assert sum(r.skipped_structural_steps for r in reports) > 0
+
+    def test_evaluation_failure_names_its_round(self):
+        # the second client's test rows overflow the forward pass; training
+        # on its finite train rows succeeds, so only the evaluation fails
+        x = np.random.default_rng(0).standard_normal((12, 5))
+        y = np.arange(12) % 3
+        shards = [DatasetShard(0, x, y, x[:3], y[:3]),
+                  DatasetShard(1, x, y, np.full((3, 5), 1.7e308), y[:3])]
+        cfg = RoundConfig(_kind("mse"), lam=0.0, gamma=0.0, local_epochs=1, batch_size=4,
+                          learning_rate=0.1)
+        with pytest.raises(NumericFailureError,
+                           match="^round 0: forward pass produced non-finite values$"):
+            run_experiment(shards, [ArchitectureSpec((), 4)], cfg, rounds=1, seed=2,
+                           num_classes=3)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ContractError):
