@@ -195,13 +195,6 @@ def architectures(cfg: ExperimentConfig) -> list[ArchitectureSpec]:
 
 def round_config(cfg: ExperimentConfig) -> RoundConfig:
     tr = cfg.training
-    return RoundConfig(
-        alignment=AlignmentKind.parse(tr.alignment, tr.temperature),
-        lam=tr.lam,
-        gamma=tr.gamma,
-        local_epochs=tr.local_epochs,
-        batch_size=tr.batch_size,
-        learning_rate=tr.learning_rate,
-        participation_fraction=tr.participation_fraction,
-        prototype_mode=tr.prototype_mode,
-    )
+    return RoundConfig(**{f.name: getattr(tr, f.name) for f in dataclasses.fields(RoundConfig)
+                          if f.name != "alignment"},
+                       alignment=AlignmentKind.parse(tr.alignment, tr.temperature))

@@ -78,14 +78,19 @@ def generate_mixture(
             f"cannot allocate {num_classes} classes x {m} samples x {input_dim} dims: {exc}"
         ) from exc
     rng = np.random.default_rng(seed)
-    for c in range(num_classes):
-        direction = rng.standard_normal(input_dim)
-        norm = np.linalg.norm(direction)
-        while norm < 1e-8:  # pragma: no cover - probability zero
+    # huge scales overflow to inf (or inf - inf); the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(num_classes):
             direction = rng.standard_normal(input_dim)
             norm = np.linalg.norm(direction)
-        mean = class_separation * direction / norm
-        features[c * m : (c + 1) * m] = mean + noise_scale * rng.standard_normal((m, input_dim))
+            while norm < 1e-8:  # pragma: no cover - probability zero
+                direction = rng.standard_normal(input_dim)
+                norm = np.linalg.norm(direction)
+            mean = class_separation * direction / norm
+            features[c * m : (c + 1) * m] = mean + noise_scale * rng.standard_normal((m, input_dim))
+    if not np.isfinite(features).all():
+        raise ContractError(f"class_separation {class_separation} and noise_scale {noise_scale} "
+                            "overflow the float64 features")
     block_mask = np.arange(m) >= m - n_test
     return LabeledDataset(
         features=features,

@@ -30,6 +30,7 @@ from .models import (
     ArchitectureSpec,
     ClientModel,
     _backward_and_step,
+    _check_finite,
     _forward,
     _softmax_cross_entropy,
     _stack_of_one,
@@ -170,12 +171,14 @@ def aggregate_prototypes(uploads, previous: PrototypeSet | None = None) -> Proto
 
 def _aggregate(stacked, counts, previous: PrototypeSet | None) -> PrototypeSet:
     """aggregate_prototypes over ([R,] U, C, d) upload vectors, zero where
-    absent, and their (U, C) counts."""
+    absent, and their (U, C) counts; a replica whose sum overflows fails."""
     total = counts.sum(axis=0)
     # absent rows are zero with weight zero, so each adds +0.0 to its class's
     # sum; the uploads are summed in order along the U axis
-    weighted = (counts[:, :, None] * stacked).sum(axis=-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = (counts[:, :, None] * stacked).sum(axis=-3)
     vectors = weighted / np.maximum(total, 1)[:, None]
+    _check_finite((vectors,), "aggregation produced non-finite prototypes")
     if previous is not None:
         stale = previous.present & (total == 0)
         vectors[..., stale, :] = previous.vectors[..., stale, :]
@@ -674,26 +677,25 @@ def run_experiments(
                     steps += 1
             state.terms[:, i] /= max(steps, 1)
 
-        def upload():
+        def finish_round():
+            """The uploads, the new global prototypes and the accuracies."""
             for i in participants:
                 emb = _forward(state.models[i], shards[i].train_features, keep_layers=False)[0]
-                means = _class_means(emb, shards[i].train_labels, num_classes)
-                state.latest[:, i], state.latest_counts[i] = means
-            return participants
+                means, state.latest_counts[i] = _class_means(emb, shards[i].train_labels,
+                                                             num_classes)
+                _check_finite((means,), "upload produced non-finite prototypes")
+                state.latest[:, i] = means
+            protos = state.global_protos
+            if cfg.prototype_mode == "aggregate":
+                protos = _aggregate(state.latest[:, participants],
+                                    state.latest_counts[participants], protos)
+            return protos, np.stack([_accuracy(state.models[i], s.test_features, s.test_labels)
+                                     for i, s in enumerate(shards)], axis=1)
 
-        if state.attempt(upload, f"round {r}: ") is None:
+        done = state.attempt(finish_round, f"round {r}: ")
+        if done is None:
             return results()
-        if cfg.prototype_mode == "aggregate":
-            state.global_protos = _aggregate(state.latest[:, participants],
-                                             state.latest_counts[participants], state.global_protos)
-
-        accs = state.attempt(
-            lambda: np.stack([_accuracy(state.models[i], s.test_features, s.test_labels)
-                              for i, s in enumerate(shards)], axis=1),
-            f"round {r}: ",
-        )
-        if accs is None:
-            return results()
+        state.global_protos, accs = done
 
         for pos, k in enumerate(state.live):
             per_client = accs[pos].tolist()

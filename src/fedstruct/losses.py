@@ -22,7 +22,6 @@ from .errors import ContractError, DegenerateInputError
 from .tensor import (
     _kept,
     _raise_skip,
-    _short_rows,
     _unit_rows,
     as_matrix,
     check_labels,
@@ -154,14 +153,10 @@ def loss_cosine(a, b) -> LossValue:
 
 
 def _cosine(a, b):
-    na = np.linalg.norm(a, axis=2)
-    nb = np.linalg.norm(b, axis=2)
     why = _kept(a.shape[0])
-    for name, norms in (("first matrix", na), ("second matrix", nb)):
-        _short_rows(why, norms, lambda k, v: f"{name} row {k} has near-zero norm {v:.3e}")
+    ah, na = _unit_rows(a, why, "first matrix")
+    bh, _ = _unit_rows(b, why, "second matrix")
     with np.errstate(divide="ignore", invalid="ignore"):
-        ah = a / na[:, :, None]
-        bh = b / nb[:, :, None]
         cos = np.sum(ah * bh, axis=2)
         n = a.shape[1]
         values = (1.0 - cos).sum(axis=1) / n  # the mean, without its dispatch
@@ -255,8 +250,8 @@ def loss_rcsa(p, q) -> LossValue:
 def _rcsa(p, q):
     n = p.shape[1]
     why = _kept(p.shape[0])
-    ph = _unit_rows(p, why, "first matrix")
-    qh = _unit_rows(q, why, "second matrix")
+    ph, pn = _unit_rows(p, why, "first matrix")
+    qh, _ = _unit_rows(q, why, "second matrix")
     iu = np.triu_indices(n, k=1)
     upper = iu[0] * n + iu[1]
 
@@ -295,7 +290,7 @@ def _rcsa(p, q):
         grad_ph = 2.0 * (lap @ ph)
         # pull back through row normalization: project out the radial component
         radial = np.sum(grad_ph * ph, axis=2, keepdims=True)
-        grad = (grad_ph - radial * ph) / np.linalg.norm(p, axis=2)[:, :, None]
+        grad = (grad_ph - radial * ph) / pn[:, :, None]
     return np.array(values), grad, why
 
 
@@ -326,17 +321,17 @@ def loss_contrastive(z, prototypes, labels, temperature: float) -> ContrastivePa
 def _contrastive(z, prototypes, labels, temperature: float):
     """ContrastiveParts of (R,) values and (R, n, d) gradients, and the reasons."""
     why = _kept(z.shape[0])
-    nz = np.linalg.norm(z, axis=2)
-    _short_rows(why, nz, lambda k, v: f"embedding row {k} has near-zero norm")
-    ph = _unit_rows(prototypes, why, "prototypes")
+    zh, nz = _unit_rows(z, why, "embedding")
+    ph, _ = _unit_rows(prototypes, why, "prototypes")
 
     n = z.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        zh = z / nz[:, :, None]
         sims = zh @ ph.swapaxes(1, 2)  # (R, n, c) cosines in [-1, 1]
         scaled = sims / temperature
         shift = scaled.max(axis=2, keepdims=True)
-        lse = shift[:, :, 0] + np.log(np.sum(np.exp(scaled - shift), axis=2))
+        probs = np.exp(scaled - shift)
+        norm = probs.sum(axis=2, keepdims=True)
+        lse = shift[:, :, 0] + np.log(norm[:, :, 0])
         # contiguous, so that each replica's mean sums its row as a run of
         # one does (a slice plus two index arrays lays it out replica-minor)
         picked = np.ascontiguousarray(sims[:, np.arange(n), labels])
@@ -348,8 +343,7 @@ def _contrastive(z, prototypes, labels, temperature: float):
         # d cos(z_i, P_j) / d z_i = (ph_j - sims_ij zh_i) / ||z_i||
         inv = 1.0 / (n * temperature)
         ga = -inv * (ph[:, labels] - picked[:, :, None] * zh) / nz[:, :, None]
-        probs = np.exp(scaled - shift)
-        probs /= probs.sum(axis=2, keepdims=True)
+        probs /= norm
         mix = probs @ ph
         mix_sim = np.sum(probs * sims, axis=2)
         gu = inv * (mix - mix_sim[:, :, None] * zh) / nz[:, :, None]

@@ -99,10 +99,10 @@ def write_rounds_jsonl(reports, path) -> None:
             fh.write("\n")
 
 
-def execute_run(cfg: ExperimentConfig, out_dir=None) -> ScenarioRun:
-    """Full artifact-producing run: config.echo, rounds.jsonl, summary.csv
-    and optional prototypes/round_<k>.csv snapshots."""
-    out_dir = out_dir or cfg.output.directory
+def execute_run(cfg: ExperimentConfig) -> ScenarioRun:
+    """Full artifact-producing run in cfg.output.directory: config.echo,
+    rounds.jsonl, summary.csv and optional prototypes/round_<k>.csv snapshots."""
+    out_dir = cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
     snapshot_dir = (
         os.path.join(out_dir, "prototypes") if cfg.output.prototype_snapshots else None

@@ -47,7 +47,7 @@ def check_labels(labels, n: int, num_classes: int) -> np.ndarray:
 def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Scale each row to unit l2 norm; zero rows are rejected."""
     why = _kept(1)
-    unit = _unit_rows(as_matrix(m, name)[None], why, name)
+    unit, _ = _unit_rows(as_matrix(m, name)[None], why, name)
     _raise_skip(why)
     return unit[0]
 
@@ -72,22 +72,17 @@ def _raise_skip(why: np.ndarray) -> None:
         raise DegenerateInputError(why[0])
 
 
-def _short_rows(why: np.ndarray, norms: np.ndarray, describe) -> None:
-    """Give each replica not yet skipped whose row of the (R, n) `norms` is
-    <= EPS_NORM the reason describe(row, norm), for its first such row."""
+def _unit_rows(m: np.ndarray, why: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a finite (R, n, d) stack scaled to unit l2 norm, and the
+    (R, n) norms; a replica not yet skipped that holds a row of norm <=
+    EPS_NORM is skipped, with the reason of its first such row."""
+    norms = np.linalg.norm(m, axis=2)
     short = norms <= EPS_NORM
     for r in np.flatnonzero(short.any(axis=1) & (why == "")):
         k = int(np.argmax(short[r]))
-        why[r] = describe(k, norms[r, k])
-
-
-def _unit_rows(m: np.ndarray, why: np.ndarray, name: str) -> np.ndarray:
-    """The rows of a finite (R, n, d) stack scaled to unit l2 norm; a replica
-    that holds a row of norm <= EPS_NORM is skipped."""
-    norms = np.linalg.norm(m, axis=2)
-    _short_rows(why, norms, lambda k, v: f"{name} row {k} has norm {v:.3e} <= {EPS_NORM}")
+        why[r] = f"{name} row {k} has norm {norms[r, k]:.3e} <= {EPS_NORM}"
     with np.errstate(divide="ignore", invalid="ignore"):
-        return m / norms[:, :, None]
+        return m / norms[:, :, None], norms
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,7 @@ def test_acceptance_5_contrastive_decomposition():
                    f"single-class total {single.total.value:.3e}")
 
 
+@pytest.mark.slow
 def test_acceptance_6_dimensionality_ordering():
     from fedstruct.analysis import ScenarioRun, compare_scenarios
 
@@ -301,6 +302,7 @@ def test_acceptance_6_dimensionality_ordering():
                    f"({'; '.join(details)}) ({dt:.1f}s)")
 
 
+@pytest.mark.slow
 def test_acceptance_7_alignment_ordering():
     t0 = time.perf_counter()
     lam, gamma = 1.25, 1.0

@@ -232,6 +232,43 @@ def test_divergent_run_exits_4(tmp_path, capsys):
     assert "round" in err and "client" in err
 
 
+def _overflowing(separation, mode="aggregate"):
+    """Data so large that a round's prototypes overflow after training; the
+    vanishing learning rate keeps the training steps themselves finite."""
+    return {
+        "dataset": {"classes": 3, "input_dim": 16, "samples_per_class": 40,
+                    "separation": separation, "noise": 0.0},
+        "partition": {"clients": 2, "alpha": 5.0},
+        "model": {"hidden_widths": [[]], "feature_dim": 4},
+        "training": {"rounds": 2, "batch_size": 8, "local_epochs": 1, "learning_rate": 1e-310,
+                     "lambda": 0.0, "gamma": 0.0, "prototype_mode": mode},
+    }
+
+
+@pytest.mark.parametrize("separation, mode, where", [
+    pytest.param(2e307, "aggregate", "aggregation", id="aggregate-sum"),
+    pytest.param(3e307, "aggregate", "upload", id="aggregate-upload"),
+    pytest.param(3e307, "fixed_hypersphere", "upload", id="hypersphere-upload"),
+])
+def test_overflowing_prototypes_exit_4_naming_the_round(tmp_path, capsys, separation, mode,
+                                                        where):
+    cfg = _write_cfg(tmp_path, _overflowing(separation, mode))
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
+    assert capsys.readouterr().err == (
+        f"numeric failure: round 0: {where} produced non-finite prototypes\n"
+    )
+
+
+def test_overflowing_sweep_exits_4_without_a_table(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, _overflowing(2e307))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", cfg, "--grid", "0,1", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "numeric failure: round 0: aggregation produced non-finite prototypes\n"
+    )
+    assert not (out / "sweep.csv").exists()
+
+
 def test_compare_alignments_writes_all_losses(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, TINY)
     out = tmp_path / "cmp"
@@ -433,6 +470,16 @@ def test_oversized_sizes_exit_cleanly(block, key, value, code, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, message", [
+    pytest.param("noise", "class_separation 0.7 and noise_scale 1e+308", id="noise"),
+    pytest.param("separation", "class_separation 1e+308 and noise_scale 0.32", id="separation"),
+])
+def test_overflowing_dataset_exits_2_with_one_line(key, message):
+    code, err = _run_zero_rounds({"dataset": {key: 1e308}})
+    assert code == 2
+    assert err == f"configuration error: {message} overflow the float64 features\n"
+
+
 # Small valid values per field; omitted fields keep their defaults.
 VALID_FIELDS = {
     "dataset": {
@@ -487,6 +534,7 @@ def config_payloads(draw):
     return corrupted, payload
 
 
+@pytest.mark.slow
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(config_payloads())

@@ -241,6 +241,12 @@ class TestAggregatePrototypes:
         with pytest.raises(TypeError):
             aggregate_prototypes([{"weights": [1.0]}])
 
+    def test_overflow_is_a_numeric_failure(self):
+        s = PrototypeSet(np.full((2, 3), 1e308), [2, 2])
+        with pytest.raises(NumericFailureError) as exc:
+            aggregate_prototypes([s, s])
+        assert str(exc.value) == "aggregation produced non-finite prototypes"
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ContractError):
             aggregate_prototypes([self._ps([(0, [1.0, 2.0], 1)]),

@@ -153,6 +153,30 @@ def test_aggregate_mode_replicas_fail_alone_with_their_solo_message(scenario, fa
     assert len(after_training) == (2 if scenario == "hetero" else 0)
 
 
+# test_cli's overflow config: training stays finite, a round's prototypes do not
+OVERFLOWING = {
+    "dataset": {"classes": 3, "input_dim": 16, "samples_per_class": 40, "noise": 0.0},
+    "partition": {"clients": 2, "alpha": 5.0},
+    "model": {"hidden_widths": [[]], "feature_dim": 4},
+    "training": {"rounds": 2, "batch_size": 8, "local_epochs": 1, "learning_rate": 1e-310},
+}
+
+
+@pytest.mark.parametrize("separation, mode, where", [
+    (2e307, "aggregate", "aggregation"),
+    (3e307, "aggregate", "upload"),
+    (3e307, "fixed_hypersphere", "upload"),
+])
+def test_overflowing_prototypes_fail_each_replica_with_its_solo_message(separation, mode, where):
+    payload = copy.deepcopy(OVERFLOWING)
+    payload["dataset"]["separation"] = separation
+    cfg, shards, archs, kwargs = _setup(payload, "hetero", mode)
+    rcs = [_round_config(cfg, loss, 0.0, 0.0) for loss in ("mse", "gcsa", "contrastive")]
+    got = _lockstep(shards, archs, rcs, kwargs)
+    assert got == [_solo(shards, archs, rc, kwargs) for rc in rcs]
+    assert got == [f"round 0: {where} produced non-finite prototypes"] * 3
+
+
 # a small domain-shift config at participation 0.5, for the digest below
 SHIFTED = {
     "dataset": {"classes": 4, "input_dim": 6, "samples_per_class": 30},

@@ -269,9 +269,9 @@ _IDENTICAL = "rows are (numerically) identical: centered norm 0.000e+00 vs scale
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: loss_cosine(_ZERO_ROW, _P), "first matrix row 2 has near-zero norm 0.000e+00"),
-    (lambda: loss_cosine(_P, _ZERO_ROW), "second matrix row 2 has near-zero norm 0.000e+00"),
-    (lambda: loss_cosine(_TINY_ROW, _ZERO_ROW), "first matrix row 1 has near-zero norm 1.000e-13"),
+    (lambda: loss_cosine(_ZERO_ROW, _P), "first matrix row 2 has norm 0.000e+00 <= 1e-12"),
+    (lambda: loss_cosine(_P, _ZERO_ROW), "second matrix row 2 has norm 0.000e+00 <= 1e-12"),
+    (lambda: loss_cosine(_TINY_ROW, _ZERO_ROW), "first matrix row 1 has norm 1.000e-13 <= 1e-12"),
     (lambda: loss_rcsa(_ZERO_ROW, _P), "first matrix row 2 has norm 0.000e+00 <= 1e-12"),
     (lambda: loss_rcsa(_P, _ZERO_ROW), "second matrix row 2 has norm 0.000e+00 <= 1e-12"),
     (lambda: loss_rcsa(_ZERO_ROW, _TINY_ROW), "first matrix row 2 has norm 0.000e+00 <= 1e-12"),
@@ -286,11 +286,11 @@ _IDENTICAL = "rows are (numerically) identical: centered norm 0.000e+00 vs scale
     (lambda: loss_gcsa(_P[:1], _P[:1]), "need >= 2 rows, got 1"),
     (lambda: loss_rcsa(_P[:1], _P[:1]), "need >= 2 rows, got 1"),
     (lambda: loss_contrastive(_ZERO_ROW, _P[:3], [0, 1, 2, 0], 0.5),
-     "embedding row 2 has near-zero norm"),
+     "embedding row 2 has norm 0.000e+00 <= 1e-12"),
     (lambda: loss_contrastive(_P, _ZERO_ROW[:3], [0, 1, 2, 0], 0.5),
      "prototypes row 2 has norm 0.000e+00 <= 1e-12"),
     (lambda: loss_contrastive(_ZERO_ROW, _ZERO_ROW[:3], [0, 1, 2, 0], 0.5),
-     "embedding row 2 has near-zero norm"),
+     "embedding row 2 has norm 0.000e+00 <= 1e-12"),
     (lambda: normalize_rows(_ZERO_ROW), "matrix row 2 has norm 0.000e+00 <= 1e-12"),
     (lambda: normalize_rows(_TINY_ROW, "z"), "z row 1 has norm 1.000e-13 <= 1e-12"),
 ], ids=["cosine-first", "cosine-second", "cosine-both", "rcsa-zero-first", "rcsa-zero-second",
