@@ -128,20 +128,24 @@ def batch_prototypes(embeddings, labels, num_classes: int) -> PrototypeSet:
 
 
 def _class_means(embeddings, labels, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """(R, C, d) per-class means of each replica of an (R, n, d) stack (zero
-    rows for absent classes) and the (C,) counts; labels must lie in
-    [0, num_classes).  Each sum starts at 0.0 and adds its rows in batch
-    order (one weighted bincount over every replica), so for d >= 2 each
-    mean is bit-identical to embeddings[r, labels == c].mean(axis=0) (numpy
-    sums a single column pairwise instead)."""
-    replicas, _, dim = embeddings.shape
-    counts = np.bincount(labels, minlength=num_classes)
-    # the flat index of (replica, class of row i, column) for every entry
-    rows = np.arange(replicas)[:, None] * num_classes + labels
+    """(S, C, d) per-class means of each slice of an (S, n, d) stack (zero
+    rows for absent classes) and the counts of each label row: (C,) for
+    labels (n,) shared by every slice, (L, C) for labels (L, n), L = 1 or S.
+    Labels must lie in [0, num_classes).  Each sum starts at 0.0 and adds
+    its rows in batch order (one weighted bincount over every slice), so for
+    d >= 2 each mean is bit-identical to embeddings[s, labels[s] == c]
+    .mean(axis=0) (numpy sums a single column pairwise instead)."""
+    slices, _, dim = embeddings.shape
+    # the flat index of (slice, class of row i) for every row, then of
+    # (slice, class of row i, column) for every entry
+    rows = np.arange(slices)[:, None] * num_classes + labels
+    label_rows = labels.size // labels.shape[-1]
+    counts = np.bincount(rows[:label_rows].ravel(), minlength=label_rows * num_classes)
+    counts = counts.reshape(labels.shape[:-1] + (num_classes,))
     slots = rows[:, :, None] * dim + np.arange(dim)
     sums = np.bincount(slots.ravel(), weights=embeddings.ravel(),
-                       minlength=replicas * num_classes * dim)
-    return sums.reshape(replicas, num_classes, dim) / np.maximum(counts, 1)[:, None], counts
+                       minlength=slices * num_classes * dim)
+    return sums.reshape(slices, num_classes, dim) / np.maximum(counts, 1)[..., None], counts
 
 
 def aggregate_prototypes(uploads, previous: PrototypeSet | None = None) -> PrototypeSet:
@@ -254,11 +258,12 @@ class LossBreakdown:
     skipped_structural: int
 
 
-# The training step below runs every replica of a lockstep stack at once.
-# Each term's kernel sees only the replicas that weight it (> 0), grouped by
-# loss kind; a kernel reports the replicas it must skip (see tensor.py),
-# whose value then reads 0 and whose gradient is left out, exactly as in a
-# run of one.
+# The training step below runs every slice of a stack at once: the R
+# replicas of a lockstep run, for each of K clients.  Each client's alignment
+# terms are computed over its own R replica slices; there each term's kernel
+# sees only the replicas that weight it (> 0), grouped by loss kind, and
+# reports the replicas it must skip (see tensor.py), whose value then reads 0
+# and whose gradient is left out, exactly as in a run of one.
 
 
 def _align(kind, rows, classes, protos, replicas):
@@ -323,58 +328,82 @@ def _objective(cfgs: list[RoundConfig]) -> tuple[np.ndarray, list]:
     return weights, [(term, kind, np.array(pos)) for (term, kind), pos in groups.items()]
 
 
-def _train_step(model, batch, labels, protos, objective, learning_rate):
-    """One SGD step of L_sup + lam*L_proto + gamma*L_inst for every replica
-    of a stacked model on one shared batch; `objective` is _objective's.
+def _per_slice(per_client: np.ndarray, replicas: int) -> np.ndarray:
+    """A (K, ...) array of per-client rows as one row per slice of a K·R
+    stack: each row repeated R times, or left to broadcast when K = 1."""
+    if per_client.shape[0] == 1 or replicas == 1:
+        return per_client
+    return np.repeat(per_client, replicas, axis=0)
 
-    Returns each replica's [sup, proto, inst, total] as an (R, 4) array and
-    its structural skips.  A replica whose forward pass, total loss or
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """np.stack(arrays), without a copy for one array."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _align_client(emb, labels, protos, objective, terms, grad_emb, skipped) -> None:
+    """One client's alignment terms over its R replica slices `emb` (R, n, d)
+    and their `labels` (n,): records each replica's proto and inst values in
+    `terms` (2, R), adds their weighted gradients into `grad_emb` and counts
+    the skips in `skipped`."""
+    weights, groups = objective
+    if logger.isEnabledFor(logging.DEBUG):
+        missing = sorted(set(labels.tolist()) - set(protos.classes()))
+        if missing:
+            logger.debug("classes %s missing from global set; excluded from alignment", missing)
+    if groups[0][0] == 0:  # a proto group, so the batch prototypes are needed
+        means, counts = _class_means(emb, labels, protos.num_classes)
+    for term, kind, positions in groups:
+        if term == 0:
+            got, grad, why = _proto_term(kind, means[positions], counts, labels, protos, positions)
+        else:
+            got, grad, why = _instance_term(kind, emb[positions], labels, protos, positions)
+        # record the values and add the weighted gradient of the group's
+        # replicas that did not skip the term
+        done = why == ""
+        if not done.all():
+            for reason in why[~done]:
+                logger.debug("%s term of %s skipped: %s", LOSS_TERMS[1 + term], kind.name, reason)
+            skipped[positions[~done]] += 1
+        ok = positions[done]
+        terms[term, ok] = got[done]
+        if grad is not None:
+            grad_emb[ok] += weights[term, ok, None, None] * grad[done]
+
+
+def _train_step(model, batch, labels, protos, objective, learning_rate):
+    """One SGD step of L_sup + lam*L_proto + gamma*L_inst for every slice of
+    a stacked model: K clients, client-major, each with the R replicas of
+    `objective` (_objective's) and its own batch, `batch` (K, n, input_dim)
+    with `labels` (K, n).  K = 1 is a lockstep run's client.
+
+    Returns each slice's [sup, proto, inst, total] as a (K·R, 4) array and
+    its structural skips.  A slice whose forward pass, total loss or
     parameter gradient is non-finite fails with ReplicaFailure, before any
-    replica's parameters change.
+    slice's parameters change.
     """
     weights, groups = objective
-    emb, logits, layers = _forward(model, batch)
-    sup, grad_logits = _softmax_cross_entropy(logits, labels)
+    clients, replicas = labels.shape[0], weights.shape[1]
+    emb, logits, layers = _forward(model, _per_slice(batch, replicas))
+    sup, grad_logits = _softmax_cross_entropy(logits, _per_slice(labels, replicas))
     grad_emb = grad_logits @ model.classifier_weights.swapaxes(1, 2)
-    replicas = emb.shape[0]
-    terms = np.zeros((4, replicas))  # sup, proto, inst and total, per replica
+    terms = np.zeros((4, emb.shape[0]))  # sup, proto, inst and total, per slice
     terms[0] = sup
-    skipped = np.zeros(replicas, dtype=np.int64)
+    skipped = np.zeros(emb.shape[0], dtype=np.int64)
     # runaway-but-finite embeddings may overflow inside the alignment terms;
     # the non-finite check on the totals below turns that into a clean
     # NumericFailureError, so the IEEE warnings along the way are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
         if groups and protos is not None and not protos.is_empty:
-            if logger.isEnabledFor(logging.DEBUG):
-                missing = sorted(set(labels.tolist()) - set(protos.classes()))
-                if missing:
-                    logger.debug(
-                        "classes %s missing from global set; excluded from alignment", missing
-                    )
-            if groups[0][0] == 0:  # a proto group, so the batch prototypes are needed
-                means, counts = _class_means(emb, labels, protos.num_classes)
-            for term, kind, positions in groups:
-                if term == 0:
-                    got, grad, why = _proto_term(kind, means[positions], counts, labels, protos,
-                                                 positions)
-                else:
-                    got, grad, why = _instance_term(kind, emb[positions], labels, protos, positions)
-                # record the values and add the weighted gradient of the
-                # group's replicas that did not skip the term
-                done = why == ""
-                if not done.all():
-                    for reason in why[~done]:
-                        logger.debug("%s term of %s skipped: %s", LOSS_TERMS[1 + term],
-                                     kind.name, reason)
-                    skipped[positions[~done]] += 1
-                ok = positions[done]
-                terms[1 + term, ok] = got[done]
-                if grad is not None:
-                    grad_emb[ok] += weights[term, ok, None, None] * grad[done]
-        # Python floats, one replica at a time, as in a run of one
-        totals = [s + lam * p + gamma * i
-                  for s, p, i, lam, gamma in zip(*terms[:3].tolist(), *weights.tolist())]
-    bad = {r: f"non-finite training loss {t}" for r, t in enumerate(totals) if not math.isfinite(t)}
+            for k in range(clients):
+                span = slice(k * replicas, (k + 1) * replicas)
+                _align_client(emb[span], labels[k], protos, objective, terms[1:3, span],
+                              grad_emb[span], skipped[span])
+        # Python floats, one slice at a time, as in a run of one
+        lams, gammas = weights.tolist()
+        totals = [s + lam * p + gamma * i for s, p, i, lam, gamma
+                  in zip(*terms[:3].tolist(), lams * clients, gammas * clients)]
+    bad = {s: f"non-finite training loss {t}" for s, t in enumerate(totals) if not math.isfinite(t)}
     if bad:
         raise ReplicaFailure(bad)
     _backward_and_step(model, layers, grad_logits, grad_emb, learning_rate)
@@ -411,16 +440,18 @@ def local_train_step(
         global_protos.vectors[None], global_protos.counts
     )
     terms, skipped = _train_step(
-        _stack_of_one(model), batch, labels, stacked, _objective([cfg]), cfg.learning_rate
+        _stack_of_one(model), batch[None], labels[None], stacked, _objective([cfg]),
+        cfg.learning_rate,
     )
     return model, LossBreakdown(*terms[0].tolist(), int(skipped[0]))
 
 
 def _accuracy(model: ClientModel, features, labels) -> np.ndarray:
-    """(R,) top-1 accuracies of a stacked model's classifier heads."""
+    """(S,) top-1 accuracies of a stacked model's classifier heads, each
+    slice on its own rows of the features and labels (see models.py)."""
     _, logits, _ = _forward(model, features, keep_layers=False)
     # an exact count over n: the mean of the hits, bit for bit
-    return (np.argmax(logits, axis=2) == labels).sum(axis=1) / labels.shape[0]
+    return (np.argmax(logits, axis=2) == labels).sum(axis=1) / labels.shape[-1]
 
 
 def evaluate_accuracy(model: ClientModel, features, labels) -> float:
@@ -429,7 +460,7 @@ def evaluate_accuracy(model: ClientModel, features, labels) -> float:
     if features.shape[0] < 1:
         raise ContractError("cannot evaluate on an empty set")
     labels = check_labels(labels, features.shape[0], model.num_classes)
-    return float(_accuracy(_stack_of_one(model), features, labels)[0])
+    return float(_accuracy(_stack_of_one(model), features[None], labels)[0])
 
 
 @dataclass
@@ -522,25 +553,61 @@ def _check_shards(shards, num_classes: int) -> int:
     return columns
 
 
+def _stack_groups(clients, keys) -> list[list[int]]:
+    """`clients` grouped by keys[i], each group in the given order and the
+    groups in the order of their first member: the clients that train,
+    upload or evaluate as one stack."""
+    groups: dict = {}
+    for i in clients:
+        groups.setdefault(keys[i], []).append(i)
+    return list(groups.values())
+
+
 class _Replicas:
     """The live replicas of a lockstep run and everything that carries the
-    replica axis; a replica that fails leaves every stack at once."""
+    replica axis; a replica that fails leaves every stack at once.
 
-    def __init__(self, cfgs: list[RoundConfig], models, global_protos, clients: int,
-                 num_classes: int, feature_dim: int):
+    A round's phases stack clients too: the clients that share an
+    architecture and a row count (of the rows the phase reads) run as one
+    K·R stack, client-major, never padded.  A replica failure inside a
+    stacked phase discards its stacks, and the phase replays one client at
+    a time in client order, so the failure reads as in a run of one."""
+
+    def __init__(self, cfgs: list[RoundConfig], models: list[ClientModel], global_protos,
+                 shards, seed: int, archs: list[int], num_classes: int, feature_dim: int):
         self.cfgs = cfgs
         self.live = list(range(len(cfgs)))  # the config index at each stack position
-        self.models = models  # per client; homo_shared lists one stack n times
         self.global_protos = global_protos
         self.errors: dict[int, NumericFailureError] = {}
         self.objective = _objective(cfgs)
+        self.shards, self.seed, self.archs = shards, seed, archs
+        # one model per client, or homo_shared's one model, which every
+        # client visits in turn
+        self.shared = len(models) == 1 < len(shards)
+        # one parameter table per architecture: the stacks of its clients'
+        # models, client-major; client i's R replicas are block self.rows[i]
+        # of table archs[i]
+        self.rows, members = [], {}
+        for i, a in enumerate(archs):
+            self.rows.append(0 if self.shared else len(members.setdefault(a, [])))
+            if i < len(models):
+                members.setdefault(a, []).append(replicate(models[i], len(cfgs)))
+        self.layout = {a: stacks[0] for a, stacks in members.items()}
+        self.params = {a: [np.concatenate(arrays) for arrays in zip(*(m.arrays() for m in stacks))]
+                       for a, stacks in members.items()}
+        # the stack keys: each client's architecture, with its train or test
+        # row count
+        self.train_keys = [(a, s.num_train) for a, s in zip(archs, shards)]
+        self.test_keys = [(a, s.test_labels.shape[0]) for a, s in zip(archs, shards)]
         # each client's latest upload, as _class_means returns it; a client
         # that has not uploaded yet has no present class
-        self.latest = np.zeros((len(cfgs), clients, num_classes, feature_dim))
-        self.latest_counts = np.zeros((clients, num_classes), dtype=np.int64)
+        self.latest = np.zeros((len(cfgs), len(shards), num_classes, feature_dim))
+        self.latest_counts = np.zeros((len(shards), num_classes), dtype=np.int64)
         # the current round's mean loss terms per client and structural skips
-        self.terms = np.zeros((len(cfgs), clients, 4))
+        self.terms = np.zeros((len(cfgs), len(shards), 4))
         self.skips = np.zeros(len(cfgs), dtype=np.int64)
+        # each client's test accuracy, as of the round its model last changed
+        self.accuracies = np.zeros((len(cfgs), len(shards)))
 
     def attempt(self, work, prefix: str):
         """work() over the live replicas.  A replica that fails is dropped
@@ -558,14 +625,137 @@ class _Replicas:
         for pos, message in failures.items():
             self.errors[self.live[pos]] = NumericFailureError(prefix + message)
         keep = [pos for pos in range(len(self.live)) if pos not in failures]
+        self.params = {a: [p.reshape(-1, len(self.live), *p.shape[1:])[:, keep]
+                           .reshape(-1, *p.shape[1:]) for p in table]
+                       for a, table in self.params.items()}
         self.live = [self.live[pos] for pos in keep]
-        stacks = {id(m): m.map_arrays(lambda a: a[keep]) for m in self.models}
-        self.models = [stacks[id(m)] for m in self.models]
         if self.global_protos is not None:
             self.global_protos = PrototypeSet(self.global_protos.vectors[keep],
                                               self.global_protos.counts)
         self.objective = _objective([self.cfgs[k] for k in self.live])
-        self.latest, self.terms, self.skips = self.latest[keep], self.terms[keep], self.skips[keep]
+        self.latest, self.terms, self.skips, self.accuracies = (
+            self.latest[keep], self.terms[keep], self.skips[keep], self.accuracies[keep])
+
+    def _gather(self, clients: list[int]):
+        """A copy of the replicas of clients of one architecture as one K·R
+        stack, client-major, and the table rows it was copied from."""
+        replicas = len(self.live)
+        rows = (np.array([self.rows[i] for i in clients])[:, None] * replicas
+                + np.arange(replicas)).ravel()
+        arch = self.archs[clients[0]]
+        return self.layout[arch].with_arrays([p.take(rows, axis=0) for p in self.params[arch]]), rows
+
+    def _stack(self, clients, features, labels):
+        """The clients' stack (see _gather), with their (K, n, ...) features
+        and (K, n) labels as its per-slice rows."""
+        replicas = len(self.live)
+        return (self._gather(clients)[0], _per_slice(_stacked(features), replicas),
+                _per_slice(_stacked(labels), replicas))
+
+    def train(self, r: int, participants: list[int]) -> bool:
+        """The round's local training.  Each stack group of participants
+        trains as one stack, and nothing is written back before every group
+        has trained; homo_shared never stacks, as its clients visit one
+        model in turn.  False once no replica is left."""
+        self.skips[:] = 0
+        groups = [] if self.shared else _stack_groups(participants, self.train_keys)
+        if any(len(g) > 1 for g in groups):
+            try:
+                trained = [self._local_training(r, g) for g in groups]
+            except ReplicaFailure:
+                pass  # replayed below, so that the first client to fail names it
+            else:
+                for g, done in zip(groups, trained):
+                    self._write_back(g, *done)
+                return True
+        for i in participants:
+            done = self.attempt(lambda: self._local_training(r, [i]),
+                                f"round {r}: client {self.shards[i].client_id}: ")
+            if done is None:
+                return False
+            self._write_back([i], *done)
+        return True
+
+    def _local_training(self, r: int, clients: list[int]):
+        """The local epochs of one stack group, on a copy of its stacks: the
+        trained stack, each slice's mean loss terms and its structural
+        skips.  Each client draws its batches from its own stream."""
+        cfg = self.cfgs[0]  # for the fields every config shares
+        model, rows = self._gather(clients)
+        # the clients' train rows end to end, and each client's offset in them
+        features = np.concatenate([self.shards[i].train_features for i in clients])
+        labels = np.concatenate([self.shards[i].train_labels for i in clients])
+        n = self.shards[clients[0]].num_train
+        offsets = np.arange(0, labels.shape[0], n)[:, None]
+        rngs = [np.random.default_rng(np.random.SeedSequence([self.seed, 1, r, i]))
+                for i in clients]
+        sums = np.zeros((rows.shape[0], 4))
+        skips = np.zeros(rows.shape[0], dtype=np.int64)
+        steps = 0
+        for _ in range(cfg.local_epochs):
+            perms = _stacked([rng.permutation(n) for rng in rngs]) + offsets
+            for start in range(0, n, cfg.batch_size):
+                idx = perms[:, start : start + cfg.batch_size]
+                if idx.shape[1] < 2:
+                    continue
+                terms, skipped = _train_step(model, features.take(idx, axis=0), labels.take(idx),
+                                             self.global_protos, self.objective,
+                                             cfg.learning_rate)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sums += terms
+                skips += skipped
+                steps += 1
+        _check_finite((sums,), "loss-term sum overflowed")
+        return model, rows, sums / max(steps, 1), skips
+
+    def _write_back(self, clients: list[int], model, rows, terms, skips) -> None:
+        """Write the trained stack back to the table rows it was gathered
+        from, and its mean loss terms and skips into the round's tables."""
+        replicas = len(self.live)
+        for p, trained in zip(self.params[self.archs[clients[0]]], model.arrays()):
+            p[rows] = trained
+        self.terms[:, clients] = terms.reshape(len(clients), replicas, 4).swapaxes(0, 1)
+        self.skips += skips.reshape(len(clients), replicas).sum(axis=0)
+
+    def finish(self, r: int, participants: list[int]) -> bool:
+        """The uploads, the new global prototypes and the accuracies of the
+        models that changed, stacked by model and row count.  False once no
+        replica is left."""
+        try:
+            self.global_protos = self._finish(r, participants, stack=True)
+        except ReplicaFailure:
+            protos = self.attempt(lambda: self._finish(r, participants, stack=False),
+                                  f"round {r}: ")
+            if protos is None:
+                return False
+            self.global_protos = protos
+        return True
+
+    def _finish(self, r: int, participants: list[int], stack: bool) -> PrototypeSet:
+        """finish's uploads and evaluations, with the clients in stacks or
+        one at a time; returns the new global prototypes."""
+        group = _stack_groups if stack else (lambda clients, _: [[i] for i in clients])
+        replicas, shards = len(self.live), self.shards
+        for g in group(participants, self.train_keys):
+            model, features, labels = self._stack(g, [shards[i].train_features for i in g],
+                                                  [shards[i].train_labels for i in g])
+            emb = _forward(model, features, keep_layers=False)[0]
+            means, counts = _class_means(emb, labels, self.latest.shape[2])
+            _check_finite((means,), "upload produced non-finite prototypes")
+            self.latest[:, g] = means.reshape(len(g), replicas, *means.shape[1:]).swapaxes(0, 1)
+            self.latest_counts[g] = counts[::replicas]
+        protos = self.global_protos
+        if self.cfgs[0].prototype_mode == "aggregate":
+            protos = _aggregate(self.latest[:, participants], self.latest_counts[participants],
+                                protos)
+        # the other clients' models are last round's, and so are their
+        # accuracies, except in homo_shared
+        changed = range(len(shards)) if r == 0 or self.shared else participants
+        for g in group(changed, self.test_keys):
+            model, features, labels = self._stack(g, [shards[i].test_features for i in g],
+                                                  [shards[i].test_labels for i in g])
+            self.accuracies[:, g] = _accuracy(model, features, labels).reshape(len(g), -1).T
+        return protos
 
 
 def run_experiments(
@@ -585,9 +775,11 @@ def run_experiments(
     data, partition, model inits, participation draws and batch order are
     shared.  The runs therefore advance as R replicas of one run: every
     parameter and prototype array carries a leading replica axis, and each
-    SGD step serves all replicas at once.  Every replica's arithmetic is its
-    own run's, so each result equals run_experiment on that config alone,
-    byte for byte.
+    SGD step serves all replicas at once.  Within a round, the clients that
+    share an architecture and a row count also run as one stack of K·R
+    slices, each client with its own batches (homo_shared's training never
+    stacks).  Every slice's arithmetic is its own run's, so each result
+    equals run_experiment on that config alone, byte for byte.
 
     Returns, per config, its reports or the NumericFailureError that ended
     its run; a replica that fails leaves the stack and the others carry on.
@@ -621,14 +813,11 @@ def run_experiments(
     cfg = cfgs[0]  # for the fields every config shares
     copies = len(cfgs)
 
-    def client_model(i):
-        arch = archs[i % len(archs) if scenario == "hetero" else 0]
-        model = build_model(arch, input_dim, num_classes, np.random.SeedSequence([seed, 0, i]))
-        return replicate(model, copies)
-
+    arch_of = [i % len(archs) if scenario == "hetero" else 0 for i in range(n_clients)]
     # homo_shared trains client 0's model, which every client visits in turn
-    models = ([client_model(0)] * n_clients if scenario == "homo_shared"
-              else [client_model(i) for i in range(n_clients)])
+    models = [build_model(archs[arch_of[i]], input_dim, num_classes,
+                          np.random.SeedSequence([seed, 0, i]))
+              for i in range(1 if scenario == "homo_shared" else n_clients)]
 
     if cfg.prototype_mode == "fixed_hypersphere":
         anchors = fixed_hypersphere_prototypes(
@@ -639,66 +828,18 @@ def run_experiments(
     else:
         global_protos = None  # no prototypes yet: round 0 runs supervised-only
 
-    state = _Replicas(cfgs, models, global_protos, n_clients, num_classes, feature_dim)
+    state = _Replicas(cfgs, models, global_protos, shards, seed, arch_of, num_classes,
+                      feature_dim)
     reports: list[list[RoundReport]] = [[] for _ in cfgs]
     best = [0.0] * copies
-
-    def results():
-        return [state.errors.get(k, reports[k]) for k in range(copies)]
-
     for r in range(rounds):
         k = max(1, round(cfg.participation_fraction * n_clients))
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2, r]))
         participants = sorted(rng.choice(n_clients, size=k, replace=False).tolist())
-
-        state.terms[:] = 0.0
-        state.skips[:] = 0
-        for i in participants:
-            shard = shards[i]
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 1, r, i]))
-            n = shard.num_train
-            steps = 0
-            for _ in range(cfg.local_epochs):
-                perm = rng.permutation(n)
-                for start in range(0, n, cfg.batch_size):
-                    idx = perm[start : start + cfg.batch_size]
-                    if idx.shape[0] < 2:
-                        continue
-                    batch, labels = shard.train_features[idx], shard.train_labels[idx]
-                    done = state.attempt(
-                        lambda: _train_step(state.models[i], batch, labels, state.global_protos,
-                                            state.objective, cfg.learning_rate),
-                        f"round {r}: client {shard.client_id}: ",
-                    )
-                    if done is None:
-                        return results()
-                    state.terms[:, i] += done[0]
-                    state.skips += done[1]
-                    steps += 1
-            state.terms[:, i] /= max(steps, 1)
-
-        def finish_round():
-            """The uploads, the new global prototypes and the accuracies."""
-            for i in participants:
-                emb = _forward(state.models[i], shards[i].train_features, keep_layers=False)[0]
-                means, state.latest_counts[i] = _class_means(emb, shards[i].train_labels,
-                                                             num_classes)
-                _check_finite((means,), "upload produced non-finite prototypes")
-                state.latest[:, i] = means
-            protos = state.global_protos
-            if cfg.prototype_mode == "aggregate":
-                protos = _aggregate(state.latest[:, participants],
-                                    state.latest_counts[participants], protos)
-            return protos, np.stack([_accuracy(state.models[i], s.test_features, s.test_labels)
-                                     for i, s in enumerate(shards)], axis=1)
-
-        done = state.attempt(finish_round, f"round {r}: ")
-        if done is None:
-            return results()
-        state.global_protos, accs = done
-
+        if not (state.train(r, participants) and state.finish(r, participants)):
+            break
         for pos, k in enumerate(state.live):
-            per_client = accs[pos].tolist()
+            per_client = state.accuracies[pos].tolist()
             mean_acc = float(np.mean(per_client))
             best[k] = max(best[k], mean_acc)
             # the latest uploads' present rows, client by client, class by class
@@ -720,7 +861,7 @@ def run_experiments(
             )
             if snapshot_dirs[k] is not None:
                 _write_prototype_snapshot(state.global_protos, pos, snapshot_dirs[k], r)
-    return results()
+    return [state.errors.get(k, reports[k]) for k in range(copies)]
 
 
 def _spectrum(stacked: np.ndarray, normalize: bool, round_index: int) -> tuple[int, float]:

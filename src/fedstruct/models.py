@@ -40,7 +40,8 @@ class Layer:
 class ClientModel:
     """One client's parameters.  A model from build_model is one replica
     (2-D weights); the kernels below take stacks, models whose every array
-    has a leading axis of R replicas (see `replicate`)."""
+    has a leading axis of slices: the R replicas of one client (see
+    `replicate`), or those of K clients, client-major."""
 
     extractor: list[Layer]
     classifier_weights: np.ndarray  # (feature_dim, num_classes)
@@ -54,6 +55,17 @@ class ClientModel:
     @property
     def num_classes(self) -> int:
         return self.classifier_weights.shape[-1]
+
+    def arrays(self) -> list[np.ndarray]:
+        """Every parameter array, in the order map_arrays visits them."""
+        return ([a for l in self.extractor for a in (l.weights, l.bias)]
+                + [self.classifier_weights, self.classifier_bias])
+
+    def with_arrays(self, arrays) -> "ClientModel":
+        """A model of the same architecture holding `arrays`, listed in the
+        order of arrays()."""
+        it = iter(arrays)
+        return self.map_arrays(lambda _: next(it))
 
     def map_arrays(self, fn) -> "ClientModel":
         """A model of the same architecture holding fn(array) for each array."""
@@ -135,9 +147,11 @@ def check_batch(model: ClientModel, batch) -> np.ndarray:
 
 # forward, loss_supervised and backward_and_step are each their contract
 # checks followed by one of the kernels below on a stack of one.  The kernels
-# trust their inputs and take stacks (see ClientModel); a batch may be one
-# (n, input_dim) array shared by every replica.  The non-finite checks are
-# part of the kernels, so they fire on every path, per replica.
+# trust their inputs and take stacks of S slices (see ClientModel): a batch is
+# (S, n, input_dim), or (1, n, input_dim) shared by every slice, and labels
+# are (S, n), or (n,) or (1, n) shared.  Each slice's arithmetic is its run of
+# one, whatever the other slices hold.  The non-finite checks are part of the
+# kernels, so they fire on every path, per slice.
 
 
 def _check_finite(arrays, message: str) -> None:
@@ -190,9 +204,12 @@ def loss_supervised(logits, labels) -> tuple[float, np.ndarray]:
 
 
 def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """(R,) mean cross-entropies of an (R, n, C) stack of logits, and the
+    """(S,) mean cross-entropies of an (S, n, C) stack of logits, and the
     gradient w.r.t. the logits."""
-    rows = np.arange(logits.shape[1])
+    # slice, row and label of every picked entry: one form for shared (n,)
+    # and per-slice (S, n) labels, laid out (S, n) so that each slice's mean
+    # sums its row as a run of one does
+    picks = (np.arange(logits.shape[0])[:, None], np.arange(logits.shape[1]), labels)
     # shifting makes the softmax stable for any reasonable logits; extreme
     # (runaway-training) magnitudes may still overflow the mean, which the
     # caller's non-finite check turns into a NumericFailureError, so the
@@ -202,12 +219,10 @@ def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
         expz = np.exp(shifted)
         norm = expz.sum(axis=2)
         grad = expz / norm[:, :, None]  # the softmax, turned into the gradient below
-        # contiguous, so that each replica's mean sums its row as a run of
-        # one does (a slice plus two index arrays lays it out replica-minor)
-        picked = np.ascontiguousarray(shifted[:, rows, labels]) - np.log(norm)
-        values = -(picked.sum(axis=1) / rows.shape[0])  # the mean, without its dispatch
-    grad[:, rows, labels] -= 1.0
-    return values, grad / rows.shape[0]
+        picked = shifted[picks] - np.log(norm)
+        values = -(picked.sum(axis=1) / logits.shape[1])  # the mean, without its dispatch
+    grad[picks] -= 1.0
+    return values, grad / logits.shape[1]
 
 
 def backward_and_step(

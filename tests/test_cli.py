@@ -259,6 +259,19 @@ def test_overflowing_prototypes_exit_4_naming_the_round(tmp_path, capsys, separa
     )
 
 
+def test_overflowing_loss_term_sum_exits_4_naming_the_client(tmp_path, capsys):
+    # every step's total is finite (about 1e308); their per-round sum is not
+    payload = {**TINY, "model": {"hidden_widths": [[]], "feature_dim": 4},
+               "training": {**TINY["training"], "rounds": 1, "learning_rate": 1e-300,
+                            "prototype_mode": "fixed_hypersphere", "alignment": "cosine",
+                            "lambda": 1e308, "gamma": 0.0}}
+    cfg = _write_cfg(tmp_path, payload)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
+    assert capsys.readouterr().err == (
+        "numeric failure: round 0: client 0: loss-term sum overflowed\n"
+    )
+
+
 def test_overflowing_sweep_exits_4_without_a_table(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, _overflowing(2e307))
     out = tmp_path / "sweep"

@@ -1,10 +1,12 @@
 """Lockstep replicas: every run of a run_experiments call is its solo run.
 
 run_experiments advances the runs of one seed as replicas along a leading
-axis of every array.  The contract is bit-identity, not a tolerance: each
-replica's rounds.jsonl equals the one its config writes alone, and a
-replica that diverges fails with its solo message while the others carry
-on.  The stacked kernels are checked the same way against their slices.
+axis of every array, and within a round it stacks the clients that share an
+architecture and a row count along the same axis.  The contract is
+bit-identity, not a tolerance: each replica's rounds.jsonl equals the one
+its config writes alone, one client at a time, and a replica that diverges
+fails with its solo message while the others carry on.  The stacked kernels
+are checked the same way against their slices.
 """
 
 import copy
@@ -15,22 +17,31 @@ import json
 import numpy as np
 import pytest
 
+from fedstruct import cli, federation
 from fedstruct.config import architectures, config_from_dict, round_config
-from fedstruct.errors import ContractError, DegenerateInputError, NumericFailureError
+from fedstruct.errors import (
+    ContractError,
+    DegenerateInputError,
+    NumericFailureError,
+    ReplicaFailure,
+)
 from fedstruct.federation import (
     PROTOTYPE_MODES,
     SCENARIOS,
     PrototypeSet,
     RoundConfig,
+    _accuracy,
     _class_means,
     aggregate_prototypes,
     batch_prototypes,
+    evaluate_accuracy,
     run_experiment,
     run_experiments,
 )
 from fedstruct.losses import (
     KNOWN_LOSSES,
     _PAIRWISE_KERNELS,
+    AlignmentKind,
     _contrastive,
     loss_contrastive,
     pairwise_loss,
@@ -46,6 +57,7 @@ from fedstruct.models import (
     loss_supervised,
     replicate,
 )
+from fedstruct.data import DatasetShard
 from fedstruct.runner import build_shards, run_scenario, run_scenarios, write_rounds_jsonl
 
 # the README's demo.json at seed 1, and test_cli's TINY and UNSTABLE configs
@@ -74,6 +86,7 @@ UNSTABLE = {
 # the five losses under five weight pairs, so that each alignment term sees
 # a different set of loss kinds
 MIXED = list(zip(KNOWN_LOSSES, (1.0, 0.5, 0.0, 2.0, 1.0), (1.0, 0.0, 2.0, 0.5, 1.0)))
+KNOWN_KINDS = {loss: AlignmentKind.parse(loss, 0.5) for loss in KNOWN_LOSSES}
 
 
 def _setup(payload, scenario, mode):
@@ -207,6 +220,140 @@ def test_lockstep_runs_match_pinned_digest(tmp_path):
     assert h.hexdigest() == "7bd3c1951fae51af1ba2747d1bbcc4bd63b92d720e39594aac9b038238a36ef7"
 
 
+def _one_client_per_stack(monkeypatch):
+    monkeypatch.setattr(federation, "_stack_groups", lambda clients, keys: [[i] for i in clients])
+
+
+def _stack_sizes(monkeypatch):
+    """Record the size of every stack group the engine forms."""
+    sizes = []
+    group = federation._stack_groups
+
+    def recorded(clients, keys):
+        groups = group(clients, keys)
+        sizes.extend(len(g) for g in groups)
+        return groups
+
+    monkeypatch.setattr(federation, "_stack_groups", recorded)
+    return sizes
+
+
+# four equal domain-shift shards, at points whose loss-term sums or whose
+# round prototypes overflow, so that replicas fail in and after training
+DIVERGING = [
+    ({**TINY, "partition": {"scheme": "domain_shift", "clients": 4},
+      "training": {**TINY["training"], "learning_rate": 1e-300}},
+     [("mse", 0.0, 0.0), ("mse", 2e307, 0.0), ("contrastive", 5e307, 0.0),
+      ("contrastive", 1e308, 0.0)]),
+    ({**OVERFLOWING, "dataset": {**OVERFLOWING["dataset"], "separation": 6e307},
+      "partition": {"scheme": "domain_shift", "clients": 4, "shift_scale": 0.0}},
+     [("mse", 0.0, 0.0), ("gcsa", 0.0, 0.0)]),
+]
+
+
+@pytest.mark.parametrize("mode", PROTOTYPE_MODES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_stacked_clients_equal_one_client_at_a_time(monkeypatch, scenario, mode):
+    runs = [(SHIFTED, MIXED)] + DIVERGING
+
+    def results():
+        out = []
+        for payload, points in runs:
+            cfg, shards, archs, kwargs = _setup(payload, scenario, mode)
+            out.append(_lockstep(shards, archs, [_round_config(cfg, *p) for p in points], kwargs))
+        return out
+
+    with monkeypatch.context() as patch:
+        sizes = _stack_sizes(patch)
+        stacked = results()
+    assert max(sizes) > 1  # clients did run as stacks
+    _one_client_per_stack(monkeypatch)
+    assert stacked == results()
+    assert all(isinstance(run, bytes) for run in stacked[0])
+    assert any(isinstance(run, str) for runs in stacked[1:] for run in runs)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_stacked_clients_with_their_own_labels_equal_their_solo_runs(scenario):
+    # equal-sized shards whose label counts differ from client to client, so
+    # that every stack's clients upload different class counts
+    rng = np.random.default_rng(15)
+    shards = [DatasetShard(i, rng.standard_normal((12, 5)), rng.integers(0, 3, 12),
+                           rng.standard_normal((6, 5)), rng.integers(0, 3, 6))
+              for i in range(4)]
+    archs = [ArchitectureSpec((), 4), ArchitectureSpec((8,), 4)]
+    kwargs = dict(rounds=3, seed=2, num_classes=3, scenario=scenario)
+    base = RoundConfig(alignment=KNOWN_KINDS["gcsa"], batch_size=4, local_epochs=1)
+    rcs = [RoundConfig(**{**base.__dict__, "alignment": KNOWN_KINDS[loss], "lam": lam,
+                          "gamma": gamma}) for loss, lam, gamma in MIXED]
+    assert _lockstep(shards, archs, rcs, kwargs) == [_solo(shards, archs, rc, kwargs)
+                                                     for rc in rcs]
+
+
+def test_a_failure_in_a_stack_names_the_first_failing_client(monkeypatch):
+    # four equal shards of two architectures, so clients {0, 2} and {1, 3}
+    # train as two stacks, {0, 2} first; clients 1 and 2 fail in training,
+    # and client 1 comes first in participant order
+    payload = {
+        "dataset": {"classes": 3, "input_dim": 5, "samples_per_class": 40},
+        "partition": {"scheme": "domain_shift", "clients": 4},
+        "model": {"hidden_widths": [[], [8]], "feature_dim": 4},
+        "training": {"rounds": 1, "batch_size": 8, "local_epochs": 1},
+    }
+    cfg, shards, archs, kwargs = _setup(payload, "hetero", "aggregate")
+    assert federation._stack_groups(range(4), [(i % 2, s.num_train) for i, s in
+                                               enumerate(shards)]) == [[0, 2], [1, 3]]
+    step, stacks = federation._train_step, []
+
+    def planted(model, batch, labels, *args):
+        stacks.append(batch.shape[0])
+        failing = {k: f"planted in client {c}" for k, rows in enumerate(batch) for c in (1, 2)
+                   if (rows[:, None] == shards[c].train_features).all(axis=2).any(axis=1).all()}
+        if failing:
+            raise ReplicaFailure(failing)
+        return step(model, batch, labels, *args)
+
+    monkeypatch.setattr(federation, "_train_step", planted)
+    with pytest.raises(NumericFailureError) as exc:
+        run_experiment(shards, archs, round_config(cfg), **kwargs)
+    assert str(exc.value) == "round 0: client 1: planted in client 1"
+    assert stacks[0] == 2  # the failure was met in a stack, then replayed
+
+
+def test_overflowing_loss_term_sum_fails_its_replica_alone():
+    payload = copy.deepcopy(TINY)
+    payload["model"]["hidden_widths"] = [[]]
+    payload["training"].update(rounds=1, learning_rate=1e-300)
+    cfg, shards, archs, kwargs = _setup(payload, "hetero", "fixed_hypersphere")
+    rcs = [_round_config(cfg, "cosine", lam, 0.0) for lam in (0.0, 1e308)]
+    got = _lockstep(shards, archs, rcs, kwargs)
+    assert got == [_solo(shards, archs, rc, kwargs) for rc in rcs]
+    assert isinstance(got[0], bytes)
+    assert got[1] == "round 0: client 0: loss-term sum overflowed"
+
+
+# the crossdevice benchmark's config, cut to 20 rounds: 32 domain-shift
+# clients at participation 0.5, whose equal train shards stack by architecture
+CROSSDEVICE = {
+    "dataset": {"samples_per_class": 200},
+    "partition": {"scheme": "domain_shift", "clients": 32},
+    "model": {"feature_dim": 16},
+    "training": {"local_epochs": 1, "participation_fraction": 0.5, "rounds": 20},
+}
+
+
+def test_crossdevice_dimensionality_matches_pinned_digest(tmp_path, capsys):
+    # sha256 over the three scenarios' rounds.jsonl; recorded from the
+    # engine that trained, uploaded and evaluated one client at a time
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CROSSDEVICE))
+    assert cli.main(["dimensionality", "--config", str(config), "--out", str(tmp_path)]) == 0
+    h = hashlib.sha256()
+    for scenario in SCENARIOS:
+        h.update((tmp_path / scenario / "rounds.jsonl").read_bytes())
+    assert h.hexdigest() == "0caa1942e3b60f56beda853096f644fe5e8c4f572da011cd58ffa98d394b73a8"
+
+
 def test_replicas_that_skip_differently_equal_their_solo_runs():
     cfg, shards, archs, kwargs = _setup(UNSTABLE, "hetero", "fixed_hypersphere")
     weights = (0.0, 10.0, 1000.0)
@@ -307,32 +454,46 @@ def test_contrastive_kernel_equals_its_slices():
 
 
 def test_model_kernels_equal_their_slices():
+    for clients in (1, 2):
+        _check_model_kernels(clients)
+
+
+def _check_model_kernels(clients):
+    """R replicas of each client, client-major: one client shares its batch
+    and labels, two clients each draw their own (one row per slice)."""
     rng = np.random.default_rng(13)
     spec = ArchitectureSpec((16, 8), 4)
-    models = [build_model(spec, 5, 3, seed=s) for s in range(R)]
-    stack = replicate(models[0], R)
+    slices = clients * R
+    models = [build_model(spec, 5, 3, seed=s) for s in range(slices)]
+    stack = replicate(models[0], slices)
     for layer, *per_model in zip(stack.extractor, *(m.extractor for m in models)):
         layer.weights[:] = np.stack([l.weights for l in per_model])
         layer.bias[:] = np.stack([l.bias for l in per_model])
     stack.classifier_weights[:] = np.stack([m.classifier_weights for m in models])
     stack.classifier_bias[:] = np.stack([m.classifier_bias for m in models])
-    batch, labels = rng.standard_normal((32, 5)), rng.integers(0, 3, 32)
-    grad_emb = rng.standard_normal((R, 32, 4))
+    batches = np.repeat(rng.standard_normal((clients, 32, 5)), R, axis=0)
+    labels = np.repeat(rng.integers(0, 3, (clients, 32)), R, axis=0)
+    grad_emb = rng.standard_normal((slices, 32, 4))
+    if clients == 1:
+        batches, labels = batches[:1], labels[0]
 
-    emb, logits, cache = _forward(stack, batch)
+    emb, logits, cache = _forward(stack, batches)
     sup, grad_logits = _softmax_cross_entropy(logits, labels)
+    accuracy = _accuracy(stack, batches, labels)
     _backward_and_step(stack, cache, grad_logits, grad_emb, 0.3)
-    for r, model in enumerate(models):
-        emb_r, logits_r, cache_r = forward(model, batch)
-        sup_r, grad_logits_r = loss_supervised(logits_r, labels)
-        backward_and_step(model, cache_r, grad_logits_r, grad_emb[r], 0.3)
-        assert np.array_equal(emb[r], emb_r) and np.array_equal(logits[r], logits_r)
-        assert sup[r] == sup_r and np.array_equal(grad_logits[r], grad_logits_r)
-        assert np.array_equal(stack.classifier_weights[r], model.classifier_weights)
-        assert np.array_equal(stack.classifier_bias[r], model.classifier_bias)
-        for layer, layer_r in zip(stack.extractor, model.extractor):
-            assert np.array_equal(layer.weights[r], layer_r.weights)
-            assert np.array_equal(layer.bias[r], layer_r.bias)
+    for s, model in enumerate(models):
+        batch, y = batches[s % batches.shape[0]], labels if clients == 1 else labels[s]
+        emb_s, logits_s, cache_s = forward(model, batch)
+        sup_s, grad_logits_s = loss_supervised(logits_s, y)
+        assert accuracy[s] == evaluate_accuracy(model, batch, y)
+        backward_and_step(model, cache_s, grad_logits_s, grad_emb[s], 0.3)
+        assert np.array_equal(emb[s], emb_s) and np.array_equal(logits[s], logits_s)
+        assert sup[s] == sup_s and np.array_equal(grad_logits[s], grad_logits_s)
+        assert np.array_equal(stack.classifier_weights[s], model.classifier_weights)
+        assert np.array_equal(stack.classifier_bias[s], model.classifier_bias)
+        for layer, layer_s in zip(stack.extractor, model.extractor):
+            assert np.array_equal(layer.weights[s], layer_s.weights)
+            assert np.array_equal(layer.bias[s], layer_s.bias)
 
 
 def test_prototype_kernels_equal_their_slices():
@@ -346,6 +507,14 @@ def test_prototype_kernels_equal_their_slices():
             solo = batch_prototypes(emb[r], labels, c)
             assert np.array_equal(means[r], solo.vectors)
             assert np.array_equal(counts, solo.counts)
+        # two clients' R replicas, client-major, each client with its labels
+        emb = rng.standard_normal((2 * R, n, 8))
+        labels = np.repeat(rng.integers(0, c, (2, n)), R, axis=0)
+        means, counts = _class_means(emb, labels, c)
+        for s in range(2 * R):
+            solo = batch_prototypes(emb[s], labels[s], c)
+            assert np.array_equal(means[s], solo.vectors)
+            assert np.array_equal(counts[s], solo.counts)
         # nine uploads, so that summing them pairwise would round differently
         uploads = [PrototypeSet(rng.standard_normal((R, c, 8)), rng.integers(0, 3, c))
                    for _ in range(9)]
