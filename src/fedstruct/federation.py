@@ -583,7 +583,7 @@ class _Replicas:
         self.shards, self.seed, self.archs = shards, seed, archs
         # one model per client, or homo_shared's one model, which every
         # client visits in turn
-        self.shared = len(models) == 1 < len(shards)
+        self.shared = len(models) < len(shards)
         # one parameter table per architecture: the stacks of its clients'
         # models, client-major; client i's R replicas are block self.rows[i]
         # of table archs[i]
@@ -645,7 +645,7 @@ class _Replicas:
         arch = self.archs[clients[0]]
         return self.layout[arch].with_arrays([p.take(rows, axis=0) for p in self.params[arch]]), rows
 
-    def _stack(self, clients, features, labels):
+    def _stack_inputs(self, clients, features, labels):
         """The clients' stack (see _gather), with their (K, n, ...) features
         and (K, n) labels as its per-slice rows."""
         replicas = len(self.live)
@@ -737,8 +737,8 @@ class _Replicas:
         group = _stack_groups if stack else (lambda clients, _: [[i] for i in clients])
         replicas, shards = len(self.live), self.shards
         for g in group(participants, self.train_keys):
-            model, features, labels = self._stack(g, [shards[i].train_features for i in g],
-                                                  [shards[i].train_labels for i in g])
+            model, features, labels = self._stack_inputs(
+                g, [shards[i].train_features for i in g], [shards[i].train_labels for i in g])
             emb = _forward(model, features, keep_layers=False)[0]
             means, counts = _class_means(emb, labels, self.latest.shape[2])
             _check_finite((means,), "upload produced non-finite prototypes")
@@ -752,8 +752,8 @@ class _Replicas:
         # accuracies, except in homo_shared
         changed = range(len(shards)) if r == 0 or self.shared else participants
         for g in group(changed, self.test_keys):
-            model, features, labels = self._stack(g, [shards[i].test_features for i in g],
-                                                  [shards[i].test_labels for i in g])
+            model, features, labels = self._stack_inputs(
+                g, [shards[i].test_features for i in g], [shards[i].test_labels for i in g])
             self.accuracies[:, g] = _accuracy(model, features, labels).reshape(len(g), -1).T
         return protos
 
