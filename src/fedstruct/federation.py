@@ -16,6 +16,7 @@ from the global set are excluded from alignment terms only.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -25,7 +26,7 @@ import numpy as np
 
 from .analysis import effective_dimensionality, write_csv
 from .errors import ContractError, DegenerateInputError, NumericFailureError, ReplicaFailure
-from .losses import _PAIRWISE_KERNELS, AlignmentKind, _contrastive
+from .losses import _PAIRWISE_KERNELS, _UNIT_ROW_LOSSES, AlignmentKind, _contrastive
 from .models import (
     ArchitectureSpec,
     ClientModel,
@@ -38,7 +39,7 @@ from .models import (
     check_batch,
     replicate,
 )
-from .tensor import _kept, as_matrix, check_labels
+from .tensor import _kept, _unit_rows, as_matrix, check_labels
 
 logger = logging.getLogger(__name__)
 
@@ -72,10 +73,12 @@ class PrototypeSet:
     vectors: np.ndarray  # (C, d) or (R, C, d) float64
     counts: np.ndarray  # (C,) int64
     present: np.ndarray = field(init=False, repr=False)  # (C,) bool
-    # the present rows stacked in class order, and each class's row in it
-    # (-1 when absent); built once here so a training step only indexes
+    # the present rows in class order, each class's row in them (-1 when
+    # absent), and their unit rows and norms; built once so a step only indexes
     rows: np.ndarray = field(init=False, repr=False)
     slot: np.ndarray = field(init=False, repr=False)
+    unit: np.ndarray = field(init=False, repr=False)
+    norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         vectors = np.array(self.vectors, dtype=np.float64)
@@ -94,8 +97,11 @@ class PrototypeSet:
         vectors[..., ~present, :] = 0.0
         slot = np.cumsum(present) - 1
         slot[~present] = -1
+        rows = vectors[..., present, :]
+        with np.errstate(over="ignore"):  # a huge row's norm is inf, its unit row zero
+            unit, norms = _unit_rows(rows)
         for name, value in (("vectors", vectors), ("counts", counts), ("present", present),
-                            ("rows", vectors[..., present, :]), ("slot", slot)):
+                            ("rows", rows), ("slot", slot), ("unit", unit), ("norms", norms)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -215,6 +221,12 @@ def fixed_hypersphere_prototypes(num_classes: int, dim: int, seed) -> PrototypeS
     return PrototypeSet(x, np.ones(num_classes, dtype=np.int64))
 
 
+@functools.lru_cache(maxsize=16)
+def _anchors(num_classes: int, dim: int, seed: int) -> PrototypeSet:
+    """A run's fixed_hypersphere anchors, made once per process: the set is immutable."""
+    return fixed_hypersphere_prototypes(num_classes, dim, np.random.SeedSequence([seed, 4]))
+
+
 @dataclass(frozen=True)
 class RoundConfig:
     """Hyper-parameters of the local objective and round scheduling."""
@@ -261,71 +273,32 @@ class LossBreakdown:
 # The training step below runs every slice of a stack at once: the R
 # replicas of a lockstep run, for each of K clients.  Each client's alignment
 # terms are computed over its own R replica slices; there each term's kernel
-# sees only the replicas that weight it (> 0), grouped by loss kind, and
+# sees only the replicas that weight it (> 0), one slice per loss kind, and
 # reports the replicas it must skip (see tensor.py), whose value then reads 0
 # and whose gradient is left out, exactly as in a run of one.
 
 
-def _align(kind, rows, classes, protos, replicas):
-    """Each replica's loss of `rows` (R, m, d) against the global prototypes
-    of their `classes` (m,), `replicas` indexing the stack of `protos`:
-    (values (R,), grad w.r.t. the rows or None, why)."""
-    if kind.name == "contrastive":
-        parts, why = _contrastive(rows, protos.rows[replicas], protos.slot[classes],
-                                  kind.temperature)
-        return parts.total.value, parts.total.grad, why
-    if kind.is_structural and rows.shape[1] < MIN_STRUCTURAL_ROWS:
-        why = np.full(rows.shape[0], f"{rows.shape[1]} rows < {MIN_STRUCTURAL_ROWS}", dtype=object)
-        return np.zeros(rows.shape[0]), None, why
-    return _PAIRWISE_KERNELS[kind.name](rows, protos.vectors[replicas].take(classes, axis=1))
-
-
-def _proto_term(kind, means, counts, labels, protos, replicas):
-    """Prototype-level loss of each replica's batch prototypes (`means`
-    (R, C, d) and `counts`, from _class_means) against its global
-    prototypes, and the gradient w.r.t. the batch embeddings: (values (R,),
-    grad or None, why).  Classes missing from the global set are excluded."""
-    common = np.flatnonzero((counts >= 1) & protos.present)
-    if common.size == 0:
-        return np.zeros(means.shape[0]), None, _kept(means.shape[0])
-    values, grad_local, why = _align(kind, means.take(common, axis=1), common, protos, replicas)
-    if grad_local is None:
-        return values, None, why
-    # batch prototype of class c is the mean of its members, so each member
-    # receives grad_row(c) / count(c)
-    per_class = np.zeros(means.shape)
-    per_class[:, common] = grad_local / counts[common][:, None]
-    return values, per_class[:, labels], why
-
-
-def _instance_term(kind, emb, labels, protos, replicas):
-    """Instance-level loss and gradient of each replica of `emb` (R, n, d):
-    embeddings vs own-class prototypes."""
-    known = protos.present[labels]
-    every = known.all()
-    if not (every or known.any()):
-        return np.zeros(emb.shape[0]), None, _kept(emb.shape[0])
-    sub, sub_labels = (emb, labels) if every else (emb.compress(known, axis=1), labels[known])
-    values, grad_sub, why = _align(kind, sub, sub_labels, protos, replicas)
-    if every or grad_sub is None:
-        return values, grad_sub, why
-    grad_emb = np.zeros_like(emb)
-    grad_emb[:, known] = grad_sub
-    return values, grad_emb, why
+def _positions(pos) -> slice | np.ndarray:
+    """Ascending stack positions, as a slice (indexing gives a view) when contiguous."""
+    return slice(pos[0], pos[-1] + 1) if pos[-1] - pos[0] + 1 == len(pos) else np.array(pos)
 
 
 def _objective(cfgs: list[RoundConfig]) -> tuple[np.ndarray, list]:
-    """The (2, R) lam and gamma of each replica of a stack, and the groups
-    [(term, kind, replica positions)] of the replicas that weight a term
-    (> 0) with one loss kind: term 0 (proto) before term 1 (inst), kinds in
-    first-seen order, which fixes the order of the gradient sums."""
+    """The (2, R) lam and gamma of each replica of a stack, and per term that
+    some replica weights (> 0), term 0 (proto) before term 1 (inst): (term,
+    the replicas that weight it, their _positions, [(kind, its replicas'
+    _positions among them)]), kinds in first-seen order."""
     weights = np.array([[c.lam for c in cfgs], [c.gamma for c in cfgs]], dtype=np.float64)
-    groups: dict[tuple[int, AlignmentKind], list[int]] = {}
+    plan = []
     for term, row in enumerate(weights):
-        for pos, (c, w) in enumerate(zip(cfgs, row)):
-            if w > 0:
-                groups.setdefault((term, c.alignment), []).append(pos)
-    return weights, [(term, kind, np.array(pos)) for (term, kind), pos in groups.items()]
+        weighted = np.flatnonzero(row > 0)
+        kinds: dict[AlignmentKind, list[int]] = {}
+        for k, pos in enumerate(weighted.tolist()):
+            kinds.setdefault(cfgs[pos].alignment, []).append(k)
+        if weighted.size:
+            plan.append((term, weighted, _positions(weighted.tolist()),
+                         [(kind, _positions(ks)) for kind, ks in kinds.items()]))
+    return weights, plan
 
 
 def _per_slice(per_client: np.ndarray, replicas: int) -> np.ndarray:
@@ -345,29 +318,76 @@ def _align_client(emb, labels, protos, objective, terms, grad_emb, skipped) -> N
     """One client's alignment terms over its R replica slices `emb` (R, n, d)
     and their `labels` (n,): records each replica's proto and inst values in
     `terms` (2, R), adds their weighted gradients into `grad_emb` and counts
-    the skips in `skipped`."""
-    weights, groups = objective
+    the skips in `skipped`.  One pass per term: its rows, their global
+    targets and their unit rows are made once for the U replicas that weight
+    it, and each kind's kernel runs on its slice of them."""
+    weights, plan = objective
     if logger.isEnabledFor(logging.DEBUG):
         missing = sorted(set(labels.tolist()) - set(protos.classes()))
         if missing:
             logger.debug("classes %s missing from global set; excluded from alignment", missing)
-    if groups[0][0] == 0:  # a proto group, so the batch prototypes are needed
-        means, counts = _class_means(emb, labels, protos.num_classes)
-    for term, kind, positions in groups:
-        if term == 0:
-            got, grad, why = _proto_term(kind, means[positions], counts, labels, protos, positions)
-        else:
-            got, grad, why = _instance_term(kind, emb[positions], labels, protos, positions)
-        # record the values and add the weighted gradient of the group's
-        # replicas that did not skip the term
+    for term, positions, select, kinds in plan:
+        if term == 0:  # the batch prototypes of the classes the global set has
+            means, counts = _class_means(emb[select], labels, protos.num_classes)
+            classes = np.flatnonzero((counts >= 1) & protos.present)
+            if classes.size == 0:
+                continue
+            rows = means.take(classes, axis=1)
+        else:  # the embeddings whose class the global set has
+            known = protos.present[labels]
+            every = known.all()
+            if not (every or known.any()):
+                continue
+            rows, classes = ((emb[select], labels) if every
+                             else (emb[select].compress(known, axis=1), labels[known]))
+        names, slots = {kind.name for kind, _ in kinds}, protos.slot[classes]
+        first = _unit_rows(rows) if names & _UNIT_ROW_LOSSES else None
+        second = (tuple(a[select].take(slots, axis=1) for a in (protos.unit, protos.norms))
+                  if names & {"cosine", "rcsa"} else None)
+        matrix = protos.vectors[select].take(classes, axis=1) if names & {"mse", "gcsa"} else None
+        values, why = np.zeros(rows.shape[0]), _kept(rows.shape[0])
+        grad = np.zeros(rows.shape) if len(kinds) > 1 else None
+        for kind, local in kinds:
+            if kind.name == "contrastive":
+                parts, got_why = _contrastive(first[0][local], first[1][local], *(
+                    a[select][local] for a in (protos.unit, protos.norms)), slots, kind.temperature)
+                got, got_grad = parts.total.value, parts.total.grad
+            elif kind.is_structural and rows.shape[1] < MIN_STRUCTURAL_ROWS:
+                got, got_grad, got_why = 0.0, None, f"{len(classes)} rows < {MIN_STRUCTURAL_ROWS}"
+            elif kind.name in _UNIT_ROW_LOSSES:
+                got, got_grad, got_why = _PAIRWISE_KERNELS[kind.name](
+                    first[0][local], first[1][local], second[0][local], second[1][local])
+            else:
+                got, got_grad, got_why = _PAIRWISE_KERNELS[kind.name](rows[local], matrix[local])
+            values[local], why[local] = got, got_why
+            if len(kinds) == 1:
+                grad = got_grad
+            elif got_grad is not None:
+                grad[local] = got_grad
         done = why == ""
         if not done.all():
-            for reason in why[~done]:
-                logger.debug("%s term of %s skipped: %s", LOSS_TERMS[1 + term], kind.name, reason)
+            for kind, local in kinds:
+                for reason in why[local][~done[local]]:
+                    logger.debug("%s term of %s skipped: %s", LOSS_TERMS[1 + term], kind.name,
+                                 reason)
             skipped[positions[~done]] += 1
         ok = positions[done]
-        terms[term, ok] = got[done]
-        if grad is not None:
+        terms[term, ok] = values[done]
+        if grad is None:
+            continue
+        if term == 0:
+            # batch prototype of class c is the mean of its members, so each
+            # member receives grad_row(c) / count(c)
+            per_class = np.zeros(means.shape)
+            per_class[:, classes] = grad / counts[classes][:, None]
+            grad = per_class[:, labels]
+        elif not every:
+            full = np.zeros((grad.shape[0],) + emb.shape[1:])
+            full[:, known] = grad
+            grad = full
+        if done.all():
+            grad_emb[select] += weights[term, select, None, None] * grad
+        else:
             grad_emb[ok] += weights[term, ok, None, None] * grad[done]
 
 
@@ -382,7 +402,7 @@ def _train_step(model, batch, labels, protos, objective, learning_rate):
     parameter gradient is non-finite fails with ReplicaFailure, before any
     slice's parameters change.
     """
-    weights, groups = objective
+    weights, plan = objective
     clients, replicas = labels.shape[0], weights.shape[1]
     emb, logits, layers = _forward(model, _per_slice(batch, replicas))
     sup, grad_logits = _softmax_cross_entropy(logits, _per_slice(labels, replicas))
@@ -394,7 +414,7 @@ def _train_step(model, batch, labels, protos, objective, learning_rate):
     # the non-finite check on the totals below turns that into a clean
     # NumericFailureError, so the IEEE warnings along the way are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
-        if groups and protos is not None and not protos.is_empty:
+        if plan and protos is not None and not protos.is_empty:
             for k in range(clients):
                 span = slice(k * replicas, (k + 1) * replicas)
                 _align_client(emb[span], labels[k], protos, objective, terms[1:3, span],
@@ -820,9 +840,7 @@ def run_experiments(
               for i in range(1 if scenario == "homo_shared" else n_clients)]
 
     if cfg.prototype_mode == "fixed_hypersphere":
-        anchors = fixed_hypersphere_prototypes(
-            num_classes, feature_dim, np.random.SeedSequence([seed, 4])
-        )
+        anchors = _anchors(num_classes, feature_dim, seed)
         global_protos = PrototypeSet(np.repeat(anchors.vectors[None], copies, axis=0),
                                      anchors.counts)
     else:

@@ -13,6 +13,7 @@ by hand and validated against central differences in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateInputError
 from .tensor import (
+    _check_norms,
     _kept,
     _raise_skip,
     _unit_rows,
@@ -40,6 +42,7 @@ RDM_DEGENERATE_TOL = 1e-12
 STRUCTURAL_LOSSES = ("gcsa", "rcsa")
 PAIRWISE_LOSSES = ("mse", "cosine") + STRUCTURAL_LOSSES
 KNOWN_LOSSES = PAIRWISE_LOSSES + ("contrastive",)
+_UNIT_ROW_LOSSES = frozenset(("cosine", "rcsa", "contrastive"))  # see the kernels below
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,8 @@ def _check_pair(a, b, same_cols: bool):
 # on stacks): numpy sums a row pairwise only where it is contiguous, and BLAS
 # takes another path for strided vectors, so a replica of a strided stack
 # could round differently from its run alone.
+# The kernels of _UNIT_ROW_LOSSES take each side as its unit rows and norms
+# (tensor._unit_rows) instead, so that a side normalised once serves several.
 # It returns (values (R,), grad (R, n, d), why), with why the reason array of
 # tensor.py: the training loop skips each replica whose value or gradient is
 # undefined, and the public losses raise its reason as DegenerateInputError.
@@ -152,13 +157,13 @@ def loss_cosine(a, b) -> LossValue:
     return pairwise_loss("cosine", a, b)
 
 
-def _cosine(a, b):
-    why = _kept(a.shape[0])
-    ah, na = _unit_rows(a, why, "first matrix")
-    bh, _ = _unit_rows(b, why, "second matrix")
+def _cosine(ah, na, bh, nb):
+    why = _kept(ah.shape[0])
+    _check_norms(na, why, "first matrix")
+    _check_norms(nb, why, "second matrix")
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = np.sum(ah * bh, axis=2)
-        n = a.shape[1]
+        n = ah.shape[1]
         values = (1.0 - cos).sum(axis=1) / n  # the mean, without its dispatch
         # d(1 - cos_i)/da_i = -(b^_i - cos_i a^_i)/||a_i||
         grad = -(bh - cos[:, :, None] * ah) / (n * na[:, :, None])
@@ -247,13 +252,22 @@ def loss_rcsa(p, q) -> LossValue:
     return pairwise_loss("rcsa", p, q)
 
 
-def _rcsa(p, q):
-    n = p.shape[1]
-    why = _kept(p.shape[0])
-    ph, pn = _unit_rows(p, why, "first matrix")
-    qh, _ = _unit_rows(q, why, "second matrix")
-    iu = np.triu_indices(n, k=1)
-    upper = iu[0] * n + iu[1]
+@functools.lru_cache(maxsize=64)
+def _pair_tables(n: int) -> tuple[np.ndarray, ...]:
+    """RCSA's read-only tables for n rows: each pair i < j's row, column, flat index; arange(n)."""
+    rows, cols = np.triu_indices(n, k=1)
+    tables = (rows, cols, rows * n + cols, np.arange(n))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _rcsa(ph, pn, qh, qn):
+    replicas, n = ph.shape[:2]
+    why = _kept(replicas)
+    _check_norms(pn, why, "first matrix")
+    _check_norms(qn, why, "second matrix")
+    rows, cols, upper, diagonal = _pair_tables(n)
 
     def descriptor(mh):
         d = 2.0 - 2.0 * (mh @ mh.swapaxes(1, 2))
@@ -263,7 +277,6 @@ def _rcsa(p, q):
     with np.errstate(divide="ignore", invalid="ignore"):
         u = descriptor(ph)
         v = descriptor(qh)
-        replicas = p.shape[0]
         values, coef_u, coef_v = [0.0] * replicas, [0.0] * replicas, [1.0] * replicas
         for r, (nu, nv, cu) in enumerate(zip(np.sqrt(_sum_sq(u)).tolist(),
                                              np.sqrt(_sum_sq(v)).tolist(),
@@ -280,12 +293,12 @@ def _rcsa(p, q):
                 coef_v[r] = nu * nv
         # dL/du, scattered back into a symmetric weight matrix over pairs
         du = np.array(coef_u)[:, None] * u - v / np.array(coef_v)[:, None]
-        w = np.zeros((p.shape[0], n, n))
-        w[:, iu[0], iu[1]] = du
+        w = np.zeros((replicas, n, n))
+        w[:, rows, cols] = du
         w = w + w.swapaxes(1, 2)
         # d u_ij / d ph_i = 2 (ph_i - ph_j)  =>  grad wrt ph = 2 (diag(W 1) - W) ph
         lap = np.zeros_like(w)
-        lap[:, np.arange(n), np.arange(n)] = w.sum(axis=2)
+        lap[:, diagonal, diagonal] = w.sum(axis=2)
         lap -= w
         grad_ph = 2.0 * (lap @ ph)
         # pull back through row normalization: project out the radial component
@@ -312,19 +325,20 @@ def loss_contrastive(z, prototypes, labels, temperature: float) -> ContrastivePa
     if not (temperature > 0.0) or not np.isfinite(temperature):
         raise ContractError(f"temperature must be positive and finite, got {temperature!r}")
     labels = check_labels(labels, z.shape[0], prototypes.shape[0])
-    parts, why = _contrastive(z[None], prototypes[None], labels, temperature)
+    parts, why = _contrastive(*_unit_rows(z[None]), *_unit_rows(prototypes[None]), labels,
+                              temperature)
     _raise_skip(why)
     return ContrastiveParts(*(LossValue(float(part.value[0]), part.grad[0])
                               for part in (parts.total, parts.alignment, parts.uniformity)))
 
 
-def _contrastive(z, prototypes, labels, temperature: float):
+def _contrastive(zh, nz, ph, pn, labels, temperature: float):
     """ContrastiveParts of (R,) values and (R, n, d) gradients, and the reasons."""
-    why = _kept(z.shape[0])
-    zh, nz = _unit_rows(z, why, "embedding")
-    ph, _ = _unit_rows(prototypes, why, "prototypes")
+    why = _kept(zh.shape[0])
+    _check_norms(nz, why, "embedding")
+    _check_norms(pn, why, "prototypes")
 
-    n = z.shape[1]
+    n = zh.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = zh @ ph.swapaxes(1, 2)  # (R, n, c) cosines in [-1, 1]
         scaled = sims / temperature
@@ -372,7 +386,9 @@ def pairwise_loss(kind: AlignmentKind | str, a, b) -> LossValue:
     a, b = _check_pair(a, b, same_cols=name not in STRUCTURAL_LOSSES)
     if name in STRUCTURAL_LOSSES and a.shape[0] < 2:
         raise DegenerateInputError(f"need >= 2 rows, got {a.shape[0]}")
-    values, grad, why = _PAIRWISE_KERNELS[name](a[None], b[None])
+    sides = ((a[None], b[None]) if name not in _UNIT_ROW_LOSSES
+             else _unit_rows(a[None]) + _unit_rows(b[None]))
+    values, grad, why = _PAIRWISE_KERNELS[name](*sides)
     _raise_skip(why)
     return LossValue(float(values[0]), grad[0])
 

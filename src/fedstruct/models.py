@@ -268,19 +268,21 @@ def _backward_and_step(
 ) -> ClientModel:
     embeddings = layer_inputs[-1]
     grads = []
-    gcw = embeddings.swapaxes(-1, -2) @ grad_logits
-    gcb = grad_logits.sum(axis=1)
-    g = grad_embeddings
-    for i in range(len(model.extractor) - 1, -1, -1):
-        layer = model.extractor[i]
-        out = layer_inputs[i + 1]
-        if layer.activation == "tanh":
-            g = g * (1.0 - out * out)
-        gw = layer_inputs[i].swapaxes(-1, -2) @ g
-        gb = g.sum(axis=1)
-        grads.append((i, gw, gb))
-        if i > 0:
-            g = g @ layer.weights.swapaxes(-1, -2)
+    # an overflow fails its slice in the non-finite check below, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        gcw = embeddings.swapaxes(-1, -2) @ grad_logits
+        gcb = grad_logits.sum(axis=1)
+        g = grad_embeddings
+        for i in range(len(model.extractor) - 1, -1, -1):
+            layer = model.extractor[i]
+            out = layer_inputs[i + 1]
+            if layer.activation == "tanh":
+                g = g * (1.0 - out * out)
+            gw = layer_inputs[i].swapaxes(-1, -2) @ g
+            gb = g.sum(axis=1)
+            grads.append((i, gw, gb))
+            if i > 0:
+                g = g @ layer.weights.swapaxes(-1, -2)
 
     _check_finite([gcw, gcb] + [x for _, gw, gb in grads for x in (gw, gb)],
                   "non-finite parameter gradient; step aborted")

@@ -47,7 +47,8 @@ def check_labels(labels, n: int, num_classes: int) -> np.ndarray:
 def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Scale each row to unit l2 norm; zero rows are rejected."""
     why = _kept(1)
-    unit, _ = _unit_rows(as_matrix(m, name)[None], why, name)
+    unit, norms = _unit_rows(as_matrix(m, name)[None])
+    _check_norms(norms, why, name)
     _raise_skip(why)
     return unit[0]
 
@@ -72,17 +73,20 @@ def _raise_skip(why: np.ndarray) -> None:
         raise DegenerateInputError(why[0])
 
 
-def _unit_rows(m: np.ndarray, why: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a finite (R, n, d) stack scaled to unit l2 norm, and the
-    (R, n) norms; a replica not yet skipped that holds a row of norm <=
-    EPS_NORM is skipped, with the reason of its first such row."""
-    norms = np.linalg.norm(m, axis=2)
+def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a finite (..., n, d) stack scaled to unit l2 norm, and the
+    (..., n) norms; see _check_norms for the rows whose unit row is undefined."""
+    norms = np.linalg.norm(m, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return m / norms[..., None], norms
+
+
+def _check_norms(norms: np.ndarray, why: np.ndarray, name: str) -> None:
+    """Skip each replica not yet skipped with a row norm <= EPS_NORM, naming its first such row."""
     short = norms <= EPS_NORM
-    for r in np.flatnonzero(short.any(axis=1) & (why == "")):
+    for r in np.flatnonzero(short.any(axis=1) & (why == "")) if short.any() else ():
         k = int(np.argmax(short[r]))
         why[r] = f"{name} row {k} has norm {norms[r, k]:.3e} <= {EPS_NORM}"
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return m / norms[:, :, None], norms
 
 
 @dataclass(frozen=True)

@@ -547,7 +547,6 @@ def config_payloads(draw):
     return corrupted, payload
 
 
-@pytest.mark.slow
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(config_payloads())

@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from fedstruct import federation
 from fedstruct.config import ExperimentConfig, ModelConfig, round_config
 from fedstruct.data import DatasetShard, generate_mixture, partition_dirichlet
 from fedstruct.errors import ContractError, NumericFailureError
@@ -127,6 +128,14 @@ class TestPrototypeSet:
         assert ps.vectors[0, 0] == 1.0
         with pytest.raises(ValueError):
             ps.vectors[0, 0] = 5.0
+
+    def test_unit_rows_of_the_present_rows_are_read_only(self):
+        ps = PrototypeSet([[3.0, 4.0], [7.0, 7.0], [0.0, 2.0]], [1, 0, 2])
+        np.testing.assert_array_equal(ps.unit, [[0.6, 0.8], [0.0, 1.0]])
+        np.testing.assert_array_equal(ps.norms, [5.0, 2.0])
+        for cache in (ps.unit, ps.norms):
+            with pytest.raises(ValueError):
+                cache[0] = 1.0
 
 
 class TestBatchPrototypes:
@@ -281,6 +290,23 @@ class TestFixedHypersphere:
         b = fixed_hypersphere_prototypes(5, 4, seed=3).vectors
         np.testing.assert_array_equal(a, b)
 
+    def test_runs_share_one_anchor_set_per_process(self, monkeypatch):
+        computed, got = [], []
+        spread, anchors = federation.fixed_hypersphere_prototypes, federation._anchors
+        monkeypatch.setattr(federation, "fixed_hypersphere_prototypes",
+                            lambda *args: computed.append(args) or spread(*args))
+        monkeypatch.setattr(federation, "_anchors",
+                            lambda *args: got.append(anchors(*args)) or got[-1])
+        anchors.cache_clear()
+        shard = _shard_from(generate_mixture(3, 5, 12, 1.0, 0.5, seed=30))
+        for _ in range(2):
+            run_experiment([shard], [ArchitectureSpec((), 4)],
+                           _cfg(prototype_mode="fixed_hypersphere"), rounds=1, seed=31,
+                           num_classes=3)
+        assert len(computed) == 1 and got[0] is got[1]
+        fresh = spread(3, 4, np.random.SeedSequence([31, 4]))
+        np.testing.assert_array_equal(got[0].vectors, fresh.vectors)
+
 
 class TestRoundConfig:
     def test_rejects_negative_weights(self):
@@ -381,6 +407,25 @@ class TestLocalTrainStep:
         assert br.skipped_structural == 2
         assert "proto term of gcsa skipped: 1 rows < 3" in caplog.messages
         assert "inst term of gcsa skipped: 2 rows < 3" in caplog.messages
+
+    @pytest.mark.parametrize("loss, reason", [
+        ("cosine", "second matrix row 1 has norm 0.000e+00 <= 1e-12"),
+        ("rcsa", "second matrix row 1 has norm 0.000e+00 <= 1e-12"),
+        ("contrastive", "prototypes row 1 has norm 0.000e+00 <= 1e-12"),
+    ])
+    def test_zero_aggregated_prototype_skip_names_its_row(self, caplog, loss, reason):
+        batch, _ = self._batch(seed=32, n=9)
+        labels = np.array([0, 1, 2] * 3)
+        model = build_model(ArchitectureSpec((6,), 4), 5, 3, seed=33)
+        vectors = np.random.default_rng(34).standard_normal((3, 4))
+        # two uploads whose class-1 prototypes cancel in the weighted mean
+        protos = aggregate_prototypes([PrototypeSet(vectors, [2, 3, 2]),
+                                       PrototypeSet(vectors * [[1.0], [-1.0], [1.0]], [2, 3, 2])])
+        assert protos.norms[1] == 0.0
+        with caplog.at_level(logging.DEBUG, logger="fedstruct.federation"):
+            _, br = local_train_step(model, batch, labels, protos, _cfg(alignment=_kind(loss)))
+        assert br.skipped_structural == 2 and br.proto == br.inst == 0.0
+        assert f"proto term of {loss} skipped: {reason}" in caplog.messages
 
     @pytest.mark.parametrize("loss", KNOWN_LOSSES)
     def test_no_batch_class_in_global_set_is_a_supervised_step(self, loss):

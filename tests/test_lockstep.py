@@ -41,6 +41,7 @@ from fedstruct.federation import (
 from fedstruct.losses import (
     KNOWN_LOSSES,
     _PAIRWISE_KERNELS,
+    _UNIT_ROW_LOSSES,
     AlignmentKind,
     _contrastive,
     loss_contrastive,
@@ -58,6 +59,7 @@ from fedstruct.models import (
     replicate,
 )
 from fedstruct.data import DatasetShard
+from fedstruct.tensor import _unit_rows
 from fedstruct.runner import build_shards, run_scenario, run_scenarios, write_rounds_jsonl
 
 # the README's demo.json at seed 1, and test_cli's TINY and UNSTABLE configs
@@ -244,7 +246,7 @@ DIVERGING = [
     ({**TINY, "partition": {"scheme": "domain_shift", "clients": 4},
       "training": {**TINY["training"], "learning_rate": 1e-300}},
      [("mse", 0.0, 0.0), ("mse", 2e307, 0.0), ("contrastive", 5e307, 0.0),
-      ("contrastive", 1e308, 0.0)]),
+      ("contrastive", 1e308, 0.0), ("cosine", 1e308, 0.0), ("mse", 1e308, 0.0)]),
     ({**OVERFLOWING, "dataset": {**OVERFLOWING["dataset"], "separation": 6e307},
       "partition": {"scheme": "domain_shift", "clients": 4, "shift_scale": 0.0}},
      [("mse", 0.0, 0.0), ("gcsa", 0.0, 0.0)]),
@@ -418,7 +420,8 @@ def test_pairwise_kernels_equal_their_slices(name):
         a, b = _stacks(rng, n=int(rng.integers(3, 33)), d=int(rng.integers(2, 17)))
         if name in ("mse", "cosine"):
             a[1, 2] = 0.0  # a zero row: the only degenerate input of cosine
-        values, grad, why = _PAIRWISE_KERNELS[name](a, b)
+        sides = _unit_rows(a) + _unit_rows(b) if name in _UNIT_ROW_LOSSES else (a, b)
+        values, grad, why = _PAIRWISE_KERNELS[name](*sides)
         for r, want in enumerate(_slice_wise(lambda x, y: pairwise_loss(name, x, y), a, b)):
             if isinstance(want, str):
                 assert why[r] == want
@@ -439,7 +442,7 @@ def test_contrastive_kernel_equals_its_slices():
         z[1, 0] = 0.0  # a zero embedding: replica 1 alone skips
         protos = rng.standard_normal((R, c, 4))
         labels = rng.integers(0, c, n)
-        parts, why = _contrastive(z, protos, labels, 0.5)
+        parts, why = _contrastive(*_unit_rows(z), *_unit_rows(protos), labels, 0.5)
         assert np.flatnonzero(why != "").tolist() == [1]
         slices = _slice_wise(lambda x, p: loss_contrastive(x, p, labels, 0.5), z, protos)
         for r, want in enumerate(slices):
@@ -528,3 +531,64 @@ def test_prototype_kernels_equal_their_slices():
             assert np.array_equal(merged.vectors[r], solo.vectors)
             assert np.array_equal(merged.rows[r], solo.rows)
             assert np.array_equal(merged.counts, solo.counts)
+
+
+def _stack_models(models):
+    """One stack of the one-replica `models`, in order."""
+    return models[0].with_arrays([np.stack(arrays) for arrays in zip(*(m.arrays() for m in models))])
+
+
+def test_mixed_kind_steps_equal_their_stacks_of_one(monkeypatch):
+    # derandomized stacks that mix all five kinds under random weights, some
+    # 0; in each, one replica's embedding row and another replica's global
+    # prototype are zero, a class is absent from the global set, and every
+    # third batch has fewer than 3 classes
+    grads = []
+    step = federation._backward_and_step
+
+    def recorded(model, layers, grad_logits, grad_emb, learning_rate):
+        grads.append(grad_emb.copy())
+        return step(model, layers, grad_logits, grad_emb, learning_rate)
+
+    monkeypatch.setattr(federation, "_backward_and_step", recorded)
+    rng = np.random.default_rng(17)
+    spec, c, replicas = ArchitectureSpec((6,), 4), 4, 8
+    skips = 0
+    for trial in range(12):
+        clients, n = 1 + trial % 2, int(rng.integers(6, 17))
+        kinds = list(KNOWN_LOSSES) + rng.choice(KNOWN_LOSSES, replicas - 5).tolist()
+        rng.shuffle(kinds)
+        lams, gammas = rng.choice([0.0, 0.4, 1.0, 2.5], size=(2, replicas)).tolist()
+        cfgs = [RoundConfig(alignment=KNOWN_KINDS[k], lam=lam, gamma=gamma)
+                for k, lam, gamma in zip(kinds, lams, gammas)]
+        seeds = rng.integers(0, 2**32, clients * replicas).tolist()
+        models = [build_model(spec, 5, c, seed=s) for s in seeds]
+        zero_emb = int(rng.integers(clients * replicas))
+        for layer in models[zero_emb].extractor:
+            layer.bias[:] = 0.0
+        batch = rng.standard_normal((clients, n, 5))
+        batch[:, 0] = 0.0  # the zero-bias slice's embedding row 0 is zero
+        labels = rng.integers(0, 2 if trial % 3 == 0 else c, (clients, n))
+        counts = rng.integers(1, 4, c)
+        counts[rng.integers(c)] = 0
+        vectors = rng.standard_normal((replicas, c, 4))
+        vectors[rng.integers(replicas), labels[0, 1]] = 0.0
+        protos = PrototypeSet(vectors, counts)
+        stack = _stack_models(models)
+        grads.clear()
+        terms, skipped = federation._train_step(stack, batch, labels, protos,
+                                                federation._objective(cfgs), 0.1)
+        stacked_grad = grads[0]
+        for s, model in enumerate(models):
+            k, r = divmod(s, replicas)
+            grads.clear()
+            solo = _stack_models([model])
+            got, solo_skipped = federation._train_step(
+                solo, batch[k:k + 1], labels[k:k + 1], PrototypeSet(vectors[r:r + 1], counts),
+                federation._objective([cfgs[r]]), 0.1)
+            assert np.array_equal(terms[s], got[0]) and skipped[s] == solo_skipped[0]
+            assert np.array_equal(stacked_grad[s], grads[0][0])
+            assert all(np.array_equal(a[s], b[0]) for a, b in zip(stack.arrays(), solo.arrays()))
+        skips += int(skipped.sum())
+    assert skips > 0
+

@@ -6,6 +6,7 @@ import pytest
 from fedstruct.errors import ContractError, DegenerateInputError
 from fedstruct.losses import (
     AlignmentKind,
+    _pair_tables,
     check_gradient,
     loss_contrastive,
     loss_cosine,
@@ -302,3 +303,17 @@ def test_degenerate_input_messages(call, message):
     with pytest.raises(DegenerateInputError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_rcsa_pair_tables_are_cached_and_read_only():
+    tables = _pair_tables(5)
+    assert _pair_tables(5) is tables
+    rows, cols, upper, diagonal = tables
+    want_rows, want_cols = np.triu_indices(5, k=1)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    assert np.array_equal(upper, want_rows * 5 + want_cols)
+    assert np.array_equal(diagonal, np.arange(5))
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 1
+
