@@ -26,7 +26,8 @@ import numpy as np
 
 from .analysis import effective_dimensionality, write_csv
 from .errors import ContractError, DegenerateInputError, NumericFailureError, ReplicaFailure
-from .losses import _PAIRWISE_KERNELS, _UNIT_ROW_LOSSES, AlignmentKind, _contrastive
+from .losses import (_PAIRED_RAW_LOSSES, _PAIRED_UNIT_LOSSES, _PAIRWISE_KERNELS,
+                     _UNIT_ROW_LOSSES, AlignmentKind, _contrastive)
 from .models import (
     ArchitectureSpec,
     ClientModel,
@@ -98,8 +99,7 @@ class PrototypeSet:
         slot = np.cumsum(present) - 1
         slot[~present] = -1
         rows = vectors[..., present, :]
-        with np.errstate(over="ignore"):  # a huge row's norm is inf, its unit row zero
-            unit, norms = _unit_rows(rows)
+        unit, norms = _unit_rows(rows)
         for name, value in (("vectors", vectors), ("counts", counts), ("present", present),
                             ("rows", rows), ("slot", slot), ("unit", unit), ("norms", norms)):
             value.setflags(write=False)
@@ -287,7 +287,9 @@ def _objective(cfgs: list[RoundConfig]) -> tuple[np.ndarray, list]:
     """The (2, R) lam and gamma of each replica of a stack, and per term that
     some replica weights (> 0), term 0 (proto) before term 1 (inst): (term,
     the replicas that weight it, their _positions, [(kind, its replicas'
-    _positions among them)]), kinds in first-seen order."""
+    _positions among them, its pairwise kernel or None for contrastive)],
+    which inputs its kinds take: (the rows' unit rows, their targets' unit
+    rows, their targets)), kinds in first-seen order."""
     weights = np.array([[c.lam for c in cfgs], [c.gamma for c in cfgs]], dtype=np.float64)
     plan = []
     for term, row in enumerate(weights):
@@ -296,8 +298,12 @@ def _objective(cfgs: list[RoundConfig]) -> tuple[np.ndarray, list]:
         for k, pos in enumerate(weighted.tolist()):
             kinds.setdefault(cfgs[pos].alignment, []).append(k)
         if weighted.size:
+            names = {kind.name for kind in kinds}
             plan.append((term, weighted, _positions(weighted.tolist()),
-                         [(kind, _positions(ks)) for kind, ks in kinds.items()]))
+                         [(kind, _positions(ks), _PAIRWISE_KERNELS.get(kind.name))
+                          for kind, ks in kinds.items()],
+                         [bool(names & group) for group in
+                          (_UNIT_ROW_LOSSES, _PAIRED_UNIT_LOSSES, _PAIRED_RAW_LOSSES)]))
     return weights, plan
 
 
@@ -326,7 +332,7 @@ def _align_client(emb, labels, protos, objective, terms, grad_emb, skipped) -> N
         missing = sorted(set(labels.tolist()) - set(protos.classes()))
         if missing:
             logger.debug("classes %s missing from global set; excluded from alignment", missing)
-    for term, positions, select, kinds in plan:
+    for term, positions, select, kinds, (unit, paired_unit, paired) in plan:
         if term == 0:  # the batch prototypes of the classes the global set has
             means, counts = _class_means(emb[select], labels, protos.num_classes)
             classes = np.flatnonzero((counts >= 1) & protos.present)
@@ -340,39 +346,43 @@ def _align_client(emb, labels, protos, objective, terms, grad_emb, skipped) -> N
                 continue
             rows, classes = ((emb[select], labels) if every
                              else (emb[select].compress(known, axis=1), labels[known]))
-        names, slots = {kind.name for kind, _ in kinds}, protos.slot[classes]
-        first = _unit_rows(rows) if names & _UNIT_ROW_LOSSES else None
+        slots = protos.slot[classes]
+        first = _unit_rows(rows) if unit else None
         second = (tuple(a[select].take(slots, axis=1) for a in (protos.unit, protos.norms))
-                  if names & {"cosine", "rcsa"} else None)
-        matrix = protos.vectors[select].take(classes, axis=1) if names & {"mse", "gcsa"} else None
-        values, why = np.zeros(rows.shape[0]), _kept(rows.shape[0])
-        grad = np.zeros(rows.shape) if len(kinds) > 1 else None
-        for kind, local in kinds:
-            if kind.name == "contrastive":
+                  if paired_unit else None)
+        matrix = protos.vectors[select].take(classes, axis=1) if paired else None
+        if len(kinds) > 1:  # one kind's kernel outputs serve its term as they are
+            values, why, grad = np.zeros(rows.shape[0]), _kept(rows.shape[0]), np.zeros(rows.shape)
+        for kind, local, kernel in kinds:
+            if kernel is None:
                 parts, got_why = _contrastive(first[0][local], first[1][local], *(
                     a[select][local] for a in (protos.unit, protos.norms)), slots, kind.temperature)
                 got, got_grad = parts.total.value, parts.total.grad
             elif kind.is_structural and rows.shape[1] < MIN_STRUCTURAL_ROWS:
-                got, got_grad, got_why = 0.0, None, f"{len(classes)} rows < {MIN_STRUCTURAL_ROWS}"
+                reason = f"{len(classes)} rows < {MIN_STRUCTURAL_ROWS}"
+                got_why = np.full(rows[local].shape[0], reason, dtype=object)
+                got, got_grad = np.zeros(got_why.shape), None
             elif kind.name in _UNIT_ROW_LOSSES:
-                got, got_grad, got_why = _PAIRWISE_KERNELS[kind.name](
-                    first[0][local], first[1][local], second[0][local], second[1][local])
+                got, got_grad, got_why = kernel(first[0][local], first[1][local],
+                                                second[0][local], second[1][local])
             else:
-                got, got_grad, got_why = _PAIRWISE_KERNELS[kind.name](rows[local], matrix[local])
-            values[local], why[local] = got, got_why
+                got, got_grad, got_why = kernel(rows[local], matrix[local])
             if len(kinds) == 1:
-                grad = got_grad
-            elif got_grad is not None:
-                grad[local] = got_grad
+                values, why, grad = got, got_why, got_grad
+            else:
+                values[local], why[local] = got, got_why
+                if got_grad is not None:
+                    grad[local] = got_grad
         done = why == ""
-        if not done.all():
-            for kind, local in kinds:
+        kept = done.all()
+        if not kept:
+            for kind, local, _ in kinds:
                 for reason in why[local][~done[local]]:
                     logger.debug("%s term of %s skipped: %s", LOSS_TERMS[1 + term], kind.name,
                                  reason)
             skipped[positions[~done]] += 1
-        ok = positions[done]
-        terms[term, ok] = values[done]
+        ok = select if kept else positions[done]
+        terms[term, ok] = values if kept else values[done]
         if grad is None:
             continue
         if term == 0:
@@ -385,10 +395,7 @@ def _align_client(emb, labels, protos, objective, terms, grad_emb, skipped) -> N
             full = np.zeros((grad.shape[0],) + emb.shape[1:])
             full[:, known] = grad
             grad = full
-        if done.all():
-            grad_emb[select] += weights[term, select, None, None] * grad
-        else:
-            grad_emb[ok] += weights[term, ok, None, None] * grad[done]
+        grad_emb[ok] += weights[term, ok, None, None] * (grad if kept else grad[done])
 
 
 def _train_step(model, batch, labels, protos, objective, learning_rate):
@@ -456,13 +463,10 @@ def local_train_step(
             f"global prototypes {global_protos.vectors.shape} do not match the model's "
             f"({model.num_classes}, {model.feature_dim})"
         )
-    stacked = None if global_protos is None else PrototypeSet(
-        global_protos.vectors[None], global_protos.counts
-    )
-    terms, skipped = _train_step(
-        _stack_of_one(model), batch[None], labels[None], stacked, _objective([cfg]),
-        cfg.learning_rate,
-    )
+    stacked = (None if global_protos is None
+               else PrototypeSet(global_protos.vectors[None], global_protos.counts))
+    terms, skipped = _train_step(_stack_of_one(model), batch[None], labels[None], stacked,
+                                 _objective([cfg]), cfg.learning_rate)
     return model, LossBreakdown(*terms[0].tolist(), int(skipped[0]))
 
 
@@ -589,36 +593,36 @@ class _Replicas:
 
     A round's phases stack clients too: the clients that share an
     architecture and a row count (of the rows the phase reads) run as one
-    K·R stack, client-major, never padded.  A replica failure inside a
-    stacked phase discards its stacks, and the phase replays one client at
-    a time in client order, so the failure reads as in a run of one."""
+    K·R stack, client-major, never padded: the phase trains or reads a copy
+    of its clients' stacks end to end, and after training each client keeps
+    its slice of the trained copy.  A replica failure inside a stacked phase
+    discards the copies, and the phase replays one client at a time in
+    client order, so the failure reads as in a run of one."""
 
-    def __init__(self, cfgs: list[RoundConfig], models: list[ClientModel], global_protos,
-                 shards, seed: int, archs: list[int], num_classes: int, feature_dim: int):
+    def __init__(self, shards, archs: list[ArchitectureSpec], cfgs: list[RoundConfig],
+                 seed: int, num_classes: int, scenario: str, input_dim: int):
         self.cfgs = cfgs
         self.live = list(range(len(cfgs)))  # the config index at each stack position
-        self.global_protos = global_protos
         self.errors: dict[int, NumericFailureError] = {}
         self.objective = _objective(cfgs)
-        self.shards, self.seed, self.archs = shards, seed, archs
-        # one model per client, or homo_shared's one model, which every
-        # client visits in turn
-        self.shared = len(models) < len(shards)
-        # one parameter table per architecture: the stacks of its clients'
-        # models, client-major; client i's R replicas are block self.rows[i]
-        # of table archs[i]
-        self.rows, members = [], {}
-        for i, a in enumerate(archs):
-            self.rows.append(0 if self.shared else len(members.setdefault(a, [])))
-            if i < len(models):
-                members.setdefault(a, []).append(replicate(models[i], len(cfgs)))
-        self.layout = {a: stacks[0] for a, stacks in members.items()}
-        self.params = {a: [np.concatenate(arrays) for arrays in zip(*(m.arrays() for m in stacks))]
-                       for a, stacks in members.items()}
-        # the stack keys: each client's architecture, with its train or test
-        # row count
-        self.train_keys = [(a, s.num_train) for a, s in zip(archs, shards)]
-        self.test_keys = [(a, s.test_labels.shape[0]) for a, s in zip(archs, shards)]
+        self.shards, self.seed = shards, seed
+        # homo_shared trains client 0's model, which every client visits in turn
+        self.shared = scenario == "homo_shared"
+        arch_of = [i % len(archs) if scenario == "hetero" else 0 for i in range(len(shards))]
+        # one stack of R replicas per model: models[i] is client i's, or
+        # under homo_shared models[0] is every client's
+        self.models = [replicate(build_model(archs[arch_of[i]], input_dim, num_classes,
+                                             np.random.SeedSequence([seed, 0, i])), len(cfgs))
+                       for i in range(1 if self.shared else len(shards))]
+        feature_dim = archs[0].feature_dim
+        self.global_protos = None  # no prototypes yet: round 0 runs supervised-only
+        if cfgs[0].prototype_mode == "fixed_hypersphere":
+            anchors = _anchors(num_classes, feature_dim, seed)
+            self.global_protos = PrototypeSet(np.repeat(anchors.vectors[None], len(cfgs), axis=0),
+                                              anchors.counts)
+        # the stack keys: each client's architecture and its train or test row count
+        self.train_keys = [(a, s.num_train) for a, s in zip(arch_of, shards)]
+        self.test_keys = [(a, s.test_labels.shape[0]) for a, s in zip(arch_of, shards)]
         # each client's latest upload, as _class_means returns it; a client
         # that has not uploaded yet has no present class
         self.latest = np.zeros((len(cfgs), len(shards), num_classes, feature_dim))
@@ -645,9 +649,7 @@ class _Replicas:
         for pos, message in failures.items():
             self.errors[self.live[pos]] = NumericFailureError(prefix + message)
         keep = [pos for pos in range(len(self.live)) if pos not in failures]
-        self.params = {a: [p.reshape(-1, len(self.live), *p.shape[1:])[:, keep]
-                           .reshape(-1, *p.shape[1:]) for p in table]
-                       for a, table in self.params.items()}
+        self.models = [m.map_arrays(lambda a: a[keep]) for m in self.models]
         self.live = [self.live[pos] for pos in keep]
         if self.global_protos is not None:
             self.global_protos = PrototypeSet(self.global_protos.vectors[keep],
@@ -656,20 +658,18 @@ class _Replicas:
         self.latest, self.terms, self.skips, self.accuracies = (
             self.latest[keep], self.terms[keep], self.skips[keep], self.accuracies[keep])
 
-    def _gather(self, clients: list[int]):
-        """A copy of the replicas of clients of one architecture as one K·R
-        stack, client-major, and the table rows it was copied from."""
-        replicas = len(self.live)
-        rows = (np.array([self.rows[i] for i in clients])[:, None] * replicas
-                + np.arange(replicas)).ravel()
-        arch = self.archs[clients[0]]
-        return self.layout[arch].with_arrays([p.take(rows, axis=0) for p in self.params[arch]]), rows
+    def _gather(self, clients: list[int]) -> ClientModel:
+        """A copy of the replica stacks of clients of one architecture as one
+        K·R stack, client-major."""
+        stacks = [self.models[0 if self.shared else i] for i in clients]
+        return stacks[0].with_arrays([np.concatenate(arrays)
+                                      for arrays in zip(*(m.arrays() for m in stacks))])
 
     def _stack_inputs(self, clients, features, labels):
         """The clients' stack (see _gather), with their (K, n, ...) features
         and (K, n) labels as its per-slice rows."""
         replicas = len(self.live)
-        return (self._gather(clients)[0], _per_slice(_stacked(features), replicas),
+        return (self._gather(clients), _per_slice(_stacked(features), replicas),
                 _per_slice(_stacked(labels), replicas))
 
     def train(self, r: int, participants: list[int]) -> bool:
@@ -701,7 +701,7 @@ class _Replicas:
         trained stack, each slice's mean loss terms and its structural
         skips.  Each client draws its batches from its own stream."""
         cfg = self.cfgs[0]  # for the fields every config shares
-        model, rows = self._gather(clients)
+        model = self._gather(clients)
         # the clients' train rows end to end, and each client's offset in them
         features = np.concatenate([self.shards[i].train_features for i in clients])
         labels = np.concatenate([self.shards[i].train_labels for i in clients])
@@ -709,8 +709,8 @@ class _Replicas:
         offsets = np.arange(0, labels.shape[0], n)[:, None]
         rngs = [np.random.default_rng(np.random.SeedSequence([self.seed, 1, r, i]))
                 for i in clients]
-        sums = np.zeros((rows.shape[0], 4))
-        skips = np.zeros(rows.shape[0], dtype=np.int64)
+        sums = np.zeros((len(clients) * len(self.live), 4))
+        skips = np.zeros(sums.shape[0], dtype=np.int64)
         steps = 0
         for _ in range(cfg.local_epochs):
             perms = _stacked([rng.permutation(n) for rng in rngs]) + offsets
@@ -726,14 +726,15 @@ class _Replicas:
                 skips += skipped
                 steps += 1
         _check_finite((sums,), "loss-term sum overflowed")
-        return model, rows, sums / max(steps, 1), skips
+        return model, sums / max(steps, 1), skips
 
-    def _write_back(self, clients: list[int], model, rows, terms, skips) -> None:
-        """Write the trained stack back to the table rows it was gathered
-        from, and its mean loss terms and skips into the round's tables."""
+    def _write_back(self, clients: list[int], model, terms, skips) -> None:
+        """Keep each client's slice of the trained stack as its model, and
+        its mean loss terms and skips in the round's tables."""
         replicas = len(self.live)
-        for p, trained in zip(self.params[self.archs[clients[0]]], model.arrays()):
-            p[rows] = trained
+        for k, i in enumerate(clients):
+            span = slice(k * replicas, (k + 1) * replicas)
+            self.models[0 if self.shared else i] = model.map_arrays(lambda a: a[span])
         self.terms[:, clients] = terms.reshape(len(clients), replicas, 4).swapaxes(0, 1)
         self.skips += skips.reshape(len(clients), replicas).sum(axis=0)
 
@@ -744,12 +745,9 @@ class _Replicas:
         try:
             self.global_protos = self._finish(r, participants, stack=True)
         except ReplicaFailure:
-            protos = self.attempt(lambda: self._finish(r, participants, stack=False),
-                                  f"round {r}: ")
-            if protos is None:
-                return False
-            self.global_protos = protos
-        return True
+            self.global_protos = self.attempt(lambda: self._finish(r, participants, stack=False),
+                                              f"round {r}: ")
+        return self.global_protos is not None
 
     def _finish(self, r: int, participants: list[int], stack: bool) -> PrototypeSet:
         """finish's uploads and evaluations, with the clients in stacks or
@@ -817,8 +815,7 @@ def run_experiments(
     if n_clients < 1:
         raise ContractError("need at least one shard")
     input_dim = _check_shards(shards, num_classes)
-    feature_dim = archs[0].feature_dim
-    if any(a.feature_dim != feature_dim for a in archs):
+    if len({a.feature_dim for a in archs}) != 1:
         raise ContractError("all architectures must share one feature_dim")
     cfgs = list(cfgs)
     if not cfgs:
@@ -830,30 +827,13 @@ def run_experiments(
     snapshot_dirs = list(snapshot_dirs) if snapshot_dirs is not None else [None] * len(cfgs)
     if len(snapshot_dirs) != len(cfgs):
         raise ContractError(f"need one snapshot directory per config, got {len(snapshot_dirs)}")
-    cfg = cfgs[0]  # for the fields every config shares
-    copies = len(cfgs)
-
-    arch_of = [i % len(archs) if scenario == "hetero" else 0 for i in range(n_clients)]
-    # homo_shared trains client 0's model, which every client visits in turn
-    models = [build_model(archs[arch_of[i]], input_dim, num_classes,
-                          np.random.SeedSequence([seed, 0, i]))
-              for i in range(1 if scenario == "homo_shared" else n_clients)]
-
-    if cfg.prototype_mode == "fixed_hypersphere":
-        anchors = _anchors(num_classes, feature_dim, seed)
-        global_protos = PrototypeSet(np.repeat(anchors.vectors[None], copies, axis=0),
-                                     anchors.counts)
-    else:
-        global_protos = None  # no prototypes yet: round 0 runs supervised-only
-
-    state = _Replicas(cfgs, models, global_protos, shards, seed, arch_of, num_classes,
-                      feature_dim)
+    state = _Replicas(shards, archs, cfgs, seed, num_classes, scenario, input_dim)
     reports: list[list[RoundReport]] = [[] for _ in cfgs]
-    best = [0.0] * copies
+    best = [0.0] * len(cfgs)
+    drawn = max(1, round(cfgs[0].participation_fraction * n_clients))
     for r in range(rounds):
-        k = max(1, round(cfg.participation_fraction * n_clients))
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2, r]))
-        participants = sorted(rng.choice(n_clients, size=k, replace=False).tolist())
+        participants = sorted(rng.choice(n_clients, size=drawn, replace=False).tolist())
         if not (state.train(r, participants) and state.finish(r, participants)):
             break
         for pos, k in enumerate(state.live):
@@ -879,7 +859,7 @@ def run_experiments(
             )
             if snapshot_dirs[k] is not None:
                 _write_prototype_snapshot(state.global_protos, pos, snapshot_dirs[k], r)
-    return [state.errors.get(k, reports[k]) for k in range(copies)]
+    return [state.errors.get(k, reports[k]) for k in range(len(cfgs))]
 
 
 def _spectrum(stacked: np.ndarray, normalize: bool, round_index: int) -> tuple[int, float]:

@@ -42,7 +42,12 @@ RDM_DEGENERATE_TOL = 1e-12
 STRUCTURAL_LOSSES = ("gcsa", "rcsa")
 PAIRWISE_LOSSES = ("mse", "cosine") + STRUCTURAL_LOSSES
 KNOWN_LOSSES = PAIRWISE_LOSSES + ("contrastive",)
-_UNIT_ROW_LOSSES = frozenset(("cosine", "rcsa", "contrastive"))  # see the kernels below
+# The kernels below take each side of _UNIT_ROW_LOSSES as its unit rows and
+# norms, the pairwise ones paired row by row; the other pairwise kernels take
+# both sides as they are.
+_UNIT_ROW_LOSSES = frozenset(("cosine", "rcsa", "contrastive"))
+_PAIRED_UNIT_LOSSES = _UNIT_ROW_LOSSES.intersection(PAIRWISE_LOSSES)
+_PAIRED_RAW_LOSSES = frozenset(PAIRWISE_LOSSES) - _UNIT_ROW_LOSSES
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ def check_labels(labels, n: int, num_classes: int) -> np.ndarray:
 
 
 def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Scale each row to unit l2 norm; zero rows are rejected."""
+    """Scale each row to unit l2 norm; zero rows and rows of norm inf are rejected."""
     why = _kept(1)
     unit, norms = _unit_rows(as_matrix(m, name)[None])
     _check_norms(norms, why, name)
@@ -76,17 +76,19 @@ def _raise_skip(why: np.ndarray) -> None:
 def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a finite (..., n, d) stack scaled to unit l2 norm, and the
     (..., n) norms; see _check_norms for the rows whose unit row is undefined."""
-    norms = np.linalg.norm(m, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        norms = np.linalg.norm(m, axis=-1)
         return m / norms[..., None], norms
 
 
 def _check_norms(norms: np.ndarray, why: np.ndarray, name: str) -> None:
-    """Skip each replica not yet skipped with a row norm <= EPS_NORM, naming its first such row."""
-    short = norms <= EPS_NORM
-    for r in np.flatnonzero(short.any(axis=1) & (why == "")) if short.any() else ():
-        k = int(np.argmax(short[r]))
-        why[r] = f"{name} row {k} has norm {norms[r, k]:.3e} <= {EPS_NORM}"
+    """Skip each replica not yet skipped with a row norm <= EPS_NORM or inf,
+    naming its first such row."""
+    bad = (norms <= EPS_NORM) | (norms == np.inf)
+    for r in np.flatnonzero(bad.any(axis=1) & (why == "")) if np.count_nonzero(bad) else ():
+        k = int(np.argmax(bad[r]))
+        why[r] = (f"{name} row {k} has norm inf" if norms[r, k] == np.inf
+                  else f"{name} row {k} has norm {norms[r, k]:.3e} <= {EPS_NORM}")
 
 
 @dataclass(frozen=True)

@@ -278,7 +278,7 @@ def test_acceptance_5_contrastive_decomposition():
 
 @pytest.mark.slow
 def test_acceptance_6_dimensionality_ordering():
-    from fedstruct.analysis import ScenarioRun, compare_scenarios
+    from fedstruct.analysis import compare_scenarios
 
     t0 = time.perf_counter()
     holds = 0

@@ -11,7 +11,6 @@ from fedstruct.config import ExperimentConfig, ModelConfig, round_config
 from fedstruct.data import DatasetShard, generate_mixture, partition_dirichlet
 from fedstruct.errors import ContractError, NumericFailureError
 from fedstruct.federation import (
-    ClientModel,
     PrototypeSet,
     RoundConfig,
     aggregate_prototypes,
@@ -426,6 +425,25 @@ class TestLocalTrainStep:
             _, br = local_train_step(model, batch, labels, protos, _cfg(alignment=_kind(loss)))
         assert br.skipped_structural == 2 and br.proto == br.inst == 0.0
         assert f"proto term of {loss} skipped: {reason}" in caplog.messages
+
+    @pytest.mark.parametrize("loss, reason", [
+        ("cosine", "second matrix row 1 has norm inf"),
+        ("rcsa", "second matrix row 1 has norm inf"),
+        ("contrastive", "prototypes row 1 has norm inf"),
+    ])
+    def test_global_prototype_too_large_to_measure_skips_its_terms(self, caplog, loss, reason):
+        batch, _ = self._batch(seed=32, n=9)
+        labels = np.array([0, 1, 2] * 3)
+        model = build_model(ArchitectureSpec((6,), 4), 5, 3, seed=33)
+        vectors = np.random.default_rng(34).standard_normal((3, 4))
+        vectors[1, 0] = 1e200  # its squares overflow, so its norm is inf
+        protos = PrototypeSet(vectors, [2, 3, 2])
+        assert protos.norms[1] == np.inf
+        with caplog.at_level(logging.DEBUG, logger="fedstruct.federation"):
+            _, br = local_train_step(model, batch, labels, protos, _cfg(alignment=_kind(loss)))
+        assert br.skipped_structural == 2 and br.proto == br.inst == 0.0
+        for term in ("proto", "inst"):
+            assert f"{term} term of {loss} skipped: {reason}" in caplog.messages
 
     @pytest.mark.parametrize("loss", KNOWN_LOSSES)
     def test_no_batch_class_in_global_set_is_a_supervised_step(self, loss):

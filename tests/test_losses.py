@@ -267,6 +267,9 @@ _TINY_ROW = np.where(np.arange(4)[:, None] == 1, [1e-13, 0.0, 0.0], _P)
 _SAME = np.ones((4, 3))
 _RAY = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
 _IDENTICAL = "rows are (numerically) identical: centered norm 0.000e+00 vs scale"
+# a row whose entries square past float64 has norm inf, and no unit row
+_HUGE = np.array([[1e200, 1.0], [1.0, 2.0]])
+_PLAIN = np.array([[1.0, 0.5], [0.3, 2.0]])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -294,11 +297,20 @@ _IDENTICAL = "rows are (numerically) identical: centered norm 0.000e+00 vs scale
      "embedding row 2 has norm 0.000e+00 <= 1e-12"),
     (lambda: normalize_rows(_ZERO_ROW), "matrix row 2 has norm 0.000e+00 <= 1e-12"),
     (lambda: normalize_rows(_TINY_ROW, "z"), "z row 1 has norm 1.000e-13 <= 1e-12"),
+    (lambda: normalize_rows(_HUGE), "matrix row 0 has norm inf"),
+    (lambda: loss_cosine(_HUGE, _PLAIN), "first matrix row 0 has norm inf"),
+    (lambda: loss_cosine(_PLAIN, _HUGE), "second matrix row 0 has norm inf"),
+    (lambda: loss_rcsa(_HUGE, _PLAIN), "first matrix row 0 has norm inf"),
+    (lambda: loss_rcsa(_PLAIN, _HUGE), "second matrix row 0 has norm inf"),
+    (lambda: loss_contrastive(_HUGE, _PLAIN, [0, 1], 0.5), "embedding row 0 has norm inf"),
+    (lambda: loss_contrastive(_PLAIN, _HUGE, [0, 1], 0.5), "prototypes row 0 has norm inf"),
 ], ids=["cosine-first", "cosine-second", "cosine-both", "rcsa-zero-first", "rcsa-zero-second",
         "rcsa-zero-both", "rcsa-collapsed-first", "rcsa-collapsed-second", "rcsa-collapsed-both",
         "gcsa-identical-first", "gcsa-identical-second", "gcsa-identical-both", "gcsa-cube",
         "gcsa-one-row", "rcsa-one-row", "contrastive-embedding", "contrastive-prototype",
-        "contrastive-both", "normalize-rows", "normalize-rows-named"])
+        "contrastive-both", "normalize-rows", "normalize-rows-named", "normalize-rows-inf",
+        "cosine-inf-first", "cosine-inf-second", "rcsa-inf-first", "rcsa-inf-second",
+        "contrastive-inf-embedding", "contrastive-inf-prototype"])
 def test_degenerate_input_messages(call, message):
     with pytest.raises(DegenerateInputError) as exc:
         call()
