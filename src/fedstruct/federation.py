@@ -26,8 +26,7 @@ import numpy as np
 
 from .analysis import effective_dimensionality, write_csv
 from .errors import ContractError, DegenerateInputError, NumericFailureError, ReplicaFailure
-from .losses import (_PAIRED_RAW_LOSSES, _PAIRED_UNIT_LOSSES, _PAIRWISE_KERNELS,
-                     _UNIT_ROW_LOSSES, AlignmentKind, _contrastive)
+from .losses import _PAIRED_RAW_LOSSES, _PAIRWISE_KERNELS, AlignmentKind, _contrastive
 from .models import (
     ArchitectureSpec,
     ClientModel,
@@ -271,39 +270,51 @@ class LossBreakdown:
 
 
 # The training step below runs every slice of a stack at once: the R
-# replicas of a lockstep run, for each of K clients.  Each client's alignment
-# terms are computed over its own R replica slices; there each term's kernel
-# sees only the replicas that weight it (> 0), one slice per loss kind, and
-# reports the replicas it must skip (see tensor.py), whose value then reads 0
-# and whose gradient is left out, exactly as in a run of one.
+# replicas of a lockstep run, for each of K clients.  One alignment pass
+# serves the clients of every stack of the step: there each term's kernel
+# sees only the replicas that weight it (> 0), one slice per client and loss
+# kind, and reports the slices it must skip (see tensor.py), whose value then
+# reads 0 and whose gradient is left out, exactly as in a run of one.
+
+# A fused kernel call takes at most this many rows (slices times rows per
+# slice).  At 32 rows per slice RCSA costs 35-38 us a slice in calls of up to
+# 32 slices and 46-60 us in calls of 40 to 80, while at 10 rows every kernel
+# still gets cheaper per slice up to 80 slices (2-core Xeon, numpy 2.4.6 with
+# OpenBLAS, one BLAS thread).
+FUSED_ROWS = 1024
 
 
-def _positions(pos) -> slice | np.ndarray:
-    """Ascending stack positions, as a slice (indexing gives a view) when contiguous."""
-    return slice(pos[0], pos[-1] + 1) if pos[-1] - pos[0] + 1 == len(pos) else np.array(pos)
+def _positions(pos: list[int]) -> slice | np.ndarray:
+    """Stack positions, as a slice (indexing gives a view) when they ascend by one."""
+    return (slice(pos[0], pos[-1] + 1) if pos == list(range(pos[0], pos[-1] + 1))
+            else np.array(pos))
 
 
 def _objective(cfgs: list[RoundConfig]) -> tuple[np.ndarray, list]:
     """The (2, R) lam and gamma of each replica of a stack, and per term that
     some replica weights (> 0), term 0 (proto) before term 1 (inst): (term,
-    the replicas that weight it, their _positions, [(kind, its replicas'
-    _positions among them, its pairwise kernel or None for contrastive)],
-    which inputs its kinds take: (the rows' unit rows, their targets' unit
-    rows, their targets)), kinds in first-seen order."""
+    the replicas that weight it, kind by kind, their _positions, [(kind, the
+    slice of them that is its replicas, its pairwise kernel or None for
+    contrastive)], (the number of them whose kinds take the rows and their
+    targets as they are, and the number before the first contrastive one)).
+    The kinds that take both sides as they are come first, then the pairwise
+    kinds that take unit rows, then contrastive, each in first-seen order."""
     weights = np.array([[c.lam for c in cfgs], [c.gamma for c in cfgs]], dtype=np.float64)
     plan = []
     for term, row in enumerate(weights):
-        weighted = np.flatnonzero(row > 0)
         kinds: dict[AlignmentKind, list[int]] = {}
-        for k, pos in enumerate(weighted.tolist()):
-            kinds.setdefault(cfgs[pos].alignment, []).append(k)
-        if weighted.size:
-            names = {kind.name for kind in kinds}
-            plan.append((term, weighted, _positions(weighted.tolist()),
-                         [(kind, _positions(ks), _PAIRWISE_KERNELS.get(kind.name))
-                          for kind, ks in kinds.items()],
-                         [bool(names & group) for group in
-                          (_UNIT_ROW_LOSSES, _PAIRED_UNIT_LOSSES, _PAIRED_RAW_LOSSES)]))
+        for pos in np.flatnonzero(row > 0).tolist():
+            kinds.setdefault(cfgs[pos].alignment, []).append(pos)
+        if kinds:
+            order = sorted(kinds, key=lambda kind: (kind.name not in _PAIRED_RAW_LOSSES)
+                           + (kind.name not in _PAIRWISE_KERNELS))
+            weighted = [pos for kind in order for pos in kinds[kind]]
+            bounds = np.cumsum([0] + [len(kinds[kind]) for kind in order]).tolist()
+            raw = sum(len(kinds[kind]) for kind in order if kind.name in _PAIRED_RAW_LOSSES)
+            paired = sum(len(kinds[kind]) for kind in order if kind.name in _PAIRWISE_KERNELS)
+            plan.append((term, np.array(weighted), _positions(weighted),
+                         [(kind, slice(lo, hi), _PAIRWISE_KERNELS.get(kind.name))
+                          for kind, lo, hi in zip(order, bounds, bounds[1:])], (raw, paired)))
     return weights, plan
 
 
@@ -320,122 +331,190 @@ def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _align_client(emb, labels, protos, objective, terms, grad_emb, skipped) -> None:
-    """One client's alignment terms over its R replica slices `emb` (R, n, d)
-    and their `labels` (n,): records each replica's proto and inst values in
-    `terms` (2, R), adds their weighted gradients into `grad_emb` and counts
-    the skips in `skipped`.  One pass per term: its rows, their global
-    targets and their unit rows are made once for the U replicas that weight
-    it, and each kind's kernel runs on its slice of them."""
+def _align(clients, protos: PrototypeSet, objective) -> None:
+    """The alignment terms of every client of a step.  A client is (emb
+    (R, n, d), labels (n,), terms (2, R), grad_emb (R, n, d), skipped (R,))
+    over its R replica slices: its proto and inst values are recorded in
+    `terms`, their weighted gradients added into `grad_emb` and the skips
+    counted in `skipped`.
+
+    One pass per term.  Each client's rows are those of the U replicas that
+    weight the term; the clients whose rows agree in count (present classes
+    for proto, batch or known rows for inst) stack them as one K·U stack,
+    never padded (see _align_stack).  Per stack, the rows' unit rows and
+    their global targets are made once, and each kind's kernel runs once on
+    its slices of them, in calls of at most FUSED_ROWS rows."""
     weights, plan = objective
     if logger.isEnabledFor(logging.DEBUG):
-        missing = sorted(set(labels.tolist()) - set(protos.classes()))
-        if missing:
-            logger.debug("classes %s missing from global set; excluded from alignment", missing)
-    for term, positions, select, kinds, (unit, paired_unit, paired) in plan:
-        if term == 0:  # the batch prototypes of the classes the global set has
-            means, counts = _class_means(emb[select], labels, protos.num_classes)
-            classes = np.flatnonzero((counts >= 1) & protos.present)
-            if classes.size == 0:
-                continue
-            rows = means.take(classes, axis=1)
-        else:  # the embeddings whose class the global set has
-            known = protos.present[labels]
-            every = known.all()
-            if not (every or known.any()):
-                continue
-            rows, classes = ((emb[select], labels) if every
-                             else (emb[select].compress(known, axis=1), labels[known]))
-        slots = protos.slot[classes]
-        first = _unit_rows(rows) if unit else None
-        second = (tuple(a[select].take(slots, axis=1) for a in (protos.unit, protos.norms))
-                  if paired_unit else None)
-        matrix = protos.vectors[select].take(classes, axis=1) if paired else None
-        if len(kinds) > 1:  # one kind's kernel outputs serve its term as they are
-            values, why, grad = np.zeros(rows.shape[0]), _kept(rows.shape[0]), np.zeros(rows.shape)
-        for kind, local, kernel in kinds:
-            if kernel is None:
-                parts, got_why = _contrastive(first[0][local], first[1][local], *(
-                    a[select][local] for a in (protos.unit, protos.norms)), slots, kind.temperature)
-                got, got_grad = parts.total.value, parts.total.grad
-            elif kind.is_structural and rows.shape[1] < MIN_STRUCTURAL_ROWS:
-                reason = f"{len(classes)} rows < {MIN_STRUCTURAL_ROWS}"
-                got_why = np.full(rows[local].shape[0], reason, dtype=object)
-                got, got_grad = np.zeros(got_why.shape), None
-            elif kind.name in _UNIT_ROW_LOSSES:
-                got, got_grad, got_why = kernel(first[0][local], first[1][local],
-                                                second[0][local], second[1][local])
-            else:
-                got, got_grad, got_why = kernel(rows[local], matrix[local])
-            if len(kinds) == 1:
-                values, why, grad = got, got_why, got_grad
-            else:
-                values[local], why[local] = got, got_why
-                if got_grad is not None:
-                    grad[local] = got_grad
-        done = why == ""
-        kept = done.all()
-        if not kept:
+        for _, labels, *_ in clients:
+            missing = sorted(set(labels.tolist()) - set(protos.classes()))
+            if missing:
+                logger.debug("classes %s missing from global set; excluded from alignment",
+                             missing)
+    for entry in plan:
+        term, _, select = entry[:3]
+        stacks: dict[int, list] = {}  # row count -> the clients of that count
+        for client in clients:
+            emb, labels = client[:2]
+            if term == 0:  # the batch prototypes of the classes the global set has
+                means, counts = _class_means(emb[select], labels, protos.num_classes)
+                classes = np.flatnonzero((counts >= 1) & protos.present)
+                rows, extra = means.take(classes, axis=1), counts[classes]
+            else:  # the embeddings whose class the global set has
+                known = protos.present[labels]
+                rows, classes, extra = ((emb[select], labels, None) if known.all() else
+                                        (emb[select].compress(known, axis=1), labels[known],
+                                         known))
+            if classes.size:
+                stacks.setdefault(classes.size, []).append((client, rows, classes, extra))
+        for members in stacks.values():
+            _align_stack(entry, members, protos, weights)
+
+
+def _align_stack(entry, members, protos: PrototypeSet, weights) -> None:
+    """One term of _align, its `entry` of the plan, over the K clients
+    `members` whose rows agree in count m: each is (client, rows (U, m, d),
+    their classes (m,), and for proto the classes' counts, for inst the
+    known-row mask or None when every row is known)."""
+    term, positions, select, kinds, (raw, paired) = entry
+    m, clients = members[0][2].size, len(members)
+    size = len(positions) * clients
+    # replica-major: slice u·K + k is member k's u-th replica, so that each
+    # kind's slices, its replicas of every member, are one run of the stack,
+    # and the runs of the kinds that take unit rows are its tail
+    slices = np.arange(size)
+    rows = np.stack([r for _, r, _, _ in members], axis=1).reshape(size, m, -1)
+    owner = np.repeat(positions, clients)
+    classes = np.stack([c for _, _, c, _ in members])[slices % clients]
+    slots = protos.slot[classes]
+    raw, paired = raw * clients, paired * clients
+    # each slice's targets: the global rows of its replica and classes, as
+    # they are for the first `raw` slices, as unit rows and norms up to `paired`
+    dim = rows.shape[2]
+    if raw:
+        matrix = protos.vectors.reshape(-1, dim).take(
+            owner[:raw, None] * protos.num_classes + classes[:raw], axis=0)
+    if raw < size:
+        first = _unit_rows(rows[raw:])
+    if raw < paired:
+        target = owner[raw:paired, None] * protos.unit.shape[1] + slots[raw:paired]
+        second = protos.unit.reshape(-1, dim).take(target, axis=0), protos.norms.take(target)
+    # each kind's run in calls of at most FUSED_ROWS rows
+    cap = max(1, FUSED_ROWS // m)
+    calls = [(kind, kernel, slice(lo, min(lo + cap, local.stop * clients)))
+             for kind, local, kernel in kinds
+             for lo in range(local.start * clients, local.stop * clients, cap)]
+    if len(calls) > 1:  # one call's outputs serve the stack as they are
+        values, why, grad = np.zeros(size), _kept(size), np.zeros(rows.shape)
+    for kind, kernel, part in calls:
+        unit = slice(part.start - raw, part.stop - raw)  # the part of first and second
+        if kernel is None:
+            parts, got_why = _contrastive(first[0][unit], first[1][unit],
+                                          protos.unit[owner[part]], protos.norms[owner[part]],
+                                          slots[part], kind.temperature)
+            got, got_grad = parts.total.value, parts.total.grad
+        elif kind.is_structural and m < MIN_STRUCTURAL_ROWS:
+            got_why = np.full(part.stop - part.start, f"{m} rows < {MIN_STRUCTURAL_ROWS}",
+                              dtype=object)
+            got, got_grad = np.zeros(got_why.shape), None
+        elif part.start >= raw:
+            got, got_grad, got_why = kernel(first[0][unit], first[1][unit],
+                                            second[0][unit], second[1][unit])
+        else:
+            got, got_grad, got_why = kernel(rows[part], matrix[part])
+        if len(calls) == 1:
+            values, why, grad = got, got_why, got_grad
+        else:
+            values[part], why[part] = got, got_why
+            if got_grad is not None:
+                grad[part] = got_grad
+    done = why == ""
+    kept = done.reshape(-1, clients).all(axis=0).tolist()
+    if grad is not None:
+        weight = weights[term, owner][:, None, None]
+        if term == 0:
+            # batch prototype of class c is the mean of its members, so each
+            # member receives grad_row(c) / count(c), and a row of a class
+            # the global set lacks receives 0
+            counts = np.stack([c for _, _, _, c in members])[slices % clients]
+            per_class = np.zeros((size, protos.num_classes, dim))
+            per_class[slices[:, None], classes] = weight * (grad / counts[:, :, None])
+            grad = per_class
+        else:
+            grad = weight * grad
+    for k, ((emb, labels, terms, grad_emb, skipped), _, _, known) in enumerate(members):
+        mine = slice(k, None, clients)
+        if not kept[k]:
             for kind, local, _ in kinds:
-                for reason in why[local][~done[local]]:
+                for reason in why[mine][local][~done[mine][local]]:
                     logger.debug("%s term of %s skipped: %s", LOSS_TERMS[1 + term], kind.name,
                                  reason)
-            skipped[positions[~done]] += 1
-        ok = select if kept else positions[done]
-        terms[term, ok] = values if kept else values[done]
+            skipped[positions[~done[mine]]] += 1
+        ok = select if kept[k] else positions[done[mine]]
+        terms[term, ok] = values[mine] if kept[k] else values[mine][done[mine]]
         if grad is None:
             continue
         if term == 0:
-            # batch prototype of class c is the mean of its members, so each
-            # member receives grad_row(c) / count(c)
-            per_class = np.zeros(means.shape)
-            per_class[:, classes] = grad / counts[classes][:, None]
-            grad = per_class[:, labels]
-        elif not every:
-            full = np.zeros((grad.shape[0],) + emb.shape[1:])
-            full[:, known] = grad
-            grad = full
-        grad_emb[ok] += weights[term, ok, None, None] * (grad if kept else grad[done])
+            got_grad = grad[mine][:, labels]
+        elif known is None:
+            got_grad = grad[mine]
+        else:  # an unknown row receives 0
+            got_grad = np.zeros((len(positions),) + emb.shape[1:])
+            got_grad[:, known] = grad[mine]
+        grad_emb[ok] += got_grad if kept[k] else got_grad[done[mine]]
 
 
-def _train_step(model, batch, labels, protos, objective, learning_rate):
+def _train_step(steps, protos, objective, learning_rate) -> list:
     """One SGD step of L_sup + lam*L_proto + gamma*L_inst for every slice of
-    a stacked model: K clients, client-major, each with the R replicas of
-    `objective` (_objective's) and its own batch, `batch` (K, n, input_dim)
-    with `labels` (K, n).  K = 1 is a lockstep run's client.
+    each stack of `steps`: (model, batch (K, n, input_dim), labels (K, n)),
+    a stacked model of K clients, client-major, each with the R replicas of
+    `objective` (_objective's) and its own batch.  Every stack runs its
+    forward pass and cross-entropy, one alignment pass (_align) serves every
+    client of every stack, and then each stack checks its totals and steps.
+    A local_train_step is one stack with K = 1.
 
-    Returns each slice's [sup, proto, inst, total] as a (K·R, 4) array and
-    its structural skips.  A slice whose forward pass, total loss or
-    parameter gradient is non-finite fails with ReplicaFailure, before any
-    slice's parameters change.
+    Returns per stack each slice's [sup, proto, inst, total] as a (K·R, 4)
+    array and its structural skips.  A slice whose forward pass, total loss
+    or parameter gradient is non-finite fails with ReplicaFailure, keyed by
+    its position in its stack, before any slice of that stack changes.
     """
     weights, plan = objective
-    clients, replicas = labels.shape[0], weights.shape[1]
-    emb, logits, layers = _forward(model, _per_slice(batch, replicas))
-    sup, grad_logits = _softmax_cross_entropy(logits, _per_slice(labels, replicas))
-    grad_emb = grad_logits @ model.classifier_weights.swapaxes(1, 2)
-    terms = np.zeros((4, emb.shape[0]))  # sup, proto, inst and total, per slice
-    terms[0] = sup
-    skipped = np.zeros(emb.shape[0], dtype=np.int64)
-    # runaway-but-finite embeddings may overflow inside the alignment terms;
-    # the non-finite check on the totals below turns that into a clean
-    # NumericFailureError, so the IEEE warnings along the way are suppressed
-    with np.errstate(over="ignore", invalid="ignore"):
-        if plan and protos is not None and not protos.is_empty:
-            for k in range(clients):
-                span = slice(k * replicas, (k + 1) * replicas)
-                _align_client(emb[span], labels[k], protos, objective, terms[1:3, span],
-                              grad_emb[span], skipped[span])
+    replicas = weights.shape[1]
+    aligned = plan and protos is not None and not protos.is_empty
+    passes, clients = [], []
+    for model, batch, labels in steps:
+        emb, logits, layers = _forward(model, _per_slice(batch, replicas))
+        sup, grad_logits = _softmax_cross_entropy(logits, _per_slice(labels, replicas))
+        grad_emb = grad_logits @ model.classifier_weights.swapaxes(1, 2)
+        terms = np.zeros((4, emb.shape[0]))  # sup, proto, inst and total, per slice
+        terms[0] = sup
+        skipped = np.zeros(emb.shape[0], dtype=np.int64)
+        if aligned:
+            spans = [slice(k * replicas, (k + 1) * replicas) for k in range(labels.shape[0])]
+            clients += [(emb[span], y, terms[1:3, span], grad_emb[span], skipped[span])
+                        for span, y in zip(spans, labels)]
+        passes.append((model, layers, grad_logits, grad_emb, terms, skipped))
+    if aligned:
+        # runaway-but-finite embeddings may overflow inside the alignment
+        # terms; the non-finite check on the totals below turns that into a
+        # clean NumericFailureError, so the IEEE warnings are suppressed
+        with np.errstate(over="ignore", invalid="ignore"):
+            _align(clients, protos, objective)
+    lams, gammas = weights.tolist()
+    done = []
+    for model, layers, grad_logits, grad_emb, terms, skipped in passes:
         # Python floats, one slice at a time, as in a run of one
-        lams, gammas = weights.tolist()
+        count = terms.shape[1] // replicas
         totals = [s + lam * p + gamma * i for s, p, i, lam, gamma
-                  in zip(*terms[:3].tolist(), lams * clients, gammas * clients)]
-    bad = {s: f"non-finite training loss {t}" for s, t in enumerate(totals) if not math.isfinite(t)}
-    if bad:
-        raise ReplicaFailure(bad)
-    _backward_and_step(model, layers, grad_logits, grad_emb, learning_rate)
-    terms[3] = totals
-    return terms.T, skipped
+                  in zip(*terms[:3].tolist(), lams * count, gammas * count)]
+        bad = {s: f"non-finite training loss {t}" for s, t in enumerate(totals)
+               if not math.isfinite(t)}
+        if bad:
+            raise ReplicaFailure(bad)
+        _backward_and_step(model, layers, grad_logits, grad_emb, learning_rate)
+        terms[3] = totals
+        done.append((terms.T, skipped))
+    return done
 
 
 def local_train_step(
@@ -465,8 +544,8 @@ def local_train_step(
         )
     stacked = (None if global_protos is None
                else PrototypeSet(global_protos.vectors[None], global_protos.counts))
-    terms, skipped = _train_step(_stack_of_one(model), batch[None], labels[None], stacked,
-                                 _objective([cfg]), cfg.learning_rate)
+    ((terms, skipped),) = _train_step([(_stack_of_one(model), batch[None], labels[None])],
+                                      stacked, _objective([cfg]), cfg.learning_rate)
     return model, LossBreakdown(*terms[0].tolist(), int(skipped[0]))
 
 
@@ -662,6 +741,8 @@ class _Replicas:
         """A copy of the replica stacks of clients of one architecture as one
         K·R stack, client-major."""
         stacks = [self.models[0 if self.shared else i] for i in clients]
+        if len(stacks) == 1:
+            return stacks[0].map_arrays(np.ndarray.copy)
         return stacks[0].with_arrays([np.concatenate(arrays)
                                       for arrays in zip(*(m.arrays() for m in stacks))])
 
@@ -673,15 +754,15 @@ class _Replicas:
                 _per_slice(_stacked(labels), replicas))
 
     def train(self, r: int, participants: list[int]) -> bool:
-        """The round's local training.  Each stack group of participants
-        trains as one stack, and nothing is written back before every group
-        has trained; homo_shared never stacks, as its clients visit one
-        model in turn.  False once no replica is left."""
+        """The round's local training.  The stack groups of participants
+        train together (see _local_training), and nothing is written back
+        before every group has trained; homo_shared never stacks, as its
+        clients visit one model in turn.  False once no replica is left."""
         self.skips[:] = 0
-        groups = [] if self.shared else _stack_groups(participants, self.train_keys)
-        if any(len(g) > 1 for g in groups):
+        if not self.shared and len(participants) > 1:
+            groups = _stack_groups(participants, self.train_keys)
             try:
-                trained = [self._local_training(r, g) for g in groups]
+                trained = self._local_training(r, groups)
             except ReplicaFailure:
                 pass  # replayed below, so that the first client to fail names it
             else:
@@ -689,44 +770,51 @@ class _Replicas:
                     self._write_back(g, *done)
                 return True
         for i in participants:
-            done = self.attempt(lambda: self._local_training(r, [i]),
+            done = self.attempt(lambda: self._local_training(r, [[i]])[0],
                                 f"round {r}: client {self.shards[i].client_id}: ")
             if done is None:
                 return False
             self._write_back([i], *done)
         return True
 
-    def _local_training(self, r: int, clients: list[int]):
-        """The local epochs of one stack group, on a copy of its stacks: the
-        trained stack, each slice's mean loss terms and its structural
-        skips.  Each client draws its batches from its own stream."""
+    def _local_training(self, r: int, groups: list[list[int]]) -> list:
+        """The local epochs of the given stack groups, each on a copy of its
+        stacks, advanced together one tick (epoch, batch index) at a time:
+        the groups with a batch at a tick take one _train_step together.
+        Returns per group the trained stack, each slice's mean loss terms
+        and its structural skips.  Each client draws its batches from its
+        own stream."""
         cfg = self.cfgs[0]  # for the fields every config shares
-        model = self._gather(clients)
-        # the clients' train rows end to end, and each client's offset in them
-        features = np.concatenate([self.shards[i].train_features for i in clients])
-        labels = np.concatenate([self.shards[i].train_labels for i in clients])
-        n = self.shards[clients[0]].num_train
-        offsets = np.arange(0, labels.shape[0], n)[:, None]
-        rngs = [np.random.default_rng(np.random.SeedSequence([self.seed, 1, r, i]))
-                for i in clients]
-        sums = np.zeros((len(clients) * len(self.live), 4))
-        skips = np.zeros(sums.shape[0], dtype=np.int64)
-        steps = 0
+        models = [self._gather(g) for g in groups]
+        # each group's train rows end to end, and its clients' row count
+        features = [np.concatenate([self.shards[i].train_features for i in g]) for g in groups]
+        labels = [np.concatenate([self.shards[i].train_labels for i in g]) for g in groups]
+        sizes = [self.shards[g[0]].num_train for g in groups]
+        rngs = [[np.random.default_rng(np.random.SeedSequence([self.seed, 1, r, i])) for i in g]
+                for g in groups]
+        sums = [np.zeros((len(g) * len(self.live), 4)) for g in groups]
+        skips = [np.zeros(s.shape[0], dtype=np.int64) for s in sums]
+        steps = [0] * len(groups)
         for _ in range(cfg.local_epochs):
-            perms = _stacked([rng.permutation(n) for rng in rngs]) + offsets
-            for start in range(0, n, cfg.batch_size):
-                idx = perms[:, start : start + cfg.batch_size]
-                if idx.shape[1] < 2:
-                    continue
-                terms, skipped = _train_step(model, features.take(idx, axis=0), labels.take(idx),
-                                             self.global_protos, self.objective,
-                                             cfg.learning_rate)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    sums += terms
-                skips += skipped
-                steps += 1
-        _check_finite((sums,), "loss-term sum overflowed")
-        return model, sums / max(steps, 1), skips
+            # each client's batch order, as rows of its group's train rows
+            perms = [_stacked([rng.permutation(n) for rng in group_rngs])
+                     + np.arange(0, n * len(group_rngs), n)[:, None]
+                     for group_rngs, n in zip(rngs, sizes)]
+            for start in range(0, max(sizes), cfg.batch_size):
+                # a remainder of a single row is dropped
+                tick = [j for j, n in enumerate(sizes) if n - start >= 2]
+                idx = [perms[j][:, start : start + cfg.batch_size] for j in tick]
+                done = _train_step([(models[j], features[j].take(i, axis=0), labels[j].take(i))
+                                    for j, i in zip(tick, idx)],
+                                   self.global_protos, self.objective, cfg.learning_rate)
+                for j, (terms, skipped) in zip(tick, done):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        sums[j] += terms
+                    skips[j] += skipped
+                    steps[j] += 1
+        for s in sums:
+            _check_finite((s,), "loss-term sum overflowed")
+        return [(m, s / max(k, 1), sk) for m, s, k, sk in zip(models, sums, steps, skips)]
 
     def _write_back(self, clients: list[int], model, terms, skips) -> None:
         """Keep each client's slice of the trained stack as its model, and

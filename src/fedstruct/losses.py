@@ -46,7 +46,6 @@ KNOWN_LOSSES = PAIRWISE_LOSSES + ("contrastive",)
 # norms, the pairwise ones paired row by row; the other pairwise kernels take
 # both sides as they are.
 _UNIT_ROW_LOSSES = frozenset(("cosine", "rcsa", "contrastive"))
-_PAIRED_UNIT_LOSSES = _UNIT_ROW_LOSSES.intersection(PAIRWISE_LOSSES)
 _PAIRED_RAW_LOSSES = frozenset(PAIRWISE_LOSSES) - _UNIT_ROW_LOSSES
 
 
@@ -338,12 +337,16 @@ def loss_contrastive(z, prototypes, labels, temperature: float) -> ContrastivePa
 
 
 def _contrastive(zh, nz, ph, pn, labels, temperature: float):
-    """ContrastiveParts of (R,) values and (R, n, d) gradients, and the reasons."""
+    """ContrastiveParts of (R,) values and (R, n, d) gradients, and the
+    reasons; labels are (n,), shared by every slice, or (R, n), one row per
+    slice."""
     why = _kept(zh.shape[0])
     _check_norms(nz, why, "embedding")
     _check_norms(pn, why, "prototypes")
 
     n = zh.shape[1]
+    # slice and row of every picked entry, as in models._softmax_cross_entropy
+    picks = (np.arange(zh.shape[0])[:, None], np.arange(n), labels)
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = zh @ ph.swapaxes(1, 2)  # (R, n, c) cosines in [-1, 1]
         scaled = sims / temperature
@@ -351,9 +354,9 @@ def _contrastive(zh, nz, ph, pn, labels, temperature: float):
         probs = np.exp(scaled - shift)
         norm = probs.sum(axis=2, keepdims=True)
         lse = shift[:, :, 0] + np.log(norm[:, :, 0])
-        # contiguous, so that each replica's mean sums its row as a run of
-        # one does (a slice plus two index arrays lays it out replica-minor)
-        picked = np.ascontiguousarray(sims[:, np.arange(n), labels])
+        # three index arrays lay `picked` out (R, n), contiguous, so that each
+        # replica's mean sums its row as a run of one does
+        picked = sims[picks]
 
         # means, without their dispatch
         align_val = (-picked / temperature).sum(axis=1) / n
@@ -361,7 +364,7 @@ def _contrastive(zh, nz, ph, pn, labels, temperature: float):
 
         # d cos(z_i, P_j) / d z_i = (ph_j - sims_ij zh_i) / ||z_i||
         inv = 1.0 / (n * temperature)
-        ga = -inv * (ph[:, labels] - picked[:, :, None] * zh) / nz[:, :, None]
+        ga = -inv * (ph[picks[0], labels] - picked[:, :, None] * zh) / nz[:, :, None]
         probs /= norm
         mix = probs @ ph
         mix_sim = np.sum(probs * sims, axis=2)

@@ -292,34 +292,96 @@ def test_stacked_clients_with_their_own_labels_equal_their_solo_runs(scenario):
                                                      for rc in rcs]
 
 
+# four equal shards of two architectures, so clients {0, 2} and {1, 3}
+# train as two stacks, {0, 2} first
+FOUR_EQUAL = {
+    "dataset": {"classes": 3, "input_dim": 5, "samples_per_class": 40},
+    "partition": {"scheme": "domain_shift", "clients": 4},
+    "model": {"hidden_widths": [[], [8]], "feature_dim": 4},
+    "training": {"rounds": 1, "batch_size": 8, "local_epochs": 1},
+}
+
+
+def _clients_of(shards, batch):
+    """The clients whose train rows make up each client's batch of a (K, n, ...) stack."""
+    return [next(c for c, s in enumerate(shards)
+                 if (rows[:, None] == s.train_features).all(axis=2).any(axis=1).all())
+            for rows in batch]
+
+
 def test_a_failure_in_a_stack_names_the_first_failing_client(monkeypatch):
-    # four equal shards of two architectures, so clients {0, 2} and {1, 3}
-    # train as two stacks, {0, 2} first; clients 1 and 2 fail in training,
-    # and client 1 comes first in participant order
-    payload = {
-        "dataset": {"classes": 3, "input_dim": 5, "samples_per_class": 40},
-        "partition": {"scheme": "domain_shift", "clients": 4},
-        "model": {"hidden_widths": [[], [8]], "feature_dim": 4},
-        "training": {"rounds": 1, "batch_size": 8, "local_epochs": 1},
-    }
-    cfg, shards, archs, kwargs = _setup(payload, "hetero", "aggregate")
+    # clients 1 and 2 fail in training, and client 1 comes first in
+    # participant order
+    cfg, shards, archs, kwargs = _setup(FOUR_EQUAL, "hetero", "aggregate")
     assert federation._stack_groups(range(4), [(i % 2, s.num_train) for i, s in
                                                enumerate(shards)]) == [[0, 2], [1, 3]]
     step, stacks = federation._train_step, []
 
-    def planted(model, batch, labels, *args):
-        stacks.append(batch.shape[0])
-        failing = {k: f"planted in client {c}" for k, rows in enumerate(batch) for c in (1, 2)
-                   if (rows[:, None] == shards[c].train_features).all(axis=2).any(axis=1).all()}
-        if failing:
-            raise ReplicaFailure(failing)
-        return step(model, batch, labels, *args)
+    def planted(steps, *args):
+        stacks.append([batch.shape[0] for _, batch, _ in steps])
+        for _, batch, _ in steps:
+            failing = {k: f"planted in client {c}"
+                       for k, c in enumerate(_clients_of(shards, batch)) if c in (1, 2)}
+            if failing:
+                raise ReplicaFailure(failing)
+        return step(steps, *args)
 
     monkeypatch.setattr(federation, "_train_step", planted)
     with pytest.raises(NumericFailureError) as exc:
         run_experiment(shards, archs, round_config(cfg), **kwargs)
     assert str(exc.value) == "round 0: client 1: planted in client 1"
-    assert stacks[0] == 2  # the failure was met in a stack, then replayed
+    assert stacks[0] == [2, 2]  # the failure was met in a step of both stacks, then replayed
+
+
+def test_a_failure_in_a_fused_alignment_replays_the_tick_client_by_client(monkeypatch):
+    # clients 1 and 2 sit in different stacks; the GCSA kernel fails for
+    # them while it serves every client of a step, and the run names client
+    # 1, as its one-client replay does
+    cfg, shards, archs, kwargs = _setup(FOUR_EQUAL, "hetero", "fixed_hypersphere")
+    step, kernel, steps = federation._train_step, _PAIRWISE_KERNELS["gcsa"], []
+
+    def recorded(stacks, *args):
+        steps.append(sum((_clients_of(shards, batch) for _, batch, _ in stacks), []))
+        return step(stacks, *args)
+
+    def planted(*sides):
+        failing = [c for c in steps[-1] if c in (1, 2)]
+        if failing:  # a fused step names the last failing client, a replay its one client
+            raise ReplicaFailure({0: f"planted in client {failing[-1]}"})
+        return kernel(*sides)
+
+    monkeypatch.setattr(federation, "_train_step", recorded)
+    monkeypatch.setitem(_PAIRWISE_KERNELS, "gcsa", planted)
+    with pytest.raises(NumericFailureError) as exc:
+        run_experiment(shards, archs, round_config(cfg), **kwargs)
+    assert str(exc.value) == "round 0: client 1: planted in client 1"
+    assert steps[0] == [0, 2, 1, 3]  # one step served both stacks, and failed
+    assert all(len(clients) == 1 for clients in steps[1:])
+    assert [clients[0] for clients in steps[1:]] == [0] * (len(steps) - 2) + [1]
+
+
+def test_each_kernel_serves_every_client_of_a_step_in_one_call(monkeypatch):
+    # four equal shards of 24 rows, one batch each of all three classes, so
+    # that each term's rows agree in count across the clients of a step
+    payload = copy.deepcopy(FOUR_EQUAL)
+    payload["training"].update(rounds=2, local_epochs=2, batch_size=24)
+    cfg, shards, archs, kwargs = _setup(payload, "hetero", "fixed_hypersphere")
+    calls = {name: [] for name in KNOWN_LOSSES}
+
+    def counted(name, kernel):
+        def call(*args):
+            calls[name].append(args[0].shape[0])
+            return kernel(*args)
+        return call
+
+    for name, kernel in list(_PAIRWISE_KERNELS.items()):
+        monkeypatch.setitem(_PAIRWISE_KERNELS, name, counted(name, kernel))
+    monkeypatch.setattr(federation, "_contrastive", counted("contrastive", _contrastive))
+    rcs = [_round_config(cfg, loss, 1.0, 1.0) for loss in KNOWN_LOSSES]
+    assert all(isinstance(run, bytes) for run in _lockstep(shards, archs, rcs, kwargs))
+    steps = 2 * 2  # rounds times epochs, one batch each
+    # one call per term and step, on one slice of each client
+    assert calls == {name: [4] * (2 * steps) for name in KNOWN_LOSSES}
 
 
 def test_overflowing_loss_term_sum_fails_its_replica_alone():
@@ -441,19 +503,21 @@ def test_contrastive_kernel_equals_its_slices():
         z, _ = _stacks(rng, n=n)
         z[1, 0] = 0.0  # a zero embedding: replica 1 alone skips
         protos = rng.standard_normal((R, c, 4))
-        labels = rng.integers(0, c, n)
-        parts, why = _contrastive(*_unit_rows(z), *_unit_rows(protos), labels, 0.5)
-        assert np.flatnonzero(why != "").tolist() == [1]
-        slices = _slice_wise(lambda x, p: loss_contrastive(x, p, labels, 0.5), z, protos)
-        for r, want in enumerate(slices):
-            if isinstance(want, str):
-                assert why[r] == want
-                continue
-            assert why[r] == ""
-            for got, ref in ((parts.total, want.total), (parts.alignment, want.alignment),
-                             (parts.uniformity, want.uniformity)):
-                assert got.value[r] == ref.value
-                assert np.array_equal(got.grad[r], ref.grad)
+        # labels shared by every slice, then one row of labels per slice
+        for labels in (rng.integers(0, c, n), rng.integers(0, c, (R, n))):
+            parts, why = _contrastive(*_unit_rows(z), *_unit_rows(protos), labels, 0.5)
+            assert np.flatnonzero(why != "").tolist() == [1]
+            slices = _slice_wise(lambda x, p, y: loss_contrastive(x, p, y, 0.5), z, protos,
+                                 np.broadcast_to(labels, (R, n)))
+            for r, want in enumerate(slices):
+                if isinstance(want, str):
+                    assert why[r] == want
+                    continue
+                assert why[r] == ""
+                for got, ref in ((parts.total, want.total), (parts.alignment, want.alignment),
+                                 (parts.uniformity, want.uniformity)):
+                    assert got.value[r] == ref.value
+                    assert np.array_equal(got.grad[r], ref.grad)
 
 
 def test_model_kernels_equal_their_slices():
@@ -539,10 +603,14 @@ def _stack_models(models):
 
 
 def test_mixed_kind_steps_equal_their_stacks_of_one(monkeypatch):
-    # derandomized stacks that mix all five kinds under random weights, some
-    # 0; in each, one replica's embedding row and another replica's global
-    # prototype are zero, a class is absent from the global set, and every
-    # third batch has fewer than 3 classes
+    # derandomized steps over stacks of three architectures, one or two
+    # clients each, with full and tail batches, that mix all five kinds
+    # under weights of {0, 0.4, 1, 2.5}; in each, one slice's embedding row
+    # and one replica's global prototype are zero, a class is absent from
+    # the global set, and one stack's batches have fewer than 3 classes.
+    # Each client of the step must equal that client stepped
+    # alone, and each of its slices that slice stepped alone: terms,
+    # grad_emb, skips and parameters, bit for bit.
     grads = []
     step = federation._backward_and_step
 
@@ -552,43 +620,63 @@ def test_mixed_kind_steps_equal_their_stacks_of_one(monkeypatch):
 
     monkeypatch.setattr(federation, "_backward_and_step", recorded)
     rng = np.random.default_rng(17)
-    spec, c, replicas = ArchitectureSpec((6,), 4), 4, 8
+    specs = [ArchitectureSpec((), 4), ArchitectureSpec((6,), 4), ArchitectureSpec((5, 3), 4)]
+    c, replicas = 4, 8
     skips = 0
     for trial in range(12):
-        clients, n = 1 + trial % 2, int(rng.integers(6, 17))
         kinds = list(KNOWN_LOSSES) + rng.choice(KNOWN_LOSSES, replicas - 5).tolist()
         rng.shuffle(kinds)
         lams, gammas = rng.choice([0.0, 0.4, 1.0, 2.5], size=(2, replicas)).tolist()
         cfgs = [RoundConfig(alignment=KNOWN_KINDS[k], lam=lam, gamma=gamma)
                 for k, lam, gamma in zip(kinds, lams, gammas)]
-        seeds = rng.integers(0, 2**32, clients * replicas).tolist()
-        models = [build_model(spec, 5, c, seed=s) for s in seeds]
-        zero_emb = int(rng.integers(clients * replicas))
-        for layer in models[zero_emb].extractor:
+        stacks = []  # per stack: its one-replica models, client-major, batch and labels
+        for j, (spec, n) in enumerate(zip(specs, (8, 8, int(rng.integers(2, 8))))):
+            clients = 1 + int(rng.integers(2))
+            models = [build_model(spec, 5, c, seed=s)
+                      for s in rng.integers(0, 2**32, clients * replicas).tolist()]
+            batch = rng.standard_normal((clients, n, 5))
+            batch[:, 0] = 0.0  # a zero-bias slice's embedding row 0 is zero
+            labels = rng.integers(0, 2 if trial % 3 == j else c, (clients, n))
+            stacks.append((models, batch, labels))
+        zero_bias = stacks[int(rng.integers(3))][0]
+        for layer in zero_bias[int(rng.integers(len(zero_bias)))].extractor:
             layer.bias[:] = 0.0
-        batch = rng.standard_normal((clients, n, 5))
-        batch[:, 0] = 0.0  # the zero-bias slice's embedding row 0 is zero
-        labels = rng.integers(0, 2 if trial % 3 == 0 else c, (clients, n))
         counts = rng.integers(1, 4, c)
         counts[rng.integers(c)] = 0
         vectors = rng.standard_normal((replicas, c, 4))
-        vectors[rng.integers(replicas), labels[0, 1]] = 0.0
+        vectors[rng.integers(replicas), stacks[0][2][0, 1]] = 0.0
         protos = PrototypeSet(vectors, counts)
-        stack = _stack_models(models)
         grads.clear()
-        terms, skipped = federation._train_step(stack, batch, labels, protos,
-                                                federation._objective(cfgs), 0.1)
-        stacked_grad = grads[0]
-        for s, model in enumerate(models):
-            k, r = divmod(s, replicas)
-            grads.clear()
-            solo = _stack_models([model])
-            got, solo_skipped = federation._train_step(
-                solo, batch[k:k + 1], labels[k:k + 1], PrototypeSet(vectors[r:r + 1], counts),
-                federation._objective([cfgs[r]]), 0.1)
-            assert np.array_equal(terms[s], got[0]) and skipped[s] == solo_skipped[0]
-            assert np.array_equal(stacked_grad[s], grads[0][0])
-            assert all(np.array_equal(a[s], b[0]) for a, b in zip(stack.arrays(), solo.arrays()))
-        skips += int(skipped.sum())
+        fused_stacks = [_stack_models(models) for models, _, _ in stacks]
+        done = federation._train_step([(f, batch, labels) for f, (_, batch, labels)
+                                       in zip(fused_stacks, stacks)],
+                                      protos, federation._objective(cfgs), 0.1)
+        fused_grads = list(grads)
+        for (models, batch, labels), stack, (terms, skipped), stack_grad in zip(
+                stacks, fused_stacks, done, fused_grads):
+            for k in range(batch.shape[0]):
+                span = slice(k * replicas, (k + 1) * replicas)
+                grads.clear()
+                alone = _stack_models(models[span])
+                ((got, got_skipped),) = federation._train_step(
+                    [(alone, batch[k:k + 1], labels[k:k + 1])], protos,
+                    federation._objective(cfgs), 0.1)
+                assert np.array_equal(terms[span], got)
+                assert np.array_equal(skipped[span], got_skipped)
+                assert np.array_equal(stack_grad[span], grads[0])
+                assert all(np.array_equal(a[span], b)
+                           for a, b in zip(stack.arrays(), alone.arrays()))
+                for r in range(replicas):
+                    s = k * replicas + r
+                    grads.clear()
+                    solo = _stack_models([models[s]])
+                    ((got, solo_skipped),) = federation._train_step(
+                        [(solo, batch[k:k + 1], labels[k:k + 1])],
+                        PrototypeSet(vectors[r:r + 1], counts),
+                        federation._objective([cfgs[r]]), 0.1)
+                    assert np.array_equal(terms[s], got[0]) and skipped[s] == solo_skipped[0]
+                    assert np.array_equal(stack_grad[s], grads[0][0])
+                    assert all(np.array_equal(a[s], b[0])
+                               for a, b in zip(stack.arrays(), solo.arrays()))
+            skips += int(skipped.sum())
     assert skips > 0
-
