@@ -276,13 +276,6 @@ class LossBreakdown:
 # kind, and reports the slices it must skip (see tensor.py), whose value then
 # reads 0 and whose gradient is left out, exactly as in a run of one.
 
-# A fused kernel call takes at most this many rows (slices times rows per
-# slice).  At 32 rows per slice RCSA costs 35-38 us a slice in calls of up to
-# 32 slices and 46-60 us in calls of 40 to 80, while at 10 rows every kernel
-# still gets cheaper per slice up to 80 slices (2-core Xeon, numpy 2.4.6 with
-# OpenBLAS, one BLAS thread).
-FUSED_ROWS = 1024
-
 
 def _positions(pos: list[int]) -> slice | np.ndarray:
     """Stack positions, as a slice (indexing gives a view) when they ascend by one."""
@@ -343,7 +336,7 @@ def _align(clients, protos: PrototypeSet, objective) -> None:
     for proto, batch or known rows for inst) stack them as one K·U stack,
     never padded (see _align_stack).  Per stack, the rows' unit rows and
     their global targets are made once, and each kind's kernel runs once on
-    its slices of them, in calls of at most FUSED_ROWS rows."""
+    its slices of them."""
     weights, plan = objective
     if logger.isEnabledFor(logging.DEBUG):
         for _, labels, *_ in clients:
@@ -399,14 +392,10 @@ def _align_stack(entry, members, protos: PrototypeSet, weights) -> None:
     if raw < paired:
         target = owner[raw:paired, None] * protos.unit.shape[1] + slots[raw:paired]
         second = protos.unit.reshape(-1, dim).take(target, axis=0), protos.norms.take(target)
-    # each kind's run in calls of at most FUSED_ROWS rows
-    cap = max(1, FUSED_ROWS // m)
-    calls = [(kind, kernel, slice(lo, min(lo + cap, local.stop * clients)))
-             for kind, local, kernel in kinds
-             for lo in range(local.start * clients, local.stop * clients, cap)]
-    if len(calls) > 1:  # one call's outputs serve the stack as they are
+    if len(kinds) > 1:  # one kind's outputs serve the stack as they are
         values, why, grad = np.zeros(size), _kept(size), np.zeros(rows.shape)
-    for kind, kernel, part in calls:
+    for kind, local, kernel in kinds:  # one call per kind, on its run of the stack
+        part = slice(local.start * clients, local.stop * clients)
         unit = slice(part.start - raw, part.stop - raw)  # the part of first and second
         if kernel is None:
             parts, got_why = _contrastive(first[0][unit], first[1][unit],
@@ -422,7 +411,7 @@ def _align_stack(entry, members, protos: PrototypeSet, weights) -> None:
                                             second[0][unit], second[1][unit])
         else:
             got, got_grad, got_why = kernel(rows[part], matrix[part])
-        if len(calls) == 1:
+        if len(kinds) == 1:
             values, why, grad = got, got_why, got_grad
         else:
             values[part], why[part] = got, got_why
