@@ -287,9 +287,12 @@ def _backward_and_step(
     _check_finite([gcw, gcb] + [x for _, gw, gb in grads for x in (gw, gb)],
                   "non-finite parameter gradient; step aborted")
 
-    model.classifier_weights -= learning_rate * gcw
-    model.classifier_bias -= learning_rate * gcb
-    for i, gw, gb in grads:
-        model.extractor[i].weights -= learning_rate * gw
-        model.extractor[i].bias -= learning_rate * gb
+    # a finite gradient may still overflow the update; the next forward
+    # pass's non-finite check fails that slice, so no warning is raised
+    with np.errstate(over="ignore", invalid="ignore"):
+        model.classifier_weights -= learning_rate * gcw
+        model.classifier_bias -= learning_rate * gcb
+        for i, gw, gb in grads:
+            model.extractor[i].weights -= learning_rate * gw
+            model.extractor[i].bias -= learning_rate * gb
     return model

@@ -16,6 +16,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedstruct import cli, federation
 from fedstruct.config import architectures, config_from_dict, round_config
@@ -35,6 +37,8 @@ from fedstruct.federation import (
     aggregate_prototypes,
     batch_prototypes,
     evaluate_accuracy,
+    fixed_hypersphere_prototypes,
+    local_train_step,
     run_experiment,
     run_experiments,
 )
@@ -253,6 +257,29 @@ DIVERGING = [
 ]
 
 
+def test_failure_messages_match_their_pin():
+    # every run's failure message, or "ok", for the diverging configs above
+    # in every scenario and prototype mode; recorded from the engine that
+    # replayed a failing phase one client at a time
+    def overflowing(separation):
+        return {**OVERFLOWING, "dataset": {**OVERFLOWING["dataset"], "separation": separation}}
+
+    runs = ([(UNSTABLE, [("mse", lam, gamma) for lam in (0.0, 1000.0) for gamma in (0.0, 1000.0)])]
+            + DIVERGING
+            + [(overflowing(s), [(loss, 0.0, 0.0) for loss in ("mse", "gcsa", "contrastive")])
+               for s in (2e307, 3e307)])
+    lines = []
+    for payload, points in runs:
+        for scenario in SCENARIOS:
+            for mode in PROTOTYPE_MODES:
+                cfg, shards, archs, kwargs = _setup(payload, scenario, mode)
+                got = _lockstep(shards, archs, [_round_config(cfg, *p) for p in points], kwargs)
+                lines += [g if isinstance(g, str) else "ok" for g in got]
+    assert len(lines) == 108 and lines.count("ok") == 31
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "09af309a3c6afaeba65c1956bf39b5493ca550ed5d2a8b881cc2f444a72b1091"
+
+
 @pytest.mark.parametrize("mode", PROTOTYPE_MODES)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_stacked_clients_equal_one_client_at_a_time(monkeypatch, scenario, mode):
@@ -290,6 +317,99 @@ def test_stacked_clients_with_their_own_labels_equal_their_solo_runs(scenario):
                           "gamma": gamma}) for loss, lam, gamma in MIXED]
     assert _lockstep(shards, archs, rcs, kwargs) == [_solo(shards, archs, rc, kwargs)
                                                      for rc in rcs]
+
+
+def _one_participant_per_call(patch):
+    """Train each participant in a phase call of its own, so that a replica
+    that fails is dropped before the next participant trains: the order in
+    which a run of one meets its failures."""
+    train = federation._Replicas.train
+
+    def one_by_one(self, r, participants):
+        skips = {}  # config index -> structural skips over the participants so far
+        for i in participants:
+            if not train(self, r, [i]):
+                return False
+            for pos, k in enumerate(self.live):
+                skips[k] = skips.get(k, 0) + int(self.skips[pos])
+        self.skips[:] = [skips[k] for k in self.live]
+        return True
+
+    patch.setattr(federation._Replicas, "train", one_by_one)
+
+
+# weights from harmless to divergent: 1e4 and up overflow a term or a step
+FUZZ_WEIGHTS = st.sampled_from([0.0, 0.5, 3.0, 1e4, 1e150, 1e308])
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A tiny federation of 1-4 clients with random shards (train row counts
+    that often agree, so that clients stack), one or two architectures,
+    both prototype modes, all scenarios, and 1-4 points of mixed kinds with
+    zero and divergent weights."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    clients, classes = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    dim, scale = draw(st.integers(1, 4)), draw(st.sampled_from([1.0, 1e3, 1e150]))
+    rows = st.sampled_from([2, 5, 8])
+    shards = [DatasetShard(i, scale * rng.standard_normal((n, dim)), rng.integers(0, classes, n),
+                           rng.standard_normal((t, dim)), rng.integers(0, classes, t))
+              for i, (n, t) in enumerate((draw(rows), draw(st.integers(1, 4)))
+                                         for _ in range(clients))]
+    feature_dim = draw(st.integers(1, 8))
+    archs = [ArchitectureSpec(tuple(widths), feature_dim)
+             for widths in draw(st.lists(st.lists(st.integers(1, 8), max_size=2),
+                                         min_size=1, max_size=2))]
+    base = RoundConfig(
+        alignment=KNOWN_KINDS["mse"], batch_size=draw(st.integers(2, 6)),
+        local_epochs=draw(st.integers(1, 2)),
+        learning_rate=draw(st.sampled_from([0.1, 1.0, 100.0])),
+        participation_fraction=draw(st.sampled_from([0.5, 1.0])),
+        prototype_mode=draw(st.sampled_from(PROTOTYPE_MODES)))
+    points = draw(st.lists(st.tuples(st.sampled_from(KNOWN_LOSSES), FUZZ_WEIGHTS, FUZZ_WEIGHTS),
+                           min_size=1, max_size=4))
+    rcs = [RoundConfig(**{**base.__dict__, "alignment": KNOWN_KINDS[loss], "lam": lam,
+                          "gamma": gamma}) for loss, lam, gamma in points]
+    kwargs = dict(rounds=draw(st.integers(1, 2)), seed=draw(st.integers(0, 3)),
+                  num_classes=classes, scenario=draw(st.sampled_from(SCENARIOS)))
+    return shards, archs, rcs, kwargs
+
+
+def _failed_steps_keep_their_model(shard, arch, rcs, num_classes):
+    """Step a fresh model through the shard's batches at each config until a
+    step fails: a step that fails must leave every parameter as it was."""
+    protos = fixed_hypersphere_prototypes(num_classes, arch.feature_dim, 0)
+    for rc in rcs:
+        model = build_model(arch, shard.train_features.shape[1], num_classes, seed=0)
+        for start in range(0, shard.num_train - 1, rc.batch_size):
+            rows = slice(start, start + rc.batch_size)
+            before = [a.copy() for a in model.arrays()]
+            try:
+                local_train_step(model, shard.train_features[rows], shard.train_labels[rows],
+                                 protos, rc)
+            except NumericFailureError:
+                assert all(np.array_equal(a, b, equal_nan=True)
+                           for a, b in zip(model.arrays(), before))
+                break
+
+
+@pytest.mark.slow
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lockstep_cases())
+def test_random_lockstep_runs_equal_their_solo_runs(case):
+    # each replica's rounds.jsonl or failure message is its solo run's, with
+    # clients stacked, one client per stack, and one participant per phase
+    # call (the order of a run of one)
+    shards, archs, rcs, kwargs = case
+    want = [_solo(shards, archs, rc, kwargs) for rc in rcs]
+    assert _lockstep(shards, archs, rcs, kwargs) == want
+    with pytest.MonkeyPatch.context() as patch:
+        _one_client_per_stack(patch)
+        assert _lockstep(shards, archs, rcs, kwargs) == want
+        _one_participant_per_call(patch)
+        assert _lockstep(shards, archs, rcs, kwargs) == want
+    _failed_steps_keep_their_model(shards[0], archs[0], rcs, kwargs["num_classes"])
 
 
 # four equal shards of two architectures, so clients {0, 2} and {1, 3}
