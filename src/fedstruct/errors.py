@@ -18,17 +18,5 @@ class NumericFailureError(ArithmeticError):
     """A numerical routine produced non-finite values or failed to converge."""
 
 
-class ReplicaFailure(NumericFailureError):
-    """Some replicas of a lockstep stack failed a numeric check.
-
-    `failures` maps each failed replica's position in the stack to its
-    message; for a stack of one the exception reads as that message.
-    """
-
-    def __init__(self, failures: dict[int, str]):
-        super().__init__(next(iter(failures.values())))
-        self.failures = failures
-
-
 class PartitionFailureError(RuntimeError):
     """A data partition could not satisfy its validity constraints."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analysis import effective_dimensionality, write_csv
-from .errors import ContractError, DegenerateInputError, NumericFailureError, ReplicaFailure
+from .errors import ContractError, DegenerateInputError, NumericFailureError
 from .losses import _PAIRED_RAW_LOSSES, _PAIRWISE_KERNELS, AlignmentKind, _contrastive
 from .models import (
     ArchitectureSpec,
@@ -33,6 +33,7 @@ from .models import (
     _backward_and_step,
     _check_finite,
     _forward,
+    _raise_failure,
     _softmax_cross_entropy,
     _stack_of_one,
     build_model,
@@ -174,25 +175,29 @@ def aggregate_prototypes(uploads, previous: PrototypeSet | None = None) -> Proto
     shapes = {u.vectors.shape for u in uploads + ([previous] if previous is not None else [])}
     if len(shapes) != 1:
         raise ContractError(f"uploads must share one vector shape, got {sorted(shapes)}")
-    return _aggregate(np.stack([u.vectors for u in uploads], axis=-3),
-                      np.stack([u.counts for u in uploads]), previous)
+    protos, failed = _aggregate(np.stack([u.vectors for u in uploads], axis=-3),
+                                np.stack([u.counts for u in uploads]), previous)
+    _raise_failure(failed)
+    return protos
 
 
-def _aggregate(stacked, counts, previous: PrototypeSet | None) -> PrototypeSet:
+def _aggregate(stacked, counts, previous: PrototypeSet | None):
     """aggregate_prototypes over ([R,] U, C, d) upload vectors, zero where
-    absent, and their (U, C) counts; a replica whose sum overflows fails."""
+    absent, and their (U, C) counts, and its failures (see models.py): a
+    replica whose sum overflows fails, and its vectors read 0."""
     total = counts.sum(axis=0)
     # absent rows are zero with weight zero, so each adds +0.0 to its class's
     # sum; the uploads are summed in order along the U axis
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = (counts[:, :, None] * stacked).sum(axis=-3)
     vectors = weighted / np.maximum(total, 1)[:, None]
-    _check_finite((vectors,), "aggregation produced non-finite prototypes")
+    failed = _check_finite((vectors,), "aggregation produced non-finite prototypes")
+    vectors[list(failed)] = 0.0  # a PrototypeSet holds finite vectors only
     if previous is not None:
         stale = previous.present & (total == 0)
         vectors[..., stale, :] = previous.vectors[..., stale, :]
         total = np.where(stale, previous.counts, total)
-    return PrototypeSet(vectors, total)
+    return PrototypeSet(vectors, total), failed
 
 
 def fixed_hypersphere_prototypes(num_classes: int, dim: int, seed) -> PrototypeSet:
@@ -463,18 +468,21 @@ def _train_step(steps, protos, objective, learning_rate) -> list:
     A local_train_step is one stack with K = 1.
 
     Returns per stack each slice's [sup, proto, inst, total] as a (K·R, 4)
-    array and its structural skips.  A slice whose forward pass, total loss
-    or parameter gradient is non-finite fails with ReplicaFailure, keyed by
-    its position in its stack, before any slice of that stack changes.
+    array, its structural skips and its failures (see models.py): each
+    slice whose forward pass, total loss or parameter gradient is
+    non-finite, with the first of these it failed.  A failed slice keeps
+    its parameters, and its terms are unspecified.
     """
     weights, plan = objective
     replicas = weights.shape[1]
     aligned = plan and protos is not None and not protos.is_empty
     passes, clients = [], []
     for model, batch, labels in steps:
-        emb, logits, layers = _forward(model, _per_slice(batch, replicas))
+        emb, logits, layers, failed = _forward(model, _per_slice(batch, replicas))
         sup, grad_logits = _softmax_cross_entropy(logits, _per_slice(labels, replicas))
-        grad_emb = grad_logits @ model.classifier_weights.swapaxes(1, 2)
+        # a failed slice computes on, on values that may be non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad_emb = grad_logits @ model.classifier_weights.swapaxes(1, 2)
         terms = np.zeros((4, emb.shape[0]))  # sup, proto, inst and total, per slice
         terms[0] = sup
         skipped = np.zeros(emb.shape[0], dtype=np.int64)
@@ -482,27 +490,25 @@ def _train_step(steps, protos, objective, learning_rate) -> list:
             spans = [slice(k * replicas, (k + 1) * replicas) for k in range(labels.shape[0])]
             clients += [(emb[span], y, terms[1:3, span], grad_emb[span], skipped[span])
                         for span, y in zip(spans, labels)]
-        passes.append((model, layers, grad_logits, grad_emb, terms, skipped))
+        passes.append((model, layers, grad_logits, grad_emb, terms, skipped, failed))
     if aligned:
         # runaway-but-finite embeddings may overflow inside the alignment
-        # terms; the non-finite check on the totals below turns that into a
-        # clean NumericFailureError, so the IEEE warnings are suppressed
+        # terms; the non-finite check on the totals below fails that slice,
+        # so the IEEE warnings are suppressed
         with np.errstate(over="ignore", invalid="ignore"):
             _align(clients, protos, objective)
     lams, gammas = weights.tolist()
     done = []
-    for model, layers, grad_logits, grad_emb, terms, skipped in passes:
+    for model, layers, grad_logits, grad_emb, terms, skipped, failed in passes:
         # Python floats, one slice at a time, as in a run of one
         count = terms.shape[1] // replicas
         totals = [s + lam * p + gamma * i for s, p, i, lam, gamma
                   in zip(*terms[:3].tolist(), lams * count, gammas * count)]
-        bad = {s: f"non-finite training loss {t}" for s, t in enumerate(totals)
-               if not math.isfinite(t)}
-        if bad:
-            raise ReplicaFailure(bad)
-        _backward_and_step(model, layers, grad_logits, grad_emb, learning_rate)
+        failed = {**{s: f"non-finite training loss {t}" for s, t in enumerate(totals)
+                     if not math.isfinite(t)}, **failed}
+        failed = _backward_and_step(model, layers, grad_logits, grad_emb, learning_rate, failed)
         terms[3] = totals
-        done.append((terms.T, skipped))
+        done.append((terms.T, skipped, failed))
     return done
 
 
@@ -533,17 +539,19 @@ def local_train_step(
         )
     stacked = (None if global_protos is None
                else PrototypeSet(global_protos.vectors[None], global_protos.counts))
-    ((terms, skipped),) = _train_step([(_stack_of_one(model), batch[None], labels[None])],
-                                      stacked, _objective([cfg]), cfg.learning_rate)
+    step = [(_stack_of_one(model), batch[None], labels[None])]
+    ((terms, skipped, failed),) = _train_step(step, stacked, _objective([cfg]), cfg.learning_rate)
+    _raise_failure(failed)
     return model, LossBreakdown(*terms[0].tolist(), int(skipped[0]))
 
 
-def _accuracy(model: ClientModel, features, labels) -> np.ndarray:
+def _accuracy(model: ClientModel, features, labels) -> tuple[np.ndarray, dict[int, str]]:
     """(S,) top-1 accuracies of a stacked model's classifier heads, each
-    slice on its own rows of the features and labels (see models.py)."""
-    _, logits, _ = _forward(model, features, keep_layers=False)
+    slice on its own rows of the features and labels (see models.py), and
+    the forward pass's failures."""
+    _, logits, _, failed = _forward(model, features, keep_layers=False)
     # an exact count over n: the mean of the hits, bit for bit
-    return (np.argmax(logits, axis=2) == labels).sum(axis=1) / labels.shape[-1]
+    return (np.argmax(logits, axis=2) == labels).sum(axis=1) / labels.shape[-1], failed
 
 
 def evaluate_accuracy(model: ClientModel, features, labels) -> float:
@@ -552,7 +560,9 @@ def evaluate_accuracy(model: ClientModel, features, labels) -> float:
     if features.shape[0] < 1:
         raise ContractError("cannot evaluate on an empty set")
     labels = check_labels(labels, features.shape[0], model.num_classes)
-    return float(_accuracy(_stack_of_one(model), features[None], labels)[0])
+    accuracy, failed = _accuracy(_stack_of_one(model), features[None], labels)
+    _raise_failure(failed)
+    return float(accuracy[0])
 
 
 @dataclass
@@ -661,11 +671,10 @@ class _Replicas:
 
     A round's phases stack clients too: the clients that share an
     architecture and a row count (of the rows the phase reads) run as one
-    K·R stack, client-major, never padded: the phase trains or reads a copy
-    of its clients' stacks end to end, and after training each client keeps
-    its slice of the trained copy.  A replica failure inside a stacked phase
-    discards the copies, and the phase replays one client at a time in
-    client order, so the failure reads as in a run of one."""
+    K·R stack, client-major, never padded; a one-client stack is the
+    client's own, trained in place.  A phase runs once over its stacks, each
+    slice recording its failures (see models.py), and then each replica that
+    failed leaves with its solo run's first failure (_first_failures)."""
 
     def __init__(self, shards, archs: list[ArchitectureSpec], cfgs: list[RoundConfig],
                  seed: int, num_classes: int, scenario: str, input_dim: int):
@@ -701,19 +710,10 @@ class _Replicas:
         # each client's test accuracy, as of the round its model last changed
         self.accuracies = np.zeros((len(cfgs), len(shards)))
 
-    def attempt(self, work, prefix: str):
-        """work() over the live replicas.  A replica that fails is dropped
-        with the message its own run would raise, and work() runs again on
-        the others; their arithmetic does not depend on who else is in the
-        stack.  Returns None once no replica is left."""
-        while self.live:
-            try:
-                return work()
-            except ReplicaFailure as exc:
-                self._drop(exc.failures, prefix)
-        return None
-
     def _drop(self, failures: dict[int, str], prefix: str) -> None:
+        """Fail the replica at each position of `failures` and take it out of every stack."""
+        if not failures:
+            return
         for pos, message in failures.items():
             self.errors[self.live[pos]] = NumericFailureError(prefix + message)
         keep = [pos for pos in range(len(self.live)) if pos not in failures]
@@ -726,53 +726,56 @@ class _Replicas:
         self.latest, self.terms, self.skips, self.accuracies = (
             self.latest[keep], self.terms[keep], self.skips[keep], self.accuracies[keep])
 
+    def _first_failures(self, groups, failures, named: bool) -> dict[int, str]:
+        """Each replica's failure in its solo run, whose participants take turns
+        in ascending order: the lowest client's in failures, where slice k·R + r
+        of failures[j] is client groups[j][k]'s replica r; named if `named`."""
+        replicas, first = len(self.live), {}
+        for i, r, message in sorted((g[s // replicas], s % replicas, m)
+                                    for g, f in zip(groups, failures) for s, m in f.items()):
+            first.setdefault(r, (f"client {self.shards[i].client_id}: " if named else "")
+                             + message)
+        return first
+
     def _gather(self, clients: list[int]) -> ClientModel:
-        """A copy of the replica stacks of clients of one architecture as one
-        K·R stack, client-major."""
+        """The replica stacks of clients of one architecture as one K·R
+        stack, client-major: a one-client stack as it is, else a copy."""
         stacks = [self.models[0 if self.shared else i] for i in clients]
         if len(stacks) == 1:
-            return stacks[0].map_arrays(np.ndarray.copy)
+            return stacks[0]
         return stacks[0].with_arrays([np.concatenate(arrays)
                                       for arrays in zip(*(m.arrays() for m in stacks))])
 
-    def _stack_inputs(self, clients, features, labels):
+    def _stack_inputs(self, clients, split: str):
         """The clients' stack (see _gather), with their (K, n, ...) features
-        and (K, n) labels as its per-slice rows."""
+        and (K, n) labels of `split` (train or test) as its per-slice rows."""
         replicas = len(self.live)
+        features, labels = ([getattr(self.shards[i], f"{split}_{name}") for i in clients]
+                            for name in ("features", "labels"))
         return (self._gather(clients), _per_slice(_stacked(features), replicas),
                 _per_slice(_stacked(labels), replicas))
 
     def train(self, r: int, participants: list[int]) -> bool:
-        """The round's local training.  The stack groups of participants
-        train together (see _local_training), and nothing is written back
-        before every group has trained; homo_shared never stacks, as its
-        clients visit one model in turn.  False once no replica is left."""
+        """The round's local training: the stack groups of participants train
+        together (see _local_training), but homo_shared's clients visit its
+        one model in turn, a phase each.  False once no replica is left."""
         self.skips[:] = 0
-        if not self.shared and len(participants) > 1:
-            groups = _stack_groups(participants, self.train_keys)
-            try:
-                trained = self._local_training(r, groups)
-            except ReplicaFailure:
-                pass  # replayed below, so that the first client to fail names it
-            else:
-                for g, done in zip(groups, trained):
-                    self._write_back(g, *done)
-                return True
-        for i in participants:
-            done = self.attempt(lambda: self._local_training(r, [[i]])[0],
-                                f"round {r}: client {self.shards[i].client_id}: ")
-            if done is None:
+        for clients in [[i] for i in participants] if self.shared else [participants]:
+            groups = _stack_groups(clients, self.train_keys)
+            failures = self._local_training(r, groups)
+            self._drop(self._first_failures(groups, failures, named=True), f"round {r}: ")
+            if not self.live:
                 return False
-            self._write_back([i], *done)
         return True
 
-    def _local_training(self, r: int, groups: list[list[int]]) -> list:
-        """The local epochs of the given stack groups, each on a copy of its
-        stacks, advanced together one tick (epoch, batch index) at a time:
-        the groups with a batch at a tick take one _train_step together.
-        Returns per group the trained stack, each slice's mean loss terms
-        and its structural skips.  Each client draws its batches from its
-        own stream."""
+    def _local_training(self, r: int, groups: list[list[int]]) -> list[dict[int, str]]:
+        """The local epochs of the given stack groups, advanced together one
+        tick (epoch, batch index) at a time: the groups with a batch at a
+        tick take one _train_step together.  Each client draws its batches
+        from its own stream, and keeps its slice of its group's trained
+        stack as its model, its mean loss terms and skips in the round's
+        tables.  Returns per group each slice's first failure in tick order,
+        the loss-term sum's last."""
         cfg = self.cfgs[0]  # for the fields every config shares
         models = [self._gather(g) for g in groups]
         # each group's train rows end to end, and its clients' row count
@@ -783,6 +786,7 @@ class _Replicas:
                 for g in groups]
         sums = [np.zeros((len(g) * len(self.live), 4)) for g in groups]
         skips = [np.zeros(s.shape[0], dtype=np.int64) for s in sums]
+        failures = [{} for _ in groups]
         steps = [0] * len(groups)
         for _ in range(cfg.local_epochs):
             # each client's batch order, as rows of its group's train rows
@@ -796,61 +800,52 @@ class _Replicas:
                 done = _train_step([(models[j], features[j].take(i, axis=0), labels[j].take(i))
                                     for j, i in zip(tick, idx)],
                                    self.global_protos, self.objective, cfg.learning_rate)
-                for j, (terms, skipped) in zip(tick, done):
+                for j, (terms, skipped, failed) in zip(tick, done):
                     with np.errstate(over="ignore", invalid="ignore"):
                         sums[j] += terms
                     skips[j] += skipped
                     steps[j] += 1
-        for s in sums:
-            _check_finite((s,), "loss-term sum overflowed")
-        return [(m, s / max(k, 1), sk) for m, s, k, sk in zip(models, sums, steps, skips)]
-
-    def _write_back(self, clients: list[int], model, terms, skips) -> None:
-        """Keep each client's slice of the trained stack as its model, and
-        its mean loss terms and skips in the round's tables."""
+                    failures[j] = {**failed, **failures[j]}
         replicas = len(self.live)
-        for k, i in enumerate(clients):
-            span = slice(k * replicas, (k + 1) * replicas)
-            self.models[0 if self.shared else i] = model.map_arrays(lambda a: a[span])
-        self.terms[:, clients] = terms.reshape(len(clients), replicas, 4).swapaxes(0, 1)
-        self.skips += skips.reshape(len(clients), replicas).sum(axis=0)
+        for g, model, s, k, sk in zip(groups, models, sums, steps, skips):
+            for pos, i in enumerate(g):
+                span = slice(pos * replicas, (pos + 1) * replicas)
+                self.models[0 if self.shared else i] = model.map_arrays(lambda a: a[span])
+            self.terms[:, g] = (s / max(k, 1)).reshape(len(g), replicas, 4).swapaxes(0, 1)
+            self.skips += sk.reshape(len(g), replicas).sum(axis=0)
+        return [_check_finite((s,), "loss-term sum overflowed", f) for s, f in zip(sums, failures)]
 
     def finish(self, r: int, participants: list[int]) -> bool:
         """The uploads, the new global prototypes and the accuracies of the
-        models that changed, stacked by model and row count.  False once no
-        replica is left."""
-        try:
-            self.global_protos = self._finish(r, participants, stack=True)
-        except ReplicaFailure:
-            self.global_protos = self.attempt(lambda: self._finish(r, participants, stack=False),
-                                              f"round {r}: ")
-        return self.global_protos is not None
-
-    def _finish(self, r: int, participants: list[int], stack: bool) -> PrototypeSet:
-        """finish's uploads and evaluations, with the clients in stacks or
-        one at a time; returns the new global prototypes."""
-        group = _stack_groups if stack else (lambda clients, _: [[i] for i in clients])
-        replicas, shards = len(self.live), self.shards
-        for g in group(participants, self.train_keys):
-            model, features, labels = self._stack_inputs(
-                g, [shards[i].train_features for i in g], [shards[i].train_labels for i in g])
-            emb = _forward(model, features, keep_layers=False)[0]
+        models that changed, stacked by model and row count.  A replica that
+        fails takes its first failure in that order, as in its solo run.
+        False once no replica is left."""
+        replicas = len(self.live)
+        groups, failures = _stack_groups(participants, self.train_keys), []
+        for g in groups:
+            model, features, labels = self._stack_inputs(g, "train")
+            emb, _, _, failed = _forward(model, features, keep_layers=False)
             means, counts = _class_means(emb, labels, self.latest.shape[2])
-            _check_finite((means,), "upload produced non-finite prototypes")
+            failures.append(_check_finite((means,), "upload produced non-finite prototypes",
+                                          failed))
             self.latest[:, g] = means.reshape(len(g), replicas, *means.shape[1:]).swapaxes(0, 1)
             self.latest_counts[g] = counts[::replicas]
-        protos = self.global_protos
+        failed = self._first_failures(groups, failures, named=False)
         if self.cfgs[0].prototype_mode == "aggregate":
-            protos = _aggregate(self.latest[:, participants], self.latest_counts[participants],
-                                protos)
+            self.global_protos, aggregated = _aggregate(
+                self.latest[:, participants], self.latest_counts[participants], self.global_protos)
+            failed = {**aggregated, **failed}
         # the other clients' models are last round's, and so are their
         # accuracies, except in homo_shared
-        changed = range(len(shards)) if r == 0 or self.shared else participants
-        for g in group(changed, self.test_keys):
-            model, features, labels = self._stack_inputs(
-                g, [shards[i].test_features for i in g], [shards[i].test_labels for i in g])
-            self.accuracies[:, g] = _accuracy(model, features, labels).reshape(len(g), -1).T
-        return protos
+        changed = range(len(self.shards)) if r == 0 or self.shared else participants
+        groups, failures = _stack_groups(changed, self.test_keys), []
+        for g in groups:
+            accuracies, evaluated = _accuracy(*self._stack_inputs(g, "test"))
+            self.accuracies[:, g] = accuracies.reshape(len(g), -1).T
+            failures.append(evaluated)
+        self._drop({**self._first_failures(groups, failures, named=False), **failed},
+                   f"round {r}: ")
+        return bool(self.live)
 
 
 def run_experiments(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ReplicaFailure
+from .errors import ContractError, NumericFailureError
 from .tensor import check_labels
 
 @dataclass(frozen=True)
@@ -131,7 +131,8 @@ def forward(model: ClientModel, batch) -> tuple[np.ndarray, np.ndarray, list[np.
     layer_inputs[i] feeds extractor layer i, and layer_inputs[-1] is the
     embedding matrix."""
     batch = check_batch(model, batch)
-    emb, logits, layer_inputs = _forward(_stack_of_one(model), batch[None])
+    emb, logits, layer_inputs, failed = _forward(_stack_of_one(model), batch[None])
+    _raise_failure(failed)
     return emb[0], logits[0], [x[0] for x in layer_inputs]
 
 
@@ -151,19 +152,27 @@ def check_batch(model: ClientModel, batch) -> np.ndarray:
 # (S, n, input_dim), or (1, n, input_dim) shared by every slice, and labels
 # are (S, n), or (n,) or (1, n) shared.  Each slice's arithmetic is its run of
 # one, whatever the other slices hold.  The non-finite checks are part of the
-# kernels, so they fire on every path, per slice.
+# kernels, so they fire on every path, per slice: a kernel returns its
+# failures, {slice: its first check's message}; a failed slice's values are unspecified.
 
 
-def _check_finite(arrays, message: str) -> None:
-    """Fail each replica with a non-finite entry in any of the (R, ...) stacks."""
+def _check_finite(arrays, message: str, failed: dict | None = None) -> dict[int, str]:
+    """`failed` (failures so far, or None) and each other slice with a
+    non-finite entry in any of the (S, ...) stacks, failed with `message`."""
     for a in arrays:
         if not np.isfinite(a).all():
             break
     else:
-        return
+        return failed or {}
     ok = np.logical_and.reduce([np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
                                 for a in arrays])
-    raise ReplicaFailure({int(r): message for r in np.flatnonzero(~ok)})
+    return {**dict.fromkeys(np.flatnonzero(~ok).tolist(), message), **(failed or {})}
+
+
+def _raise_failure(failed: dict[int, str]) -> None:
+    """Raise the failure of a public kernel's stack of one, if it failed."""
+    if failed:
+        raise NumericFailureError(failed[min(failed)])
 
 
 def _forward(model: ClientModel, batch: np.ndarray, keep_layers: bool = True):
@@ -185,8 +194,8 @@ def _forward(model: ClientModel, batch: np.ndarray, keep_layers: bool = True):
         embeddings = h
         logits = embeddings @ model.classifier_weights
         logits += model.classifier_bias[:, None]
-    _check_finite((embeddings, logits), "forward pass produced non-finite values")
-    return embeddings, logits, layer_inputs
+    return embeddings, logits, layer_inputs, _check_finite(
+        (embeddings, logits), "forward pass produced non-finite values")
 
 
 def loss_supervised(logits, labels) -> tuple[float, np.ndarray]:
@@ -254,8 +263,8 @@ def backward_and_step(
         )
     if not (learning_rate >= 0.0 and np.isfinite(learning_rate)):
         raise ContractError(f"learning_rate must be finite and >= 0, got {learning_rate}")
-    _backward_and_step(_stack_of_one(model), [x[None] for x in layer_inputs], grad_logits[None],
-                       grad_embeddings[None], learning_rate)
+    _raise_failure(_backward_and_step(_stack_of_one(model), [x[None] for x in layer_inputs],
+                                      grad_logits[None], grad_embeddings[None], learning_rate))
     return model
 
 
@@ -265,10 +274,15 @@ def _backward_and_step(
     grad_logits: np.ndarray,
     grad_embeddings: np.ndarray,
     learning_rate: float,
-) -> ClientModel:
+    failed: dict | None = None,
+) -> dict[int, str]:
+    """backward_and_step on each slice of a stack.  Returns `failed` (the
+    slices that failed earlier in the step, or None) and the slices whose
+    parameter gradient is non-finite; a failed slice keeps its parameters."""
     embeddings = layer_inputs[-1]
     grads = []
-    # an overflow fails its slice in the non-finite check below, without warnings
+    # an overflow fails its slice in the non-finite check below, and an
+    # update that overflows fails it in the next forward pass, without warnings
     with np.errstate(over="ignore", invalid="ignore"):
         gcw = embeddings.swapaxes(-1, -2) @ grad_logits
         gcb = grad_logits.sum(axis=1)
@@ -283,16 +297,14 @@ def _backward_and_step(
             grads.append((i, gw, gb))
             if i > 0:
                 g = g @ layer.weights.swapaxes(-1, -2)
-
-    _check_finite([gcw, gcb] + [x for _, gw, gb in grads for x in (gw, gb)],
-                  "non-finite parameter gradient; step aborted")
-
-    # a finite gradient may still overflow the update; the next forward
-    # pass's non-finite check fails that slice, so no warning is raised
-    with np.errstate(over="ignore", invalid="ignore"):
+        arrays = [gcw, gcb] + [x for _, gw, gb in grads for x in (gw, gb)]
+        failed = _check_finite(arrays, "non-finite parameter gradient; step aborted", failed)
+        if failed:  # a failed slice is not stepped
+            for a in arrays:
+                a[list(failed)] = 0.0
         model.classifier_weights -= learning_rate * gcw
         model.classifier_bias -= learning_rate * gcb
         for i, gw, gb in grads:
             model.extractor[i].weights -= learning_rate * gw
             model.extractor[i].bias -= learning_rate * gb
-    return model
+    return failed

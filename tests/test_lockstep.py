@@ -25,7 +25,6 @@ from fedstruct.errors import (
     ContractError,
     DegenerateInputError,
     NumericFailureError,
-    ReplicaFailure,
 )
 from fedstruct.federation import (
     PROTOTYPE_MODES,
@@ -429,34 +428,43 @@ def _clients_of(shards, batch):
             for rows in batch]
 
 
+def _failing(client, tick):
+    """Clients 1 and 2 fail: client 2 from the first tick, client 1 from
+    the second, so that the participant order, not the tick, names client 1."""
+    return client == 2 or (client == 1 and tick >= 1)
+
+
 def test_a_failure_in_a_stack_names_the_first_failing_client(monkeypatch):
-    # clients 1 and 2 fail in training, and client 1 comes first in
-    # participant order
+    # clients 1 and 2 fail in training, in different stacks, and client 1
+    # comes first in participant order
     cfg, shards, archs, kwargs = _setup(FOUR_EQUAL, "hetero", "aggregate")
     assert federation._stack_groups(range(4), [(i % 2, s.num_train) for i, s in
                                                enumerate(shards)]) == [[0, 2], [1, 3]]
     step, stacks = federation._train_step, []
 
     def planted(steps, *args):
+        poisoned = []
+        for model, batch, labels in steps:
+            batch = batch.copy()
+            for k, c in enumerate(_clients_of(shards, batch)):
+                if _failing(c, len(stacks)):
+                    batch[k] = np.nan  # the slice's forward pass is non-finite
+            poisoned.append((model, batch, labels))
         stacks.append([batch.shape[0] for _, batch, _ in steps])
-        for _, batch, _ in steps:
-            failing = {k: f"planted in client {c}"
-                       for k, c in enumerate(_clients_of(shards, batch)) if c in (1, 2)}
-            if failing:
-                raise ReplicaFailure(failing)
-        return step(steps, *args)
+        return step(poisoned, *args)
 
     monkeypatch.setattr(federation, "_train_step", planted)
     with pytest.raises(NumericFailureError) as exc:
         run_experiment(shards, archs, round_config(cfg), **kwargs)
-    assert str(exc.value) == "round 0: client 1: planted in client 1"
-    assert stacks[0] == [2, 2]  # the failure was met in a step of both stacks, then replayed
+    assert str(exc.value) == "round 0: client 1: forward pass produced non-finite values"
+    # every tick runs once, with both stacks of two
+    assert stacks == [[2, 2]] * len(range(0, shards[0].num_train - 1, 8))
 
 
-def test_a_failure_in_a_fused_alignment_replays_the_tick_client_by_client(monkeypatch):
-    # clients 1 and 2 sit in different stacks; the GCSA kernel fails for
-    # them while it serves every client of a step, and the run names client
-    # 1, as its one-client replay does
+def test_a_failure_in_a_fused_alignment_names_the_first_failing_client(monkeypatch):
+    # clients 1 and 2 sit in different stacks; the GCSA kernel returns nan
+    # for them while it serves every client of a step, and the run names
+    # client 1, as its solo run does
     cfg, shards, archs, kwargs = _setup(FOUR_EQUAL, "hetero", "fixed_hypersphere")
     step, kernel, steps = federation._train_step, _PAIRWISE_KERNELS["gcsa"], []
 
@@ -465,19 +473,20 @@ def test_a_failure_in_a_fused_alignment_replays_the_tick_client_by_client(monkey
         return step(stacks, *args)
 
     def planted(*sides):
-        failing = [c for c in steps[-1] if c in (1, 2)]
-        if failing:  # a fused step names the last failing client, a replay its one client
-            raise ReplicaFailure({0: f"planted in client {failing[-1]}"})
-        return kernel(*sides)
+        values, grad, why = kernel(*sides)
+        if values.shape[0] < len(steps[-1]):  # the inst term's rows agree, the proto term's may not
+            return values, grad, why
+        # one slice per client of the step, in its order
+        failing = [_failing(c, len(steps) - 1) for c in steps[-1]]
+        return np.where(failing, np.nan, values), grad, why
 
     monkeypatch.setattr(federation, "_train_step", recorded)
     monkeypatch.setitem(_PAIRWISE_KERNELS, "gcsa", planted)
     with pytest.raises(NumericFailureError) as exc:
         run_experiment(shards, archs, round_config(cfg), **kwargs)
-    assert str(exc.value) == "round 0: client 1: planted in client 1"
-    assert steps[0] == [0, 2, 1, 3]  # one step served both stacks, and failed
-    assert all(len(clients) == 1 for clients in steps[1:])
-    assert [clients[0] for clients in steps[1:]] == [0] * (len(steps) - 2) + [1]
+    assert str(exc.value) == "round 0: client 1: non-finite training loss nan"
+    # every tick runs once, with all four clients
+    assert steps == [[0, 2, 1, 3]] * len(range(0, shards[0].num_train - 1, 8))
 
 
 def test_each_kernel_serves_every_client_of_a_step_in_one_call(monkeypatch):
@@ -664,9 +673,9 @@ def _check_model_kernels(clients):
     if clients == 1:
         batches, labels = batches[:1], labels[0]
 
-    emb, logits, cache = _forward(stack, batches)
+    emb, logits, cache, _ = _forward(stack, batches)
     sup, grad_logits = _softmax_cross_entropy(logits, labels)
-    accuracy = _accuracy(stack, batches, labels)
+    accuracy, _ = _accuracy(stack, batches, labels)
     _backward_and_step(stack, cache, grad_logits, grad_emb, 0.3)
     for s, model in enumerate(models):
         batch, y = batches[s % batches.shape[0]], labels if clients == 1 else labels[s]
@@ -734,9 +743,9 @@ def test_mixed_kind_steps_equal_their_stacks_of_one(monkeypatch):
     grads = []
     step = federation._backward_and_step
 
-    def recorded(model, layers, grad_logits, grad_emb, learning_rate):
+    def recorded(model, layers, grad_logits, grad_emb, *rest):
         grads.append(grad_emb.copy())
-        return step(model, layers, grad_logits, grad_emb, learning_rate)
+        return step(model, layers, grad_logits, grad_emb, *rest)
 
     monkeypatch.setattr(federation, "_backward_and_step", recorded)
     rng = np.random.default_rng(17)
@@ -772,13 +781,13 @@ def test_mixed_kind_steps_equal_their_stacks_of_one(monkeypatch):
                                        in zip(fused_stacks, stacks)],
                                       protos, federation._objective(cfgs), 0.1)
         fused_grads = list(grads)
-        for (models, batch, labels), stack, (terms, skipped), stack_grad in zip(
+        for (models, batch, labels), stack, (terms, skipped, _), stack_grad in zip(
                 stacks, fused_stacks, done, fused_grads):
             for k in range(batch.shape[0]):
                 span = slice(k * replicas, (k + 1) * replicas)
                 grads.clear()
                 alone = _stack_models(models[span])
-                ((got, got_skipped),) = federation._train_step(
+                ((got, got_skipped, _),) = federation._train_step(
                     [(alone, batch[k:k + 1], labels[k:k + 1])], protos,
                     federation._objective(cfgs), 0.1)
                 assert np.array_equal(terms[span], got)
@@ -790,7 +799,7 @@ def test_mixed_kind_steps_equal_their_stacks_of_one(monkeypatch):
                     s = k * replicas + r
                     grads.clear()
                     solo = _stack_models([models[s]])
-                    ((got, solo_skipped),) = federation._train_step(
+                    ((got, solo_skipped, _),) = federation._train_step(
                         [(solo, batch[k:k + 1], labels[k:k + 1])],
                         PrototypeSet(vectors[r:r + 1], counts),
                         federation._objective([cfgs[r]]), 0.1)
