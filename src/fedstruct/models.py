@@ -221,8 +221,8 @@ def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     picks = (np.arange(logits.shape[0])[:, None], np.arange(logits.shape[1]), labels)
     # shifting makes the softmax stable for any reasonable logits; extreme
     # (runaway-training) magnitudes may still overflow the mean, which the
-    # caller's non-finite check turns into a NumericFailureError, so the
-    # intermediate IEEE warnings are suppressed
+    # caller's non-finite check fails, so the intermediate IEEE warnings are
+    # suppressed
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = logits - logits.max(axis=2, keepdims=True)
         expz = np.exp(shifted)
