@@ -40,7 +40,7 @@ from .models import (
     check_batch,
     replicate,
 )
-from .tensor import _kept, _unit_rows, as_matrix, check_labels
+from .tensor import _kept, _quiet, _unit_rows, as_matrix, check_labels
 
 logger = logging.getLogger(__name__)
 
@@ -154,6 +154,7 @@ def _class_means(embeddings, labels, num_classes: int) -> tuple[np.ndarray, np.n
     return sums.reshape(slices, num_classes, dim) / np.maximum(counts, 1)[..., None], counts
 
 
+@_quiet
 def aggregate_prototypes(uploads, previous: PrototypeSet | None = None) -> PrototypeSet:
     """Count-weighted average of client uploads, with stale retention.
 
@@ -188,8 +189,7 @@ def _aggregate(stacked, counts, previous: PrototypeSet | None):
     total = counts.sum(axis=0)
     # absent rows are zero with weight zero, so each adds +0.0 to its class's
     # sum; the uploads are summed in order along the U axis
-    with np.errstate(over="ignore", invalid="ignore"):
-        weighted = (counts[:, :, None] * stacked).sum(axis=-3)
+    weighted = (counts[:, :, None] * stacked).sum(axis=-3)
     vectors = weighted / np.maximum(total, 1)[:, None]
     failed = _check_finite((vectors,), "aggregation produced non-finite prototypes")
     vectors[list(failed)] = 0.0  # a PrototypeSet holds finite vectors only
@@ -324,9 +324,10 @@ def _per_slice(per_client: np.ndarray, replicas: int) -> np.ndarray:
     return np.repeat(per_client, replicas, axis=0)
 
 
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """np.stack(arrays), without a copy for one array."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+def _concatenate(models: list[ClientModel]) -> ClientModel:
+    """One stack of the given stacks of one architecture, in order."""
+    return models[0].with_arrays([np.concatenate(arrays)
+                                  for arrays in zip(*(m.arrays() for m in models))])
 
 
 def _align(clients, protos: PrototypeSet, objective) -> None:
@@ -481,8 +482,7 @@ def _train_step(steps, protos, objective, learning_rate) -> list:
         emb, logits, layers, failed = _forward(model, _per_slice(batch, replicas))
         sup, grad_logits = _softmax_cross_entropy(logits, _per_slice(labels, replicas))
         # a failed slice computes on, on values that may be non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad_emb = grad_logits @ model.classifier_weights.swapaxes(1, 2)
+        grad_emb = grad_logits @ model.classifier_weights.swapaxes(1, 2)
         terms = np.zeros((4, emb.shape[0]))  # sup, proto, inst and total, per slice
         terms[0] = sup
         skipped = np.zeros(emb.shape[0], dtype=np.int64)
@@ -493,25 +493,26 @@ def _train_step(steps, protos, objective, learning_rate) -> list:
         passes.append((model, layers, grad_logits, grad_emb, terms, skipped, failed))
     if aligned:
         # runaway-but-finite embeddings may overflow inside the alignment
-        # terms; the non-finite check on the totals below fails that slice,
-        # so the IEEE warnings are suppressed
-        with np.errstate(over="ignore", invalid="ignore"):
-            _align(clients, protos, objective)
+        # terms; the non-finite check on the totals below fails that slice
+        _align(clients, protos, objective)
     lams, gammas = weights.tolist()
     done = []
     for model, layers, grad_logits, grad_emb, terms, skipped, failed in passes:
-        # Python floats, one slice at a time, as in a run of one
-        count = terms.shape[1] // replicas
-        totals = [s + lam * p + gamma * i for s, p, i, lam, gamma
-                  in zip(*terms[:3].tolist(), lams * count, gammas * count)]
-        failed = {**{s: f"non-finite training loss {t}" for s, t in enumerate(totals)
-                     if not math.isfinite(t)}, **failed}
+        if aligned:  # Python floats, one slice at a time, as in a run of one
+            count = terms.shape[1] // replicas
+            terms[3] = [s + lam * p + gamma * i for s, p, i, lam, gamma
+                        in zip(*terms[:3].tolist(), lams * count, gammas * count)]
+        else:  # s + lam * 0.0 + gamma * 0.0
+            np.add(terms[0], 0.0, out=terms[3])
+        if not math.isfinite(terms[3].sum()):
+            failed = {**{s: f"non-finite training loss {t}" for s, t
+                         in enumerate(terms[3].tolist()) if not math.isfinite(t)}, **failed}
         failed = _backward_and_step(model, layers, grad_logits, grad_emb, learning_rate, failed)
-        terms[3] = totals
         done.append((terms.T, skipped, failed))
     return done
 
 
+@_quiet
 def local_train_step(
     model: ClientModel,
     batch,
@@ -554,6 +555,7 @@ def _accuracy(model: ClientModel, features, labels) -> tuple[np.ndarray, dict[in
     return (np.argmax(logits, axis=2) == labels).sum(axis=1) / labels.shape[-1], failed
 
 
+@_quiet
 def evaluate_accuracy(model: ClientModel, features, labels) -> float:
     """Top-1 accuracy of the classifier head on the given rows."""
     features = check_batch(model, features)
@@ -665,15 +667,58 @@ def _stack_groups(clients, keys) -> list[list[int]]:
     return list(groups.values())
 
 
+def _members(keys) -> dict:
+    """Per key, the clients i with keys[i] == key, ascending."""
+    members: dict = {}
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    return members
+
+
+def _stack_split(shards, keys, split: str) -> tuple[dict, list[int]]:
+    """`split` (train or test) of every shard, stacked once per key: per key
+    the (N, n, d) features and (N, n) labels of its N clients in client
+    order, and each client's index in its key's stack."""
+    stacks, index = {}, [0] * len(shards)
+    for key, clients in _members(keys).items():
+        stacks[key] = tuple(np.stack([getattr(shards[i], f"{split}_{name}") for i in clients])
+                            for name in ("features", "labels"))
+        for k, i in enumerate(clients):
+            index[i] = k
+    return stacks, index
+
+
+def _words(value: int) -> list[int]:
+    """The 32-bit words of an int >= 0, least significant first (one word
+    for 0): the words SeedSequence reads an int as."""
+    words = [value & 0xFFFFFFFF]
+    while value >> 32:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _stream(words: list[int]) -> np.random.Generator:
+    """default_rng(SeedSequence(ints)) for the concatenated words of the ints:
+    the same bit generator state, without SeedSequence's conversion of a
+    list of ints, which costs most of the generator."""
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+
+
 class _Replicas:
     """The live replicas of a lockstep run and everything that carries the
     replica axis; a replica that fails leaves every stack at once.
 
-    A round's phases stack clients too: the clients that share an
+    The models live in one stack per architecture (under homo_shared, the
+    one model's): R replicas per client, client-major in client order.  A
+    round's phases stack clients too: the clients that share an
     architecture and a row count (of the rows the phase reads) run as one
-    K·R stack, client-major, never padded; a one-client stack is the
-    client's own, trained in place.  A phase runs once over its stacks, each
-    slice recording its failures (see models.py), and then each replica that
+    K·R stack, client-major, never padded: a view of the model stack when
+    they are consecutive in it, trained in place, else a copy.  homo_shared's
+    one stack serves all of its clients' uploads and evaluations at once
+    (see models._forward).
+    A phase runs once over its stacks under one error state, each slice
+    recording its failures (see models.py), and then each replica that
     failed leaves with its solo run's first failure (_first_failures)."""
 
     def __init__(self, shards, archs: list[ArchitectureSpec], cfgs: list[RoundConfig],
@@ -686,20 +731,30 @@ class _Replicas:
         # homo_shared trains client 0's model, which every client visits in turn
         self.shared = scenario == "homo_shared"
         arch_of = [i % len(archs) if scenario == "hetero" else 0 for i in range(len(shards))]
-        # one stack of R replicas per model: models[i] is client i's, or
-        # under homo_shared models[0] is every client's
-        self.models = [replicate(build_model(archs[arch_of[i]], input_dim, num_classes,
-                                             np.random.SeedSequence([seed, 0, i])), len(cfgs))
-                       for i in range(1 if self.shared else len(shards))]
+        # the model stacks, each client's R replicas from its own init, and
+        # each client's stack and position in it
+        owners = _members(arch_of[:1] if self.shared else arch_of).values()
+        self.models = [_concatenate([replicate(build_model(archs[arch_of[i]], input_dim,
+                                                           num_classes,
+                                                           np.random.SeedSequence([seed, 0, i])),
+                                               len(cfgs)) for i in clients])
+                       for clients in owners]
+        self.slot = [(0, 0)] * len(shards)  # homo_shared: every client's is the one model
+        for m, clients in enumerate(owners):
+            for pos, i in enumerate(clients):
+                self.slot[i] = (m, pos)
         feature_dim = archs[0].feature_dim
         self.global_protos = None  # no prototypes yet: round 0 runs supervised-only
         if cfgs[0].prototype_mode == "fixed_hypersphere":
             anchors = _anchors(num_classes, feature_dim, seed)
             self.global_protos = PrototypeSet(np.repeat(anchors.vectors[None], len(cfgs), axis=0),
                                               anchors.counts)
-        # the stack keys: each client's architecture and its train or test row count
-        self.train_keys = [(a, s.num_train) for a, s in zip(arch_of, shards)]
-        self.test_keys = [(a, s.test_labels.shape[0]) for a, s in zip(arch_of, shards)]
+        # the stack keys: each client's architecture and its train or test
+        # row count, and each split's rows stacked once per key
+        self.keys = {"train": [(a, s.num_train) for a, s in zip(arch_of, shards)],
+                     "test": [(a, s.test_labels.shape[0]) for a, s in zip(arch_of, shards)]}
+        self.inputs = {split: _stack_split(shards, keys, split)
+                       for split, keys in self.keys.items()}
         # each client's latest upload, as _class_means returns it; a client
         # that has not uploaded yet has no present class
         self.latest = np.zeros((len(cfgs), len(shards), num_classes, feature_dim))
@@ -716,8 +771,10 @@ class _Replicas:
             return
         for pos, message in failures.items():
             self.errors[self.live[pos]] = NumericFailureError(prefix + message)
-        keep = [pos for pos in range(len(self.live)) if pos not in failures]
-        self.models = [m.map_arrays(lambda a: a[keep]) for m in self.models]
+        replicas = len(self.live)
+        keep = [pos for pos in range(replicas) if pos not in failures]
+        self.models = [m.map_arrays(lambda a: a.reshape(-1, replicas, *a.shape[1:])[:, keep]
+                                    .reshape(-1, *a.shape[1:])) for m in self.models]
         self.live = [self.live[pos] for pos in keep]
         if self.global_protos is not None:
             self.global_protos = PrototypeSet(self.global_protos.vectors[keep],
@@ -737,91 +794,119 @@ class _Replicas:
                              + message)
         return first
 
-    def _gather(self, clients: list[int]) -> ClientModel:
-        """The replica stacks of clients of one architecture as one K·R
-        stack, client-major: a one-client stack as it is, else a copy."""
-        stacks = [self.models[0 if self.shared else i] for i in clients]
-        if len(stacks) == 1:
-            return stacks[0]
-        return stacks[0].with_arrays([np.concatenate(arrays)
-                                      for arrays in zip(*(m.arrays() for m in stacks))])
+    def _gather(self, clients: list[int]) -> tuple[ClientModel, np.ndarray | None]:
+        """The replica stacks of clients of one model stack as one K·R
+        stack, client-major, and the rows of the model stack that it copies:
+        consecutive clients as a view of the model stack (rows None), else a copy."""
+        m, first = self.slot[clients[0]]
+        stack, replicas = self.models[m], len(self.live)
+        pos = [self.slot[i][1] for i in clients]
+        if pos == list(range(first, first + len(pos))):
+            if len(pos) * replicas == stack.classifier_bias.shape[0]:
+                return stack, None
+            span = slice(first * replicas, (first + len(pos)) * replicas)
+            return stack.map_arrays(lambda a: a[span]), None
+        rows = (np.array(pos)[:, None] * replicas + np.arange(replicas)).ravel()
+        return stack.map_arrays(lambda a: a.take(rows, axis=0)), rows
 
     def _stack_inputs(self, clients, split: str):
-        """The clients' stack (see _gather), with their (K, n, ...) features
-        and (K, n) labels of `split` (train or test) as its per-slice rows."""
+        """The clients' stack (see _gather), with their features and labels
+        of `split` (train or test), their rows of their key's stack (see
+        _stack_split), as its per-slice rows; under homo_shared, the one
+        model's stack, with (K, 1, n, d) features that each of its slices reads."""
+        stacks, index = self.inputs[split]
+        features, labels = stacks[self.keys[split][clients[0]]]
+        rows = [index[i] for i in clients]
+        if rows != list(range(features.shape[0])):  # not every client of the key
+            features, labels = features.take(rows, axis=0), labels.take(rows, axis=0)
         replicas = len(self.live)
-        features, labels = ([getattr(self.shards[i], f"{split}_{name}") for i in clients]
-                            for name in ("features", "labels"))
-        return (self._gather(clients), _per_slice(_stacked(features), replicas),
-                _per_slice(_stacked(labels), replicas))
+        if self.shared:
+            return self.models[0], features[:, None], _per_slice(labels, replicas)
+        return (self._gather(clients)[0], _per_slice(features, replicas),
+                _per_slice(labels, replicas))
 
+    @_quiet
     def train(self, r: int, participants: list[int]) -> bool:
-        """The round's local training: the stack groups of participants train
-        together (see _local_training), but homo_shared's clients visit its
-        one model in turn, a phase each.  False once no replica is left."""
-        self.skips[:] = 0
-        for clients in [[i] for i in participants] if self.shared else [participants]:
-            groups = _stack_groups(clients, self.train_keys)
-            failures = self._local_training(r, groups)
-            self._drop(self._first_failures(groups, failures, named=True), f"round {r}: ")
-            if not self.live:
-                return False
-        return True
+        """The round's local training, one phase (see _local_training) over
+        the stack groups of participants, or under homo_shared over its
+        participants, one group each.  False once no replica is left."""
+        groups = ([[i] for i in participants] if self.shared
+                  else _stack_groups(participants, self.keys["train"]))
+        failures = self._local_training(r, groups)
+        self._drop(self._first_failures(groups, failures, named=True), f"round {r}: ")
+        return bool(self.live)
 
     def _local_training(self, r: int, groups: list[list[int]]) -> list[dict[int, str]]:
-        """The local epochs of the given stack groups, advanced together one
-        tick (epoch, batch index) at a time: the groups with a batch at a
-        tick take one _train_step together.  Each client draws its batches
-        from its own stream, and keeps its slice of its group's trained
-        stack as its model, its mean loss terms and skips in the round's
-        tables.  Returns per group each slice's first failure in tick order,
-        the loss-term sum's last."""
+        """The local epochs of the given stack groups, one tick (epoch, batch
+        index) at a time: the groups with a batch at a tick take one
+        _train_step together, except under homo_shared, whose participants
+        take their ticks in turn on its one model.  Each client draws its
+        batches from its own stream, and keeps its slice of its group's
+        trained stack as its model, its mean loss terms and skips in the
+        round's tables.  Returns per group each slice's first failure in
+        tick order, the loss-term sum's last."""
         cfg = self.cfgs[0]  # for the fields every config shares
-        models = [self._gather(g) for g in groups]
-        # each group's train rows end to end, and its clients' row count
-        features = [np.concatenate([self.shards[i].train_features for i in g]) for g in groups]
-        labels = [np.concatenate([self.shards[i].train_labels for i in g]) for g in groups]
-        sizes = [self.shards[g[0]].num_train for g in groups]
-        rngs = [[np.random.default_rng(np.random.SeedSequence([self.seed, 1, r, i])) for i in g]
-                for g in groups]
-        sums = [np.zeros((len(g) * len(self.live), 4)) for g in groups]
-        skips = [np.zeros(s.shape[0], dtype=np.int64) for s in sums]
+        replicas, (stacks, index) = len(self.live), self.inputs["train"]
+        models, copied = zip(*(self._gather(g) for g in groups))
+        # each group's key's train rows end to end, and its clients' row count
+        keyed = [stacks[self.keys["train"][g[0]]] for g in groups]
+        features = [f.reshape(-1, f.shape[2]) for f, _ in keyed]
+        labels = [y.reshape(-1) for _, y in keyed]
+        sizes = [f.shape[1] for f, _ in keyed]
+        # each client's batch order of every epoch, as rows of its key's train rows
+        entropy = _words(self.seed) + _words(1) + _words(r)
+        perms = [np.array([[rng.permutation(n) for _ in range(cfg.local_epochs)] for rng in
+                           (_stream(entropy + _words(i)) for i in g)])
+                 + (np.array([index[i] for i in g]) * n)[:, None, None]
+                 for g, n in zip(groups, sizes)]
+        # the round's summed loss terms and skips of every slice, group by group
+        bounds = np.cumsum([0] + [len(g) * replicas for g in groups]).tolist()
+        sums, skips = np.zeros((bounds[-1], 4)), np.zeros(bounds[-1], dtype=np.int64)
+        group_sums = [sums[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        group_skips = [skips[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         failures = [{} for _ in groups]
         steps = [0] * len(groups)
-        for _ in range(cfg.local_epochs):
-            # each client's batch order, as rows of its group's train rows
-            perms = [_stacked([rng.permutation(n) for rng in group_rngs])
-                     + np.arange(0, n * len(group_rngs), n)[:, None]
-                     for group_rngs, n in zip(rngs, sizes)]
-            for start in range(0, max(sizes), cfg.batch_size):
-                # a remainder of a single row is dropped
-                tick = [j for j, n in enumerate(sizes) if n - start >= 2]
-                idx = [perms[j][:, start : start + cfg.batch_size] for j in tick]
-                done = _train_step([(models[j], features[j].take(i, axis=0), labels[j].take(i))
-                                    for j, i in zip(tick, idx)],
-                                   self.global_protos, self.objective, cfg.learning_rate)
-                for j, (terms, skipped, failed) in zip(tick, done):
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        sums[j] += terms
-                    skips[j] += skipped
-                    steps[j] += 1
+        # the ticks and the groups with a batch at each: a one-row remainder is dropped
+        ticks = [(epoch, start, [j for j, n in enumerate(sizes) if n - start >= 2])
+                 for epoch in range(cfg.local_epochs)
+                 for start in range(0, max(sizes), cfg.batch_size)]
+        if self.shared:
+            ticks = [(epoch, start, [j]) for j in range(len(groups))
+                     for epoch, start, tick in ticks if j in tick]
+        for epoch, start, tick in ticks:
+            if start == 0:  # each group's rows in this epoch's batch order
+                shuffled = {j: (features[j].take(perms[j][:, epoch], axis=0),
+                                labels[j].take(perms[j][:, epoch])) for j in tick}
+            batch = slice(start, start + cfg.batch_size)
+            done = _train_step([(models[j], shuffled[j][0][:, batch], shuffled[j][1][:, batch])
+                                for j in tick],
+                               self.global_protos, self.objective, cfg.learning_rate)
+            for j, (terms, skipped, failed) in zip(tick, done):
+                group_sums[j] += terms
+                group_skips[j] += skipped
+                steps[j] += 1
+                if failed:
                     failures[j] = {**failed, **failures[j]}
-        replicas = len(self.live)
-        for g, model, s, k, sk in zip(groups, models, sums, steps, skips):
-            for pos, i in enumerate(g):
-                span = slice(pos * replicas, (pos + 1) * replicas)
-                self.models[0 if self.shared else i] = model.map_arrays(lambda a: a[span])
-            self.terms[:, g] = (s / max(k, 1)).reshape(len(g), replicas, 4).swapaxes(0, 1)
-            self.skips += sk.reshape(len(g), replicas).sum(axis=0)
-        return [_check_finite((s,), "loss-term sum overflowed", f) for s, f in zip(sums, failures)]
+        for g, model, rows in zip(groups, models, copied):
+            if rows is not None:  # a copy: its clients' rows of their model stack
+                stack = self.models[self.slot[g[0]][0]]
+                for a, trained in zip(stack.arrays(), model.arrays()):
+                    a[rows] = trained
+        clients = [i for g in groups for i in g]
+        means = sums / np.repeat(np.maximum(steps, 1), np.diff(bounds))[:, None]
+        self.terms[:, clients] = means.reshape(len(clients), replicas, 4).swapaxes(0, 1)
+        self.skips = skips.reshape(len(clients), replicas).sum(axis=0)
+        return [_check_finite((s,), "loss-term sum overflowed", f)
+                for s, f in zip(group_sums, failures)]
 
+    @_quiet
     def finish(self, r: int, participants: list[int]) -> bool:
         """The uploads, the new global prototypes and the accuracies of the
         models that changed, stacked by model and row count.  A replica that
         fails takes its first failure in that order, as in its solo run.
         False once no replica is left."""
         replicas = len(self.live)
-        groups, failures = _stack_groups(participants, self.train_keys), []
+        groups, failures = _stack_groups(participants, self.keys["train"]), []
         for g in groups:
             model, features, labels = self._stack_inputs(g, "train")
             emb, _, _, failed = _forward(model, features, keep_layers=False)
@@ -838,7 +923,7 @@ class _Replicas:
         # the other clients' models are last round's, and so are their
         # accuracies, except in homo_shared
         changed = range(len(self.shards)) if r == 0 or self.shared else participants
-        groups, failures = _stack_groups(changed, self.test_keys), []
+        groups, failures = _stack_groups(changed, self.keys["test"]), []
         for g in groups:
             accuracies, evaluated = _accuracy(*self._stack_inputs(g, "test"))
             self.accuracies[:, g] = accuracies.reshape(len(g), -1).T

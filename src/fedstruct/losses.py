@@ -23,6 +23,7 @@ from .errors import ContractError, DegenerateInputError
 from .tensor import (
     _check_norms,
     _kept,
+    _quiet,
     _raise_skip,
     _unit_rows,
     as_matrix,
@@ -143,6 +144,8 @@ def _check_pair(a, b, same_cols: bool):
 # It returns (values (R,), grad (R, n, d), why), with why the reason array of
 # tensor.py: the training loop skips each replica whose value or gradient is
 # undefined, and the public losses raise its reason as DegenerateInputError.
+# A skipped replica computes on, under its caller's error state (see
+# tensor._quiet).
 
 
 def loss_mse(a, b) -> LossValue:
@@ -165,12 +168,11 @@ def _cosine(ah, na, bh, nb):
     why = _kept(ah.shape[0])
     _check_norms(na, why, "first matrix")
     _check_norms(nb, why, "second matrix")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = np.sum(ah * bh, axis=2)
-        n = ah.shape[1]
-        values = (1.0 - cos).sum(axis=1) / n  # the mean, without its dispatch
-        # d(1 - cos_i)/da_i = -(b^_i - cos_i a^_i)/||a_i||
-        grad = -(bh - cos[:, :, None] * ah) / (n * na[:, :, None])
+    cos = np.sum(ah * bh, axis=2)
+    n = ah.shape[1]
+    values = (1.0 - cos).sum(axis=1) / n  # the mean, without its dispatch
+    # d(1 - cos_i)/da_i = -(b^_i - cos_i a^_i)/||a_i||
+    grad = -(bh - cos[:, :, None] * ah) / (n * na[:, :, None])
     return values, grad, why
 
 
@@ -278,39 +280,39 @@ def _rcsa(ph, pn, qh, qn):
         np.clip(d, 0.0, None, out=d)
         return d.reshape(d.shape[0], n * n).take(upper, axis=1)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = descriptor(ph)
-        v = descriptor(qh)
-        values, coef_u, coef_v = [0.0] * replicas, [0.0] * replicas, [1.0] * replicas
-        for r, (nu, nv, cu) in enumerate(zip(np.sqrt(_sum_sq(u)).tolist(),
-                                             np.sqrt(_sum_sq(v)).tolist(),
-                                             (u[:, None] @ v[:, :, None])[:, 0, 0].tolist())):
-            if why[r]:
-                continue
-            if nu <= RDM_DEGENERATE_TOL:
-                why[r] = f"first matrix distance descriptor collapsed (|u|={nu:.3e})"
-            elif nv <= RDM_DEGENERATE_TOL:
-                why[r] = f"second matrix distance descriptor collapsed (|v|={nv:.3e})"
-            else:
-                values[r] = max(0.0, 1.0 - cu / (nu * nv))
-                coef_u[r] = cu / (nu ** 3 * nv)
-                coef_v[r] = nu * nv
-        # dL/du, scattered back into a symmetric weight matrix over pairs
-        du = np.array(coef_u)[:, None] * u - v / np.array(coef_v)[:, None]
-        w = np.zeros((replicas, n, n))
-        w[:, rows, cols] = du
-        w = w + w.swapaxes(1, 2)
-        # d u_ij / d ph_i = 2 (ph_i - ph_j)  =>  grad wrt ph = 2 (diag(W 1) - W) ph
-        lap = np.zeros_like(w)
-        lap[:, diagonal, diagonal] = w.sum(axis=2)
-        lap -= w
-        grad_ph = 2.0 * (lap @ ph)
-        # pull back through row normalization: project out the radial component
-        radial = np.sum(grad_ph * ph, axis=2, keepdims=True)
-        grad = (grad_ph - radial * ph) / pn[:, :, None]
+    u = descriptor(ph)
+    v = descriptor(qh)
+    values, coef_u, coef_v = [0.0] * replicas, [0.0] * replicas, [1.0] * replicas
+    for r, (nu, nv, cu) in enumerate(zip(np.sqrt(_sum_sq(u)).tolist(),
+                                         np.sqrt(_sum_sq(v)).tolist(),
+                                         (u[:, None] @ v[:, :, None])[:, 0, 0].tolist())):
+        if why[r]:
+            continue
+        if nu <= RDM_DEGENERATE_TOL:
+            why[r] = f"first matrix distance descriptor collapsed (|u|={nu:.3e})"
+        elif nv <= RDM_DEGENERATE_TOL:
+            why[r] = f"second matrix distance descriptor collapsed (|v|={nv:.3e})"
+        else:
+            values[r] = max(0.0, 1.0 - cu / (nu * nv))
+            coef_u[r] = cu / (nu ** 3 * nv)
+            coef_v[r] = nu * nv
+    # dL/du, scattered back into a symmetric weight matrix over pairs
+    du = np.array(coef_u)[:, None] * u - v / np.array(coef_v)[:, None]
+    w = np.zeros((replicas, n, n))
+    w[:, rows, cols] = du
+    w = w + w.swapaxes(1, 2)
+    # d u_ij / d ph_i = 2 (ph_i - ph_j)  =>  grad wrt ph = 2 (diag(W 1) - W) ph
+    lap = np.zeros_like(w)
+    lap[:, diagonal, diagonal] = w.sum(axis=2)
+    lap -= w
+    grad_ph = 2.0 * (lap @ ph)
+    # pull back through row normalization: project out the radial component
+    radial = np.sum(grad_ph * ph, axis=2, keepdims=True)
+    grad = (grad_ph - radial * ph) / pn[:, :, None]
     return np.array(values), grad, why
 
 
+@_quiet
 def loss_contrastive(z, prototypes, labels, temperature: float) -> ContrastiveParts:
     """Prototype-anchored contrastive loss with its exact two-term split.
 
@@ -345,30 +347,29 @@ def _contrastive(zh, nz, ph, pn, labels, temperature: float):
     _check_norms(pn, why, "prototypes")
 
     n = zh.shape[1]
-    # slice and row of every picked entry, as in models._softmax_cross_entropy
+    # slice and row of every picked entry
     picks = (np.arange(zh.shape[0])[:, None], np.arange(n), labels)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sims = zh @ ph.swapaxes(1, 2)  # (R, n, c) cosines in [-1, 1]
-        scaled = sims / temperature
-        shift = scaled.max(axis=2, keepdims=True)
-        probs = np.exp(scaled - shift)
-        norm = probs.sum(axis=2, keepdims=True)
-        lse = shift[:, :, 0] + np.log(norm[:, :, 0])
-        # three index arrays lay `picked` out (R, n), contiguous, so that each
-        # replica's mean sums its row as a run of one does
-        picked = sims[picks]
+    sims = zh @ ph.swapaxes(1, 2)  # (R, n, c) cosines in [-1, 1]
+    scaled = sims / temperature
+    shift = scaled.max(axis=2, keepdims=True)
+    probs = np.exp(scaled - shift)
+    norm = probs.sum(axis=2, keepdims=True)
+    lse = shift[:, :, 0] + np.log(norm[:, :, 0])
+    # three index arrays lay `picked` out (R, n), contiguous, so that each
+    # replica's mean sums its row as a run of one does
+    picked = sims[picks]
 
-        # means, without their dispatch
-        align_val = (-picked / temperature).sum(axis=1) / n
-        unif_val = lse.sum(axis=1) / n
+    # means, without their dispatch
+    align_val = (-picked / temperature).sum(axis=1) / n
+    unif_val = lse.sum(axis=1) / n
 
-        # d cos(z_i, P_j) / d z_i = (ph_j - sims_ij zh_i) / ||z_i||
-        inv = 1.0 / (n * temperature)
-        ga = -inv * (ph[picks[0], labels] - picked[:, :, None] * zh) / nz[:, :, None]
-        probs /= norm
-        mix = probs @ ph
-        mix_sim = np.sum(probs * sims, axis=2)
-        gu = inv * (mix - mix_sim[:, :, None] * zh) / nz[:, :, None]
+    # d cos(z_i, P_j) / d z_i = (ph_j - sims_ij zh_i) / ||z_i||
+    inv = 1.0 / (n * temperature)
+    ga = -inv * (ph[picks[0], labels] - picked[:, :, None] * zh) / nz[:, :, None]
+    probs /= norm
+    mix = probs @ ph
+    mix_sim = np.sum(probs * sims, axis=2)
+    gu = inv * (mix - mix_sim[:, :, None] * zh) / nz[:, :, None]
 
     parts = ContrastiveParts(
         total=LossValue(align_val + unif_val, ga + gu),
@@ -382,6 +383,7 @@ def _contrastive(zh, nz, ph, pn, labels, temperature: float):
 _PAIRWISE_KERNELS = {"mse": _mse, "cosine": _cosine, "gcsa": _gcsa, "rcsa": _rcsa}
 
 
+@_quiet
 def pairwise_loss(kind: AlignmentKind | str, a, b) -> LossValue:
     """Dispatch one of the pairwise losses (everything except contrastive).
 

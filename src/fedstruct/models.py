@@ -8,12 +8,14 @@ architectures differ only in their hidden widths.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, NumericFailureError
-from .tensor import check_labels
+from .tensor import _quiet, check_labels
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
@@ -126,6 +128,7 @@ def build_model(
     return ClientModel(layers, cw, cb, spec.feature_dim)
 
 
+@_quiet
 def forward(model: ClientModel, batch) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Return (embeddings, logits, layer_inputs) for an (n, input_dim) batch:
     layer_inputs[i] feeds extractor layer i, and layer_inputs[-1] is the
@@ -153,14 +156,18 @@ def check_batch(model: ClientModel, batch) -> np.ndarray:
 # are (S, n), or (n,) or (1, n) shared.  Each slice's arithmetic is its run of
 # one, whatever the other slices hold.  The non-finite checks are part of the
 # kernels, so they fire on every path, per slice: a kernel returns its
-# failures, {slice: its first check's message}; a failed slice's values are unspecified.
+# failures, {slice: its first check's message}; a failed slice's values are
+# unspecified.  The kernels run under their caller's error state (see
+# tensor._quiet).
 
 
 def _check_finite(arrays, message: str, failed: dict | None = None) -> dict[int, str]:
     """`failed` (failures so far, or None) and each other slice with a
     non-finite entry in any of the (S, ...) stacks, failed with `message`."""
+    # a sum is non-finite whenever an entry is (and, rarely, when it
+    # overflows), so each slice is tested only when some sum is not finite
     for a in arrays:
-        if not np.isfinite(a).all():
+        if not math.isfinite(np.add.reduce(a, axis=None)):
             break
     else:
         return failed or {}
@@ -176,28 +183,33 @@ def _raise_failure(failed: dict[int, str]) -> None:
 
 
 def _forward(model: ClientModel, batch: np.ndarray, keep_layers: bool = True):
+    """The embeddings, logits, layer inputs and failures of a stack.  A
+    (K, 1, n, input_dim) batch holds K clients' rows, each read by every
+    slice of the stack (homo_shared's one model): its outputs are then the
+    (K·S, ...) stacks, client-major, as if the stack were copied K times."""
     layer_inputs = [batch]
-    # overflow is detected explicitly below, so the IEEE warnings that
-    # precede the non-finite check are suppressed rather than surfaced
-    with np.errstate(over="ignore", invalid="ignore"):
-        # in place, so that a stack holds one array per layer; without
-        # keep_layers (no backward pass follows) each layer's output is
-        # dropped once the next one is computed
-        h = batch
-        for layer in model.extractor:
-            h = h @ layer.weights
-            h += layer.bias[:, None]
-            if layer.activation == "tanh":
-                np.tanh(h, out=h)
-            if keep_layers:
-                layer_inputs.append(h)
-        embeddings = h
-        logits = embeddings @ model.classifier_weights
-        logits += model.classifier_bias[:, None]
+    # in place, so that a stack holds one array per layer; without
+    # keep_layers (no backward pass follows) each layer's output is
+    # dropped once the next one is computed
+    h = batch
+    for layer in model.extractor:
+        h = h @ layer.weights
+        h += layer.bias[:, None]
+        if layer.activation == "tanh":
+            np.tanh(h, out=h)
+        if keep_layers:
+            layer_inputs.append(h)
+    embeddings = h
+    logits = embeddings @ model.classifier_weights
+    logits += model.classifier_bias[:, None]
+    if batch.ndim == 4:
+        embeddings, logits = (a.reshape(-1, *a.shape[2:]) for a in (embeddings, logits))
+    # BLAS may skip a zero weight, so finite logits do not prove finite embeddings
     return embeddings, logits, layer_inputs, _check_finite(
         (embeddings, logits), "forward pass produced non-finite values")
 
 
+@_quiet
 def loss_supervised(logits, labels) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy; returns (value, grad_wrt_logits).
 
@@ -212,28 +224,37 @@ def loss_supervised(logits, labels) -> tuple[float, np.ndarray]:
     return float(values[0]), grad[0]
 
 
+@functools.lru_cache(maxsize=64)
+def _row_starts(slices: int, rows: int, classes: int) -> np.ndarray:
+    """The read-only flat index of entry (s, i, 0) of an (S, n, C) array, laid out (S, n)."""
+    starts = np.arange(0, slices * rows * classes, classes).reshape(slices, rows)
+    starts.setflags(write=False)
+    return starts
+
+
 def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """(S,) mean cross-entropies of an (S, n, C) stack of logits, and the
     gradient w.r.t. the logits."""
-    # slice, row and label of every picked entry: one form for shared (n,)
-    # and per-slice (S, n) labels, laid out (S, n) so that each slice's mean
-    # sums its row as a run of one does
-    picks = (np.arange(logits.shape[0])[:, None], np.arange(logits.shape[1]), labels)
+    # the flat index of every picked entry (slice, row, label): one form for
+    # shared (n,) and per-slice (S, n) labels, laid out (S, n) so that each
+    # slice's mean sums its row as a run of one does
+    picks = _row_starts(*logits.shape) + labels
     # shifting makes the softmax stable for any reasonable logits; extreme
     # (runaway-training) magnitudes may still overflow the mean, which the
-    # caller's non-finite check fails, so the intermediate IEEE warnings are
-    # suppressed
-    with np.errstate(over="ignore", invalid="ignore"):
-        shifted = logits - logits.max(axis=2, keepdims=True)
-        expz = np.exp(shifted)
-        norm = expz.sum(axis=2)
-        grad = expz / norm[:, :, None]  # the softmax, turned into the gradient below
-        picked = shifted[picks] - np.log(norm)
-        values = -(picked.sum(axis=1) / logits.shape[1])  # the mean, without its dispatch
-    grad[picks] -= 1.0
-    return values, grad / logits.shape[1]
+    # caller's non-finite check fails
+    shifted = logits - np.maximum.reduce(logits, axis=2, keepdims=True)
+    picked = shifted.take(picks)
+    grad = np.exp(shifted, out=shifted)  # turned into the softmax, then the gradient
+    norm = np.add.reduce(grad, axis=2)
+    grad /= norm[:, :, None]
+    # the mean, without its dispatch: -(sum / n) is sum / -n, bit for bit
+    values = np.add.reduce(picked - np.log(norm), axis=1) / -logits.shape[1]
+    grad.put(picks, grad.take(picks) - 1.0)
+    grad /= logits.shape[1]
+    return values, grad
 
 
+@_quiet
 def backward_and_step(
     model: ClientModel,
     layer_inputs: list[np.ndarray],
@@ -282,29 +303,28 @@ def _backward_and_step(
     embeddings = layer_inputs[-1]
     grads = []
     # an overflow fails its slice in the non-finite check below, and an
-    # update that overflows fails it in the next forward pass, without warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        gcw = embeddings.swapaxes(-1, -2) @ grad_logits
-        gcb = grad_logits.sum(axis=1)
-        g = grad_embeddings
-        for i in range(len(model.extractor) - 1, -1, -1):
-            layer = model.extractor[i]
-            out = layer_inputs[i + 1]
-            if layer.activation == "tanh":
-                g = g * (1.0 - out * out)
-            gw = layer_inputs[i].swapaxes(-1, -2) @ g
-            gb = g.sum(axis=1)
-            grads.append((i, gw, gb))
-            if i > 0:
-                g = g @ layer.weights.swapaxes(-1, -2)
-        arrays = [gcw, gcb] + [x for _, gw, gb in grads for x in (gw, gb)]
-        failed = _check_finite(arrays, "non-finite parameter gradient; step aborted", failed)
-        if failed:  # a failed slice is not stepped
-            for a in arrays:
-                a[list(failed)] = 0.0
-        model.classifier_weights -= learning_rate * gcw
-        model.classifier_bias -= learning_rate * gcb
-        for i, gw, gb in grads:
-            model.extractor[i].weights -= learning_rate * gw
-            model.extractor[i].bias -= learning_rate * gb
+    # update that overflows fails it in the next forward pass
+    gcw = embeddings.swapaxes(-1, -2) @ grad_logits
+    gcb = grad_logits.sum(axis=1)
+    g = grad_embeddings
+    for i in range(len(model.extractor) - 1, -1, -1):
+        layer = model.extractor[i]
+        out = layer_inputs[i + 1]
+        if layer.activation == "tanh":
+            g = g * (1.0 - out * out)
+        gw = layer_inputs[i].swapaxes(-1, -2) @ g
+        gb = g.sum(axis=1)
+        grads.append((i, gw, gb))
+        if i > 0:
+            g = g @ layer.weights.swapaxes(-1, -2)
+    arrays = [gcw, gcb] + [x for _, gw, gb in grads for x in (gw, gb)]
+    failed = _check_finite(arrays, "non-finite parameter gradient; step aborted", failed)
+    if failed:  # a failed slice is not stepped
+        for a in arrays:
+            a[list(failed)] = 0.0
+    model.classifier_weights -= learning_rate * gcw
+    model.classifier_bias -= learning_rate * gcb
+    for i, gw, gb in grads:
+        model.extractor[i].weights -= learning_rate * gw
+        model.extractor[i].bias -= learning_rate * gb
     return failed

@@ -60,6 +60,13 @@ def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 # array `why`: "" for each replica it kept, the reason for each one it
 # skipped (why != "" is the skip mask), whose outputs are then unspecified.
 # Checks run in order, and a replica keeps the reason of the first it fails.
+#
+# A kernel computes on through overflow and division by zero, and its
+# callers check its results for non-finite values, so the IEEE warnings are
+# silenced: once per public wrapper and once per phase of the protocol
+# engine, by decorating it with _quiet.  Only _unit_rows, which every
+# PrototypeSet calls as it is built, sets its own.
+_quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 def _kept(replicas: int) -> np.ndarray:

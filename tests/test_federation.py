@@ -21,7 +21,7 @@ from fedstruct.federation import (
     run_experiment,
     run_experiments,
 )
-from fedstruct.losses import KNOWN_LOSSES, AlignmentKind
+from fedstruct.losses import KNOWN_LOSSES, AlignmentKind, loss_contrastive, pairwise_loss
 from fedstruct.models import (
     ArchitectureSpec,
     build_model,
@@ -580,6 +580,58 @@ def test_run_experiments_rejects_bad_arguments(change, message):
                 num_classes=3)
     with pytest.raises(ContractError, match=message):
         run_experiments(**{**args, **change})
+
+
+def _overflowing_model():
+    """A one-layer model whose embeddings overflow on rows of 1e308."""
+    model = build_model(ArchitectureSpec((), 3), input_dim=2, num_classes=3, seed=0)
+    model.extractor[0].weights[:] = 1.0
+    return model
+
+
+_HUGE_ROWS = np.full((2, 2), 1e308)
+_ROWS = np.array([[1.0, 0.5], [0.3, 2.0], [-1.0, 0.2]])
+
+
+@pytest.mark.parametrize("call, error, outcome", [
+    (lambda: forward(_overflowing_model(), _HUGE_ROWS),
+     NumericFailureError, "forward pass produced non-finite values"),
+    (lambda: loss_supervised(np.array([[1e308, -1e308]]), [1])[0], None, np.inf),
+    (lambda: backward_and_step(_overflowing_model(), forward(_overflowing_model(), _ROWS[:2])[2],
+                               np.zeros((2, 3)), np.full((2, 3), 1e308), 0.1),
+     NumericFailureError, "non-finite parameter gradient; step aborted"),
+    (lambda: local_train_step(_overflowing_model(), _HUGE_ROWS, [0, 1], None, _cfg()),
+     NumericFailureError, "forward pass produced non-finite values"),
+    (lambda: evaluate_accuracy(_overflowing_model(), _HUGE_ROWS, [0, 1]),
+     NumericFailureError, "forward pass produced non-finite values"),
+    (lambda: aggregate_prototypes([PrototypeSet(np.full((2, 3), 1e308), [2, 2])] * 2),
+     NumericFailureError, "aggregation produced non-finite prototypes"),
+    (lambda: pairwise_loss("mse", np.full((2, 2), 1e200), _ROWS[:2]).value, None, np.inf),
+    (lambda: loss_contrastive(_ROWS, _ROWS, [0, 1, 2], 5e-324).total.value, None, np.nan),
+], ids=["forward", "loss_supervised", "backward_and_step", "local_train_step",
+        "evaluate_accuracy", "aggregate_prototypes", "pairwise_loss", "loss_contrastive"])
+def test_public_wrappers_meet_overflow_without_warnings(call, error, outcome):
+    # each input overflows inside the wrapper's kernel, which warns unless
+    # the wrapper sets its error state; the suite turns warnings into
+    # errors (pyproject.toml).  A wrapper ends in its documented error, or,
+    # where it documents none, returns the non-finite value its caller checks
+    if error is None:
+        assert np.array_equal(call(), outcome, equal_nan=True)
+    else:
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == outcome
+
+
+@pytest.mark.parametrize("seed, round_index, client", [
+    (0, 0, 0), (7, 3, 31), (2**32, 1, 5), (2**64 + 3, 149, 2**32 - 1), (123456789012, 0, 2**33),
+])
+def test_batch_order_streams_are_their_seed_sequences(seed, round_index, client):
+    # a client's batch order is drawn from the (seed, 1, round, client)
+    # stream, built from the words SeedSequence reads those ints as
+    words = [w for v in (seed, 1, round_index, client) for w in federation._words(v)]
+    want = np.random.default_rng(np.random.SeedSequence([seed, 1, round_index, client]))
+    assert federation._stream(words).bit_generator.state == want.bit_generator.state
 
 
 class TestRunExperiment:
