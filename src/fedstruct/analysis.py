@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError
-from .tensor import as_matrix, normalize_rows, svd
+from .tensor import _svd_factors, as_matrix, normalize_rows
 
 ENERGY_QUANTILE = 0.95
 
@@ -41,7 +41,13 @@ def effective_dimensionality(stacked, normalize_rows_first: bool = False) -> Eff
         raise ContractError(f"need >= 2 stacked rows, got {m.shape[0]}")
     if normalize_rows_first:
         m = normalize_rows(m, "stacked prototypes")
-    s = svd(m).singular_values
+    return _dimensionality(m)
+
+
+def _dimensionality(m: np.ndarray) -> EffectiveDimensionality:
+    """effective_dimensionality of a finite 2-D float64 matrix, unchecked:
+    the protocol engine's spectrum, whose rows are finite by construction."""
+    s = _svd_factors(m)[1]
     top = float(s[0]) if s.size else 0.0
     if top <= 0.0:
         raise DegenerateInputError("all-zero prototype stack has no spectrum")

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .analysis import effective_dimensionality, write_csv
+from .analysis import _dimensionality, write_csv
 from .errors import ContractError, DegenerateInputError, NumericFailureError
-from .losses import _PAIRED_RAW_LOSSES, _PAIRWISE_KERNELS, AlignmentKind, _contrastive
+from .losses import _PAIRED_RAW_LOSSES, _PAIRWISE_KERNELS, _SIDES, AlignmentKind, _contrastive
 from .models import (
     ArchitectureSpec,
     ClientModel,
@@ -40,7 +40,16 @@ from .models import (
     check_batch,
     replicate,
 )
-from .tensor import _kept, _quiet, _unit_rows, as_matrix, check_labels
+from .tensor import (
+    _check_norms,
+    _kept,
+    _norms_ok,
+    _quiet,
+    _unit_rows,
+    as_matrix,
+    check_labels,
+    normalize_rows,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -75,11 +84,13 @@ class PrototypeSet:
     counts: np.ndarray  # (C,) int64
     present: np.ndarray = field(init=False, repr=False)  # (C,) bool
     # the present rows in class order, each class's row in them (-1 when
-    # absent), and their unit rows and norms; built once so a step only indexes
+    # absent), their unit rows and norms, and whether every norm gives a unit
+    # row (tensor._norms_ok); built once so a step only indexes
     rows: np.ndarray = field(init=False, repr=False)
     slot: np.ndarray = field(init=False, repr=False)
     unit: np.ndarray = field(init=False, repr=False)
     norms: np.ndarray = field(init=False, repr=False)
+    norms_ok: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         vectors = np.array(self.vectors, dtype=np.float64)
@@ -104,6 +115,7 @@ class PrototypeSet:
                             ("rows", rows), ("slot", slot), ("unit", unit), ("norms", norms)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "norms_ok", _norms_ok(norms))
 
     @property
     def num_classes(self) -> int:
@@ -294,7 +306,9 @@ def _objective(cfgs: list[RoundConfig]) -> tuple[np.ndarray, list]:
     the replicas that weight it, kind by kind, their _positions, [(kind, the
     slice of them that is its replicas, its pairwise kernel or None for
     contrastive)], (the number of them whose kinds take the rows and their
-    targets as they are, and the number before the first contrastive one)).
+    targets as they are, and the number before the first contrastive one),
+    and when they are every replica out of order, the order that puts a
+    (U, ...) array of theirs back in replica order, else None).
     The kinds that take both sides as they are come first, then the pairwise
     kinds that take unit rows, then contrastive, each in first-seen order."""
     weights = np.array([[c.lam for c in cfgs], [c.gamma for c in cfgs]], dtype=np.float64)
@@ -310,9 +324,13 @@ def _objective(cfgs: list[RoundConfig]) -> tuple[np.ndarray, list]:
             bounds = np.cumsum([0] + [len(kinds[kind]) for kind in order]).tolist()
             raw = sum(len(kinds[kind]) for kind in order if kind.name in _PAIRED_RAW_LOSSES)
             paired = sum(len(kinds[kind]) for kind in order if kind.name in _PAIRWISE_KERNELS)
-            plan.append((term, np.array(weighted), _positions(weighted),
+            select = _positions(weighted)
+            restore = (np.argsort(weighted) if len(weighted) == len(cfgs)
+                       and not isinstance(select, slice) else None)
+            plan.append((term, np.array(weighted), select,
                          [(kind, slice(lo, hi), _PAIRWISE_KERNELS.get(kind.name))
-                          for kind, lo, hi in zip(order, bounds, bounds[1:])], (raw, paired)))
+                          for kind, lo, hi in zip(order, bounds, bounds[1:])], (raw, paired),
+                         restore))
     return weights, plan
 
 
@@ -350,22 +368,25 @@ def _align(clients, protos: PrototypeSet, objective) -> None:
             if missing:
                 logger.debug("classes %s missing from global set; excluded from alignment",
                              missing)
+    # each client's rows whose class the global set has, or None for all of them
+    known = [None] * len(clients)
+    if not protos.present.all():
+        known = [None if mask.all() else mask
+                 for mask in (protos.present[labels] for _, labels, *_ in clients)]
     for entry in plan:
         term, _, select = entry[:3]
         stacks: dict[int, list] = {}  # row count -> the clients of that count
-        for client in clients:
+        for client, mask in zip(clients, known):
             emb, labels = client[:2]
             if term == 0:  # the batch prototypes of the classes the global set has
                 means, counts = _class_means(emb[select], labels, protos.num_classes)
                 classes = np.flatnonzero((counts >= 1) & protos.present)
-                rows, extra = means.take(classes, axis=1), counts[classes]
+                rows, counts = means.take(classes, axis=1), counts[classes]
             else:  # the embeddings whose class the global set has
-                known = protos.present[labels]
-                rows, classes, extra = ((emb[select], labels, None) if known.all() else
-                                        (emb[select].compress(known, axis=1), labels[known],
-                                         known))
+                rows, classes, counts = ((emb[select], labels, None) if mask is None else
+                                         (emb[select].compress(mask, axis=1), labels[mask], None))
             if classes.size:
-                stacks.setdefault(classes.size, []).append((client, rows, classes, extra))
+                stacks.setdefault(classes.size, []).append((client, rows, classes, counts, mask))
         for members in stacks.values():
             _align_stack(entry, members, protos, weights)
 
@@ -373,90 +394,104 @@ def _align(clients, protos: PrototypeSet, objective) -> None:
 def _align_stack(entry, members, protos: PrototypeSet, weights) -> None:
     """One term of _align, its `entry` of the plan, over the K clients
     `members` whose rows agree in count m: each is (client, rows (U, m, d),
-    their classes (m,), and for proto the classes' counts, for inst the
-    known-row mask or None when every row is known)."""
-    term, positions, select, kinds, (raw, paired) = entry
-    m, clients = members[0][2].size, len(members)
-    size = len(positions) * clients
+    their classes (m,), for proto the classes' counts (m,) (else None), and
+    the client's known-row mask, None when the global set has every row's
+    class)."""
+    term, positions, select, kinds, (raw, paired), restore = entry
+    replicas, clients = len(positions), len(members)
+    m, dim = members[0][1].shape[1:]
     # replica-major: slice u·K + k is member k's u-th replica, so that each
     # kind's slices, its replicas of every member, are one run of the stack,
-    # and the runs of the kinds that take unit rows are its tail
-    slices = np.arange(size)
-    rows = np.stack([r for _, r, _, _ in members], axis=1).reshape(size, m, -1)
-    owner = np.repeat(positions, clients)
-    classes = np.stack([c for _, _, c, _ in members])[slices % clients]
-    slots = protos.slot[classes]
-    raw, paired = raw * clients, paired * clients
+    # and the runs of the kinds that take unit rows are its tail; one member
+    # serves its arrays as they are
+    if clients == 1:
+        rows, classes, owner = members[0][1], members[0][2][None], positions
+    else:
+        rows = np.stack([r for _, r, *_ in members], axis=1).reshape(-1, m, dim)
+        classes = np.stack([c for _, _, c, *_ in members])
+        owner = np.repeat(positions, clients)
+    why = _kept(replicas * clients)  # the stack's one reason array; each kind writes its run
     # each slice's targets: the global rows of its replica and classes, as
-    # they are for the first `raw` slices, as unit rows and norms up to `paired`
-    dim = rows.shape[2]
+    # they are for the first `raw` replicas, as unit rows and norms up to
+    # `paired`; one norm test per side finds whether a row must be named
     if raw:
-        matrix = protos.vectors.reshape(-1, dim).take(
-            owner[:raw, None] * protos.num_classes + classes[:raw], axis=0)
-    if raw < size:
-        first = _unit_rows(rows[raw:])
+        target = positions[:raw, None, None] * protos.num_classes + classes
+        matrix = protos.vectors.reshape(-1, dim).take(target.reshape(-1, m), axis=0)
+    if raw < replicas:
+        first = _unit_rows(rows[raw * clients:])
+        first_ok = _norms_ok(first[1])
+        slots = protos.slot[classes]
     if raw < paired:
-        target = owner[raw:paired, None] * protos.unit.shape[1] + slots[raw:paired]
+        target = (positions[raw:paired, None, None] * protos.unit.shape[1] + slots).reshape(-1, m)
         second = protos.unit.reshape(-1, dim).take(target, axis=0), protos.norms.take(target)
-    if len(kinds) > 1:  # one kind's outputs serve the stack as they are
-        values, why, grad = np.zeros(size), _kept(size), np.zeros(rows.shape)
+    values, grads = [], []
     for kind, local, kernel in kinds:  # one call per kind, on its run of the stack
         part = slice(local.start * clients, local.stop * clients)
-        unit = slice(part.start - raw, part.stop - raw)  # the part of first and second
-        if kernel is None:
-            parts, got_why = _contrastive(first[0][unit], first[1][unit],
-                                          protos.unit[owner[part]], protos.norms[owner[part]],
-                                          slots[part], kind.temperature)
-            got, got_grad = parts.total.value, parts.total.grad
-        elif kind.is_structural and m < MIN_STRUCTURAL_ROWS:
-            got_why = np.full(part.stop - part.start, f"{m} rows < {MIN_STRUCTURAL_ROWS}",
-                              dtype=object)
-            got, got_grad = np.zeros(got_why.shape), None
-        elif part.start >= raw:
-            got, got_grad, got_why = kernel(first[0][unit], first[1][unit],
-                                            second[0][unit], second[1][unit])
+        here = why[part]
+        if m < MIN_STRUCTURAL_ROWS and kind.is_structural:
+            here[:] = f"{m} rows < {MIN_STRUCTURAL_ROWS}"
+            got = np.zeros(here.shape), np.zeros((here.shape[0], m, dim))
+        elif local.start < raw:
+            got = kernel(rows[part], matrix[part], here)
         else:
-            got, got_grad, got_why = kernel(rows[part], matrix[part])
-        if len(kinds) == 1:
-            values, why, grad = got, got_why, got_grad
-        else:
-            values[part], why[part] = got, got_why
-            if got_grad is not None:
-                grad[part] = got_grad
-    done = why == ""
-    kept = done.reshape(-1, clients).all(axis=0).tolist()
-    if grad is not None:
-        weight = weights[term, owner][:, None, None]
-        if term == 0:
-            # batch prototype of class c is the mean of its members, so each
-            # member receives grad_row(c) / count(c), and a row of a class
-            # the global set lacks receives 0
-            counts = np.stack([c for _, _, _, c in members])[slices % clients]
-            per_class = np.zeros((size, protos.num_classes, dim))
-            per_class[slices[:, None], classes] = weight * (grad / counts[:, :, None])
-            grad = per_class
-        else:
-            grad = weight * grad
-    for k, ((emb, labels, terms, grad_emb, skipped), _, _, known) in enumerate(members):
-        mine = slice(k, None, clients)
-        if not kept[k]:
-            for kind, local, _ in kinds:
-                for reason in why[mine][local][~done[mine][local]]:
-                    logger.debug("%s term of %s skipped: %s", LOSS_TERMS[1 + term], kind.name,
-                                 reason)
-            skipped[positions[~done[mine]]] += 1
-        ok = select if kept[k] else positions[done[mine]]
-        terms[term, ok] = values[mine] if kept[k] else values[mine][done[mine]]
-        if grad is None:
+            unit = slice(part.start - raw * clients, part.stop - raw * clients)
+            if kernel is None:
+                sides = (first[0][unit], first[1][unit], protos.unit.take(owner[part], axis=0),
+                         protos.norms.take(owner[part], axis=0))
+                names = ("embedding", "prototypes")
+            else:
+                sides, names = (first[0][unit], first[1][unit], second[0][unit],
+                                second[1][unit]), _SIDES
+            if not first_ok:
+                _check_norms(sides[1], here, names[0])
+            if not protos.norms_ok:
+                _check_norms(sides[3], here, names[1])
+            if kernel is None:
+                labels = slots if clients == 1 else slots[np.arange(part.start, part.stop) % clients]
+                align_val, ga, unif_val, gu = _contrastive(*sides, labels, kind.temperature, here)
+                got = align_val + unif_val, ga + gu
+            else:
+                got = kernel(*sides, here)
+        values.append(got[0])
+        grads.append(got[1])
+    values = (values[0] if len(values) == 1 else np.concatenate(values)).reshape(replicas, clients)
+    grad = (grads[0] if len(grads) == 1 else np.concatenate(grads)).reshape(
+        replicas, clients, m, dim)
+    weight = weights[term, positions][:, None, None, None]
+    if term == 0:
+        # batch prototype of class c is the mean of its members, so each
+        # member receives grad_row(c) / count(c)
+        counts = np.stack([c for *_, c, _ in members]) if clients > 1 else members[0][3][None]
+        grad = weight * (grad / counts[:, :, None])
+    else:
+        grad = weight * grad
+    done = (why == "").reshape(replicas, clients)
+    kept = done.all(axis=0).tolist()
+    for k, ((emb, labels, terms, grad_emb, skipped), _, classes, _, known) in enumerate(members):
+        mine = grad[:, k]
+        if term == 0:  # each row its class's gradient; a row of a class the global set lacks 0
+            mine = mine.take(np.searchsorted(classes, labels), axis=1, mode="clip")
+            if known is not None:
+                mine[:, ~known] = 0.0
+        elif known is not None:  # an unknown row receives 0
+            full = np.zeros((replicas,) + emb.shape[1:])
+            full[:, known] = mine
+            mine = full
+        if kept[k] and restore is not None:  # a gather and an in-place add, not a scatter
+            terms[term] = values[restore, k]
+            grad_emb += mine.take(restore, axis=0)
             continue
-        if term == 0:
-            got_grad = grad[mine][:, labels]
-        elif known is None:
-            got_grad = grad[mine]
-        else:  # an unknown row receives 0
-            got_grad = np.zeros((len(positions),) + emb.shape[1:])
-            got_grad[:, known] = grad[mine]
-        grad_emb[ok] += got_grad if kept[k] else got_grad[done[mine]]
+        if kept[k]:
+            terms[term, select] = values[:, k]
+            grad_emb[select] += mine
+            continue
+        ok = done[:, k]
+        for kind, local, _ in kinds:
+            for reason in why.reshape(replicas, clients)[local, k][~ok[local]]:
+                logger.debug("%s term of %s skipped: %s", LOSS_TERMS[1 + term], kind.name, reason)
+        skipped[positions[~ok]] += 1
+        terms[term, positions[ok]] = values[ok, k]
+        grad_emb[positions[ok]] += mine[ok]
 
 
 def _train_step(steps, protos, objective, learning_rate) -> list:
@@ -1023,8 +1058,9 @@ def _spectrum(stacked: np.ndarray, normalize: bool, round_index: int) -> tuple[i
     """Threshold dimension and participation ratio of a stack of prototype
     rows; (1, 1.0) for fewer than 2 rows or a degenerate stack."""
     try:
-        if stacked.shape[0] >= 2:
-            eff = effective_dimensionality(stacked, normalize_rows_first=normalize)
+        if stacked.shape[0] >= 2:  # finite rows: the public checks would only repeat
+            eff = _dimensionality(normalize_rows(stacked, "stacked prototypes") if normalize
+                                  else stacked)
             return eff.threshold_dim, eff.participation_ratio
     except DegenerateInputError:
         logger.debug("round %d: degenerate prototype stack", round_index)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError
+from .models import _row_starts
 from .tensor import (
     _check_norms,
     _kept,
@@ -140,12 +141,17 @@ def _check_pair(a, b, same_cols: bool):
 # takes another path for strided vectors, so a replica of a strided stack
 # could round differently from its run alone.
 # The kernels of _UNIT_ROW_LOSSES take each side as its unit rows and norms
-# (tensor._unit_rows) instead, so that a side normalised once serves several.
-# It returns (values (R,), grad (R, n, d), why), with why the reason array of
-# tensor.py: the training loop skips each replica whose value or gradient is
-# undefined, and the public losses raise its reason as DegenerateInputError.
-# A skipped replica computes on, under its caller's error state (see
-# tensor._quiet).
+# (tensor._unit_rows) instead, so that a side normalised once serves several,
+# and trust their callers to have checked those norms first (_check_sides):
+# the training loop tests a whole stack's norms at once and names a row only
+# when that test fails.
+# A kernel takes last the (R,) reason array `why` of tensor.py, often a view
+# of its caller's for a whole stack, and returns (values (R,), grad (R, n, d)).
+# It skips each replica whose value or gradient is undefined by writing its
+# reason into `why`, unless it holds one already; the training loop then
+# leaves the replica out, and the public losses raise the reason as
+# DegenerateInputError.  A skipped replica computes on, under its caller's
+# error state (see tensor._quiet).
 
 
 def loss_mse(a, b) -> LossValue:
@@ -153,10 +159,10 @@ def loss_mse(a, b) -> LossValue:
     return pairwise_loss("mse", a, b)
 
 
-def _mse(a, b):
+def _mse(a, b, why):
     diff = a - b
     n = a.shape[1]
-    return (diff * diff).sum(axis=(1, 2)) / n, 2.0 * diff / n, _kept(a.shape[0])
+    return np.add.reduce(diff * diff, axis=(1, 2)) / n, 2.0 * diff / n
 
 
 def loss_cosine(a, b) -> LossValue:
@@ -164,21 +170,18 @@ def loss_cosine(a, b) -> LossValue:
     return pairwise_loss("cosine", a, b)
 
 
-def _cosine(ah, na, bh, nb):
-    why = _kept(ah.shape[0])
-    _check_norms(na, why, "first matrix")
-    _check_norms(nb, why, "second matrix")
-    cos = np.sum(ah * bh, axis=2)
+def _cosine(ah, na, bh, nb, why):
+    cos = np.add.reduce(ah * bh, axis=2)
     n = ah.shape[1]
-    values = (1.0 - cos).sum(axis=1) / n  # the mean, without its dispatch
+    values = np.add.reduce(1.0 - cos, axis=1) / n  # the mean, without its dispatch
     # d(1 - cos_i)/da_i = -(b^_i - cos_i a^_i)/||a_i||
     grad = -(bh - cos[:, :, None] * ah) / (n * na[:, :, None])
-    return values, grad, why
+    return values, grad
 
 
 def _centered(m):
     """Subtract each replica's mean row: its columns then each sum to zero."""
-    return m - m.sum(axis=1, keepdims=True) / m.shape[1]
+    return m - np.add.reduce(m, axis=1, keepdims=True) / m.shape[1]
 
 
 def _sum_sq(m) -> np.ndarray:
@@ -188,15 +191,25 @@ def _sum_sq(m) -> np.ndarray:
     return (flat @ flat.swapaxes(1, 2))[:, 0, 0]
 
 
-def _centered_or_degenerate(m, why, name):
-    """The centered stack; a replica whose rows are (numerically) identical
-    is skipped."""
+# the names of a pairwise loss's two sides, in the order they are checked
+_SIDES = ("first matrix", "second matrix")
+
+
+def _centered_or_degenerate(m, why, names):
+    """The centered stack of len(names) sides of R replicas, side-major; a
+    replica is skipped whose rows are (numerically) identical on one side,
+    or whose side's norm overflows, the first side's reason first."""
     c = _centered(m)
     scale = np.maximum(1.0, np.sqrt(_sum_sq(m)))
     cn = np.sqrt(_sum_sq(c))
-    for r in np.flatnonzero((cn <= GRAM_DEGENERATE_RTOL * scale) & (why == "")):
-        why[r] = (f"{name} rows are (numerically) identical: centered norm "
-                  f"{cn[r]:.3e} vs scale {scale[r]:.3e}")
+    bad = cn <= GRAM_DEGENERATE_RTOL * scale
+    if bad.any():
+        for i in np.flatnonzero(bad).tolist():
+            side, r = divmod(i, why.shape[0])
+            if not why[r]:
+                what = "norm overflows" if cn[i] == np.inf else "rows are (numerically) identical"
+                why[r] = (f"{names[side]} {what}: centered norm {cn[i]:.3e} "
+                          f"vs scale {scale[i]:.3e}")
     return c
 
 
@@ -211,22 +224,26 @@ def loss_gcsa(p, q) -> LossValue:
     return pairwise_loss("gcsa", p, q)
 
 
-def _gcsa(p, q):
-    why = _kept(p.shape[0])
-    pc = _centered_or_degenerate(p, why, "first matrix")
-    qc = _centered_or_degenerate(q, why, "second matrix")
+def _gcsa(p, q, why):
+    replicas = p.shape[0]
     # Feature space instead of the n x n Grams (the linear CKA identity):
     # <K_P, K_Q> = ||P_c^T Q_c||^2 and ||K_P|| = ||P_c^T P_c||, all Frobenius.
-    pct = pc.swapaxes(1, 2)
-    a = pct @ pc
-    m = pct @ qc
-    replicas = p.shape[0]
+    if p.shape[2] == q.shape[2]:  # both sides as one stack, each slice computed as alone
+        c = _centered_or_degenerate(np.concatenate([p, q]), why, _SIDES)
+        pc, qc = c[:replicas], c[replicas:]
+        grams = c.swapaxes(1, 2) @ c
+        a, squares = grams[:replicas], _sum_sq(grams).tolist()
+    else:
+        pc = _centered_or_degenerate(p, why, _SIDES[:1])
+        qc = _centered_or_degenerate(q, why, _SIDES[1:])
+        a = pc.swapaxes(1, 2) @ pc
+        squares = _sum_sq(a).tolist() + _sum_sq(qc.swapaxes(1, 2) @ qc).tolist()
+    m = pc.swapaxes(1, 2) @ qc
     values, coef_a, coef_q = [0.0] * replicas, [0.0] * replicas, [1.0] * replicas
     # the scalar factors are Python floats, one replica at a time: numpy's
     # array power rounds differently from Python's float power
-    for r, (s, fa, gq) in enumerate(zip((m * m).sum(axis=(1, 2)).tolist(),
-                                        _sum_sq(a).tolist(),
-                                        _sum_sq(qc.swapaxes(1, 2) @ qc).tolist())):
+    for r, (s, fa, gq) in enumerate(zip(np.add.reduce(m * m, axis=(1, 2)).tolist(),
+                                        squares[:replicas], squares[replicas:])):
         if why[r]:
             continue
         f = math.sqrt(fa)
@@ -235,6 +252,9 @@ def _gcsa(p, q):
             cube = f ** 3
         except OverflowError:  # a Python float power raises where numpy's gives inf
             why[r] = f"first matrix Gram norm {f:.3e} is too large to cube"
+            continue
+        if math.inf in (f, g):  # 1 - s/(f g) would read 1, with a zero gradient
+            why[r] = f"{_SIDES[f < math.inf]} Gram norm overflows to inf"
             continue
         values[r] = max(0.0, 1.0 - s / (f * g))
         coef_a[r] = s / (cube * g)
@@ -245,7 +265,7 @@ def _gcsa(p, q):
     coef_a = np.array(coef_a)[:, None, None]
     coef_q = np.array(coef_q)[:, None, None]
     grad = 2.0 * _centered(coef_a * (pc @ a) - (qc @ m.swapaxes(1, 2)) / coef_q)
-    return np.array(values), grad, why
+    return np.array(values), grad
 
 
 def loss_rcsa(p, q) -> LossValue:
@@ -260,31 +280,32 @@ def loss_rcsa(p, q) -> LossValue:
 
 @functools.lru_cache(maxsize=64)
 def _pair_tables(n: int) -> tuple[np.ndarray, ...]:
-    """RCSA's read-only tables for n rows: each pair i < j's row, column, flat index; arange(n)."""
+    """RCSA's read-only tables for n rows: each pair i < j's row, column and flat index."""
     rows, cols = np.triu_indices(n, k=1)
-    tables = (rows, cols, rows * n + cols, np.arange(n))
+    tables = (rows, cols, rows * n + cols)
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
-def _rcsa(ph, pn, qh, qn):
+def _rcsa(ph, pn, qh, qn, why):
     replicas, n = ph.shape[:2]
-    why = _kept(replicas)
-    _check_norms(pn, why, "first matrix")
-    _check_norms(qn, why, "second matrix")
-    rows, cols, upper, diagonal = _pair_tables(n)
+    rows, cols, upper = _pair_tables(n)
 
     def descriptor(mh):
         d = 2.0 - 2.0 * (mh @ mh.swapaxes(1, 2))
-        np.clip(d, 0.0, None, out=d)
+        np.maximum(d, 0.0, out=d)  # clip: d is never -0.0, so no zero changes sign
         return d.reshape(d.shape[0], n * n).take(upper, axis=1)
 
-    u = descriptor(ph)
-    v = descriptor(qh)
+    if ph.shape[2] == qh.shape[2]:  # both sides as one stack, each slice computed as alone
+        both = descriptor(np.concatenate([ph, qh]))
+        u, v = both[:replicas], both[replicas:]
+    else:
+        u, v = descriptor(ph), descriptor(qh)
+        both = np.concatenate([u, v])
+    norms = np.sqrt(_sum_sq(both)).tolist()
     values, coef_u, coef_v = [0.0] * replicas, [0.0] * replicas, [1.0] * replicas
-    for r, (nu, nv, cu) in enumerate(zip(np.sqrt(_sum_sq(u)).tolist(),
-                                         np.sqrt(_sum_sq(v)).tolist(),
+    for r, (nu, nv, cu) in enumerate(zip(norms[:replicas], norms[replicas:],
                                          (u[:, None] @ v[:, :, None])[:, 0, 0].tolist())):
         if why[r]:
             continue
@@ -301,15 +322,17 @@ def _rcsa(ph, pn, qh, qn):
     w = np.zeros((replicas, n, n))
     w[:, rows, cols] = du
     w = w + w.swapaxes(1, 2)
-    # d u_ij / d ph_i = 2 (ph_i - ph_j)  =>  grad wrt ph = 2 (diag(W 1) - W) ph
-    lap = np.zeros_like(w)
-    lap[:, diagonal, diagonal] = w.sum(axis=2)
-    lap -= w
+    # d u_ij / d ph_i = 2 (ph_i - ph_j)  =>  grad wrt ph = 2 (diag(W 1) - W) ph;
+    # W's diagonal is +0.0, so 0.0 - W off it and the row sums on it are the
+    # entries of diag(W 1) - W, signed zeros included
+    rowsum = np.add.reduce(w, axis=2)
+    lap = np.subtract(0.0, w, out=w)
+    lap.reshape(replicas, n * n)[:, ::n + 1] = rowsum
     grad_ph = 2.0 * (lap @ ph)
     # pull back through row normalization: project out the radial component
-    radial = np.sum(grad_ph * ph, axis=2, keepdims=True)
+    radial = np.add.reduce(grad_ph * ph, axis=2, keepdims=True)
     grad = (grad_ph - radial * ph) / pn[:, :, None]
-    return np.array(values), grad, why
+    return np.array(values), grad
 
 
 @_quiet
@@ -331,52 +354,55 @@ def loss_contrastive(z, prototypes, labels, temperature: float) -> ContrastivePa
     if not (temperature > 0.0) or not np.isfinite(temperature):
         raise ContractError(f"temperature must be positive and finite, got {temperature!r}")
     labels = check_labels(labels, z.shape[0], prototypes.shape[0])
-    parts, why = _contrastive(*_unit_rows(z[None]), *_unit_rows(prototypes[None]), labels,
-                              temperature)
+    why = _kept(1)
+    sides = _check_sides(z, prototypes, why, ("embedding", "prototypes"))
+    align_val, ga, unif_val, gu = _contrastive(*sides, labels, temperature, why)
     _raise_skip(why)
-    return ContrastiveParts(*(LossValue(float(part.value[0]), part.grad[0])
-                              for part in (parts.total, parts.alignment, parts.uniformity)))
+    return ContrastiveParts(*(LossValue(float(value[0]), grad[0]) for value, grad in
+                              ((align_val + unif_val, ga + gu), (align_val, ga), (unif_val, gu))))
 
 
-def _contrastive(zh, nz, ph, pn, labels, temperature: float):
-    """ContrastiveParts of (R,) values and (R, n, d) gradients, and the
-    reasons; labels are (n,), shared by every slice, or (R, n), one row per
-    slice."""
-    why = _kept(zh.shape[0])
-    _check_norms(nz, why, "embedding")
-    _check_norms(pn, why, "prototypes")
-
-    n = zh.shape[1]
-    # slice and row of every picked entry
-    picks = (np.arange(zh.shape[0])[:, None], np.arange(n), labels)
+def _contrastive(zh, nz, ph, pn, labels, temperature: float, why):
+    """The alignment and uniformity parts, each (R,) values and (R, n, d)
+    gradients, whose sums are the total's; labels are (n,), shared by every
+    slice, or (R, n), one row per slice.  It skips no replica: a caller's
+    norm checks are its only ones."""
+    slices, n, dim = zh.shape
+    classes = ph.shape[1]
     sims = zh @ ph.swapaxes(1, 2)  # (R, n, c) cosines in [-1, 1]
     scaled = sims / temperature
-    shift = scaled.max(axis=2, keepdims=True)
-    probs = np.exp(scaled - shift)
-    norm = probs.sum(axis=2, keepdims=True)
+    shift = np.maximum.reduce(scaled, axis=2, keepdims=True)
+    scaled -= shift
+    probs = np.exp(scaled, out=scaled)
+    norm = np.add.reduce(probs, axis=2, keepdims=True)
     lse = shift[:, :, 0] + np.log(norm[:, :, 0])
-    # three index arrays lay `picked` out (R, n), contiguous, so that each
-    # replica's mean sums its row as a run of one does
-    picked = sims[picks]
+    # the picked entries by their flat index, laid out (R, n), contiguous, so
+    # that each replica's mean sums its row as a run of one does
+    picked = sims.take(_row_starts(slices, n, classes) + labels)
 
     # means, without their dispatch
-    align_val = (-picked / temperature).sum(axis=1) / n
-    unif_val = lse.sum(axis=1) / n
+    align_val = np.add.reduce(-picked / temperature, axis=1) / n
+    unif_val = np.add.reduce(lse, axis=1) / n
 
     # d cos(z_i, P_j) / d z_i = (ph_j - sims_ij zh_i) / ||z_i||
     inv = 1.0 / (n * temperature)
-    ga = -inv * (ph[picks[0], labels] - picked[:, :, None] * zh) / nz[:, :, None]
+    label_rows = ph.reshape(-1, dim).take(_row_starts(slices, 1, classes) + labels, axis=0)
+    ga = -inv * (label_rows - picked[:, :, None] * zh) / nz[:, :, None]
     probs /= norm
     mix = probs @ ph
-    mix_sim = np.sum(probs * sims, axis=2)
+    mix_sim = np.add.reduce(probs * sims, axis=2)
     gu = inv * (mix - mix_sim[:, :, None] * zh) / nz[:, :, None]
 
-    parts = ContrastiveParts(
-        total=LossValue(align_val + unif_val, ga + gu),
-        alignment=LossValue(align_val, ga),
-        uniformity=LossValue(unif_val, gu),
-    )
-    return parts, why
+    return align_val, ga, unif_val, gu
+
+
+def _check_sides(a, b, why, names=_SIDES):
+    """The unit rows and norms of both (n, d) sides as stacks of one, each
+    side's norms checked (tensor._check_norms) in order."""
+    sides = _unit_rows(a[None]) + _unit_rows(b[None])
+    _check_norms(sides[1], why, names[0])
+    _check_norms(sides[3], why, names[1])
+    return sides
 
 
 # the unchecked kernel of each pairwise loss (everything except contrastive)
@@ -396,9 +422,9 @@ def pairwise_loss(kind: AlignmentKind | str, a, b) -> LossValue:
     a, b = _check_pair(a, b, same_cols=name not in STRUCTURAL_LOSSES)
     if name in STRUCTURAL_LOSSES and a.shape[0] < 2:
         raise DegenerateInputError(f"need >= 2 rows, got {a.shape[0]}")
-    sides = ((a[None], b[None]) if name not in _UNIT_ROW_LOSSES
-             else _unit_rows(a[None]) + _unit_rows(b[None]))
-    values, grad, why = _PAIRWISE_KERNELS[name](*sides)
+    why = _kept(1)
+    sides = (_check_sides(a, b, why) if name in _UNIT_ROW_LOSSES else (a[None], b[None]))
+    values, grad = _PAIRWISE_KERNELS[name](*sides, why)
     _raise_skip(why)
     return LossValue(float(values[0]), grad[0])
 

@@ -59,7 +59,10 @@ def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 # that meets an undefined value reports it per replica, in an (R,) object
 # array `why`: "" for each replica it kept, the reason for each one it
 # skipped (why != "" is the skip mask), whose outputs are then unspecified.
-# Checks run in order, and a replica keeps the reason of the first it fails.
+# A caller makes one such array for a whole stack of several kinds and
+# hands each kernel its run of it, as a view, with the norm checks of
+# _check_norms already written in; each check writes a reason only where
+# none is, so a replica keeps the reason of the first check it fails.
 #
 # A kernel computes on through overflow and division by zero, and its
 # callers check its results for non-finite values, so the IEEE warnings are
@@ -84,8 +87,13 @@ def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a finite (..., n, d) stack scaled to unit l2 norm, and the
     (..., n) norms; see _check_norms for the rows whose unit row is undefined."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        norms = np.linalg.norm(m, axis=-1)
+        norms = np.sqrt(np.add.reduce(m * m, axis=-1))  # np.linalg.norm's, without its dispatch
         return m / norms[..., None], norms
+
+
+def _norms_ok(norms: np.ndarray) -> bool:
+    """Whether no norm gives _check_norms a reason: one test for a whole stack."""
+    return not norms.size or bool(norms.min() > EPS_NORM and norms.max() < np.inf)
 
 
 def _check_norms(norms: np.ndarray, why: np.ndarray, name: str) -> None:
@@ -110,19 +118,26 @@ class SvdResult:
         return (self.left_factor * self.singular_values) @ self.right_factor.T
 
 
-def svd(m: np.ndarray) -> SvdResult:
-    """Thin SVD with a deterministic sign convention.
-
-    Each (u_k, v_k) pair is jointly flipped so the largest-magnitude entry of
-    u_k is positive; U diag(s) V^T is unchanged by joint flips.
-    """
-    m = as_matrix(m)
+def _svd_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numpy's thin SVD (u, s, vt) of a finite 2-D float64 matrix, unchecked
+    and without svd's sign fix; NumericFailureError if it fails or its
+    factors are not finite."""
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
         raise NumericFailureError(f"SVD failed on shape {m.shape}: {exc}") from exc
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(s)) and np.all(np.isfinite(vt))):
         raise NumericFailureError(f"SVD produced non-finite factors on shape {m.shape}")
+    return u, s, vt
+
+
+def svd(m: np.ndarray) -> SvdResult:
+    """Thin SVD with a deterministic sign convention.
+
+    Each (u_k, v_k) pair is jointly flipped so the largest-magnitude entry of
+    u_k is positive; U diag(s) V^T is unchanged by joint flips.
+    """
+    u, s, vt = _svd_factors(as_matrix(m))
     v = vt.T
     # sign fix: pivot on the largest-|entry| of each left singular vector
     pivot = np.abs(u).argmax(axis=0)

@@ -96,6 +96,95 @@ def gcsa_gram_form(p, q):
     return 1.0 - s / (f * g), 2.0 * c @ gk @ c @ p
 
 
+# ---------------------------------------------------------------------------
+# per-side stacked kernels: bitwise references
+# ---------------------------------------------------------------------------
+# The package's GCSA and RCSA kernels treat both sides of a stack as one
+# stack of 2R slices when their widths agree.  These are the same formulas
+# one side at a time, numpy call for numpy call, on (R, n, d) stacks, with
+# the reasons as a list: every slice of the fused kernels must equal them
+# bit for bit.
+
+
+def _sum_sq_stack(m):
+    flat = m.reshape(m.shape[0], 1, -1)
+    return (flat @ flat.swapaxes(1, 2))[:, 0, 0]
+
+
+def _centered_stack(m):
+    return m - m.sum(axis=1, keepdims=True) / m.shape[1]
+
+
+def gcsa_per_side(p, q, why):
+    """(values, grad) of GCSA over (R, n, d) stacks; writes into `why`."""
+    for m, name in ((p, "first matrix"), (q, "second matrix")):
+        c = _centered_stack(m)
+        scale = np.maximum(1.0, np.sqrt(_sum_sq_stack(m)))
+        cn = np.sqrt(_sum_sq_stack(c))
+        for r in np.flatnonzero(cn <= 1e-10 * scale):
+            if not why[r]:
+                why[r] = (f"{name} rows are (numerically) identical: centered norm "
+                          f"{cn[r]:.3e} vs scale {scale[r]:.3e}")
+    pc, qc = _centered_stack(p), _centered_stack(q)
+    pct = pc.swapaxes(1, 2)
+    a = pct @ pc
+    m = pct @ qc
+    replicas = p.shape[0]
+    values, coef_a, coef_q = [0.0] * replicas, [0.0] * replicas, [1.0] * replicas
+    for r, (s, fa, gq) in enumerate(zip((m * m).sum(axis=(1, 2)).tolist(),
+                                        _sum_sq_stack(a).tolist(),
+                                        _sum_sq_stack(qc.swapaxes(1, 2) @ qc).tolist())):
+        if why[r]:
+            continue
+        f, g = math.sqrt(fa), math.sqrt(gq)
+        values[r] = max(0.0, 1.0 - s / (f * g))
+        coef_a[r] = s / (f ** 3 * g)
+        coef_q[r] = f * g
+    coef_a = np.array(coef_a)[:, None, None]
+    coef_q = np.array(coef_q)[:, None, None]
+    grad = 2.0 * _centered_stack(coef_a * (pc @ a) - (qc @ m.swapaxes(1, 2)) / coef_q)
+    return np.array(values), grad
+
+
+def rcsa_per_side(ph, pn, qh, qn, why):
+    """(values, grad) of RCSA over (R, n, d) stacks of unit rows and their
+    norms, whose norms are checked already; writes into `why`."""
+    replicas, n = ph.shape[:2]
+    rows, cols = np.triu_indices(n, k=1)
+    upper = rows * n + cols
+
+    def descriptor(mh):
+        d = 2.0 - 2.0 * (mh @ mh.swapaxes(1, 2))
+        np.clip(d, 0.0, None, out=d)
+        return d.reshape(d.shape[0], n * n).take(upper, axis=1)
+
+    u, v = descriptor(ph), descriptor(qh)
+    values, coef_u, coef_v = [0.0] * replicas, [0.0] * replicas, [1.0] * replicas
+    for r, (nu, nv, cu) in enumerate(zip(np.sqrt(_sum_sq_stack(u)).tolist(),
+                                         np.sqrt(_sum_sq_stack(v)).tolist(),
+                                         (u[:, None] @ v[:, :, None])[:, 0, 0].tolist())):
+        if why[r]:
+            continue
+        if nu <= 1e-12:
+            why[r] = f"first matrix distance descriptor collapsed (|u|={nu:.3e})"
+        elif nv <= 1e-12:
+            why[r] = f"second matrix distance descriptor collapsed (|v|={nv:.3e})"
+        else:
+            values[r] = max(0.0, 1.0 - cu / (nu * nv))
+            coef_u[r] = cu / (nu ** 3 * nv)
+            coef_v[r] = nu * nv
+    du = np.array(coef_u)[:, None] * u - v / np.array(coef_v)[:, None]
+    w = np.zeros((replicas, n, n))
+    w[:, rows, cols] = du
+    w = w + w.swapaxes(1, 2)
+    lap = np.zeros_like(w)
+    lap[:, np.arange(n), np.arange(n)] = w.sum(axis=2)
+    lap -= w
+    grad_ph = 2.0 * (lap @ ph)
+    radial = np.sum(grad_ph * ph, axis=2, keepdims=True)
+    return np.array(values), (grad_ph - radial * ph) / pn[:, :, None]
+
+
 def rdm_upper_loop(m):
     """Upper-triangular (i < j, row-major) squared distances of normalized rows."""
     rows = normalize_rows_loop(m)

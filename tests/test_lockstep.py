@@ -62,7 +62,8 @@ from fedstruct.models import (
     replicate,
 )
 from fedstruct.data import DatasetShard
-from fedstruct.tensor import _unit_rows
+from fedstruct.tensor import _check_norms, _kept, _unit_rows
+from oracles import gcsa_per_side, rcsa_per_side
 from fedstruct.runner import build_shards, run_scenario, run_scenarios, write_rounds_jsonl
 
 # the README's demo.json at seed 1, and test_cli's TINY and UNSTABLE configs
@@ -473,12 +474,12 @@ def test_a_failure_in_a_fused_alignment_names_the_first_failing_client(monkeypat
         return step(stacks, *args)
 
     def planted(*sides):
-        values, grad, why = kernel(*sides)
+        values, grad = kernel(*sides)
         if values.shape[0] < len(steps[-1]):  # the inst term's rows agree, the proto term's may not
-            return values, grad, why
+            return values, grad
         # one slice per client of the step, in its order
         failing = [_failing(c, len(steps) - 1) for c in steps[-1]]
-        return np.where(failing, np.nan, values), grad, why
+        return np.where(failing, np.nan, values), grad
 
     monkeypatch.setattr(federation, "_train_step", recorded)
     monkeypatch.setitem(_PAIRWISE_KERNELS, "gcsa", planted)
@@ -604,15 +605,28 @@ def _slice_wise(fn, *stacks):
     return out
 
 
+def _checked(sides, names):
+    """A kernel's reason array with its callers' norm checks of unit-row
+    sides written in, first side first, as the training loop runs them."""
+    why = _kept(sides[0].shape[0])
+    if len(sides) == 4:
+        _check_norms(sides[1], why, names[0])
+        _check_norms(sides[3], why, names[1])
+    return why
+
+
 @pytest.mark.parametrize("name", sorted(_PAIRWISE_KERNELS))
 def test_pairwise_kernels_equal_their_slices(name):
     rng = np.random.default_rng(11)
     for trial in range(20):
         a, b = _stacks(rng, n=int(rng.integers(3, 33)), d=int(rng.integers(2, 17)))
+        if name in ("gcsa", "rcsa") and trial % 4 == 3:  # the second side's own width
+            b = rng.standard_normal(b.shape[:2] + (int(rng.integers(1, 17)),))
         if name in ("mse", "cosine"):
             a[1, 2] = 0.0  # a zero row: the only degenerate input of cosine
         sides = _unit_rows(a) + _unit_rows(b) if name in _UNIT_ROW_LOSSES else (a, b)
-        values, grad, why = _PAIRWISE_KERNELS[name](*sides)
+        why = _checked(sides, ("first matrix", "second matrix"))
+        values, grad = _PAIRWISE_KERNELS[name](*sides, why)
         for r, want in enumerate(_slice_wise(lambda x, y: pairwise_loss(name, x, y), a, b)):
             if isinstance(want, str):
                 assert why[r] == want
@@ -634,7 +648,9 @@ def test_contrastive_kernel_equals_its_slices():
         protos = rng.standard_normal((R, c, 4))
         # labels shared by every slice, then one row of labels per slice
         for labels in (rng.integers(0, c, n), rng.integers(0, c, (R, n))):
-            parts, why = _contrastive(*_unit_rows(z), *_unit_rows(protos), labels, 0.5)
+            sides = _unit_rows(z) + _unit_rows(protos)
+            why = _checked(sides, ("embedding", "prototypes"))
+            align_val, ga, unif_val, gu = _contrastive(*sides, labels, 0.5, why)
             assert np.flatnonzero(why != "").tolist() == [1]
             slices = _slice_wise(lambda x, p, y: loss_contrastive(x, p, y, 0.5), z, protos,
                                  np.broadcast_to(labels, (R, n)))
@@ -643,10 +659,70 @@ def test_contrastive_kernel_equals_its_slices():
                     assert why[r] == want
                     continue
                 assert why[r] == ""
-                for got, ref in ((parts.total, want.total), (parts.alignment, want.alignment),
-                                 (parts.uniformity, want.uniformity)):
-                    assert got.value[r] == ref.value
-                    assert np.array_equal(got.grad[r], ref.grad)
+                for value, grad, ref in ((align_val + unif_val, ga + gu, want.total),
+                                         (align_val, ga, want.alignment),
+                                         (unif_val, gu, want.uniformity)):
+                    assert value[r] == ref.value
+                    assert np.array_equal(grad[r], ref.grad)
+
+
+@st.composite
+def _structural_stacks(draw):
+    """Two (R, n, d) sides at one scale each, with some zero and some
+    identical rows, and each row's scale drawn apart."""
+    replicas, n, d = (draw(st.integers(*bounds)) for bounds in ((1, 11), (3, 39), (1, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sides = []
+    for _ in range(2):
+        m = rng.standard_normal((replicas, n, d)) * 10.0 ** rng.uniform(-3, 3, (replicas, 1, 1))
+        m[rng.random(replicas) < 0.2, 1] = 0.0  # a zero row
+        same = rng.random(replicas) < 0.2
+        m[same] = m[same, :1]  # identical rows
+        sides.append(m)
+    return sides
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_structural_stacks())
+def test_fused_structural_kernels_equal_their_per_side_form(sides):
+    # both sides of GCSA and RCSA run as one stack; every slice must equal
+    # the per-side form bit for bit: values, gradients and reasons
+    p, q = sides
+    for kernel, reference, unit in ((_PAIRWISE_KERNELS["gcsa"], gcsa_per_side, False),
+                                    (_PAIRWISE_KERNELS["rcsa"], rcsa_per_side, True)):
+        args = _unit_rows(p) + _unit_rows(q) if unit else (p, q)
+        why, want_why = (_checked(args, ("first matrix", "second matrix")) for _ in range(2))
+        values, grad = kernel(*args, why)
+        want_values, want_grad = reference(*args, want_why)
+        assert why.tolist() == list(want_why)
+        kept = why == ""
+        assert values[kept].tobytes() == want_values[kept].tobytes()
+        assert grad[kept].tobytes() == want_grad[kept].tobytes()
+
+
+def test_every_kernel_input_is_contiguous_float64(monkeypatch):
+    # a strided or non-float64 input could round differently from its run
+    # alone (see losses.py); one-client and many-client stacks of all kinds
+    slices = []
+
+    def guarded(kernel):
+        def call(*args):
+            for x in args:
+                if isinstance(x, np.ndarray) and x.dtype.kind not in "iO":  # not labels, reasons
+                    assert x.dtype == np.float64 and x.flags.c_contiguous
+            slices.append(args[0].shape[0])
+            return kernel(*args)
+        return call
+
+    for name, kernel in list(_PAIRWISE_KERNELS.items()):
+        monkeypatch.setitem(_PAIRWISE_KERNELS, name, guarded(kernel))
+    monkeypatch.setattr(federation, "_contrastive", guarded(_contrastive))
+    for payload, scenario in ((FOUR_EQUAL, "hetero"), (DEMO, "hetero"), (TINY, "homo_local")):
+        cfg, shards, archs, kwargs = _setup(payload, scenario, "fixed_hypersphere")
+        kwargs["rounds"] = min(kwargs["rounds"], 2)
+        rcs = [_round_config(cfg, loss, lam, gamma) for loss, lam, gamma in MIXED]
+        _lockstep(shards, archs, rcs, kwargs)
+    assert 1 in slices and max(slices) > 1
 
 
 def test_model_kernels_equal_their_slices():

@@ -17,7 +17,7 @@ from fedstruct.losses import (
     procrustes_decompose,
 )
 from fedstruct.tensor import normalize_rows, random_orthogonal
-from oracles import gcsa_gram_form
+from oracles import gcsa_gram_form, rcsa_loss_loop
 
 
 def _pair(seed, n, d):
@@ -155,6 +155,16 @@ class TestRcsa:
         b = np.random.default_rng(120).standard_normal(4)
         assert loss_rcsa(p, p + b).value > 1e-6
 
+    # unequal widths: each side's descriptor on its own, against the loop oracle
+    @pytest.mark.parametrize("n,d,dq", [(5, 3, 7), (8, 7, 3), (4, 1, 6), (12, 8, 2)])
+    def test_unequal_widths_match_the_loop_oracle(self, n, d, dq):
+        rng = np.random.default_rng(n * d + dq)
+        p, q = rng.standard_normal((n, d)), rng.standard_normal((n, dq))
+        assert loss_rcsa(p, q).value == pytest.approx(rcsa_loss_loop(p, q), rel=1e-12, abs=1e-14)
+        assert loss_rcsa(q, p).value == pytest.approx(rcsa_loss_loop(q, p), rel=1e-12, abs=1e-14)
+        report = check_gradient("rcsa", p, q, tolerance=1e-4)
+        assert report.passed, report
+
     def test_identical_normalized_rows_rejected(self):
         # rows are positive multiples of one direction: RDM vector is zero
         base = np.array([[1.0, 2.0, 2.0]])
@@ -287,6 +297,12 @@ _PLAIN = np.array([[1.0, 0.5], [0.3, 2.0]])
     (lambda: loss_gcsa(_P, 2.0 * _SAME), f"second matrix {_IDENTICAL} 6.928e+00"),
     (lambda: loss_gcsa(_SAME, 2.0 * _SAME), f"first matrix {_IDENTICAL} 3.464e+00"),
     (lambda: loss_gcsa(1e60 * _P, _P), "first matrix Gram norm 9.877e+120 is too large to cube"),
+    (lambda: loss_gcsa(1e155 * _P, _P),
+     "first matrix norm overflows: centered norm inf vs scale inf"),
+    (lambda: loss_gcsa(_P, 1e155 * _P),
+     "second matrix norm overflows: centered norm inf vs scale inf"),
+    (lambda: loss_gcsa(1e100 * _P, _P), "first matrix Gram norm overflows to inf"),
+    (lambda: loss_gcsa(_P, 1e100 * _P), "second matrix Gram norm overflows to inf"),
     (lambda: loss_gcsa(_P[:1], _P[:1]), "need >= 2 rows, got 1"),
     (lambda: loss_rcsa(_P[:1], _P[:1]), "need >= 2 rows, got 1"),
     (lambda: loss_contrastive(_ZERO_ROW, _P[:3], [0, 1, 2, 0], 0.5),
@@ -307,6 +323,8 @@ _PLAIN = np.array([[1.0, 0.5], [0.3, 2.0]])
 ], ids=["cosine-first", "cosine-second", "cosine-both", "rcsa-zero-first", "rcsa-zero-second",
         "rcsa-zero-both", "rcsa-collapsed-first", "rcsa-collapsed-second", "rcsa-collapsed-both",
         "gcsa-identical-first", "gcsa-identical-second", "gcsa-identical-both", "gcsa-cube",
+        "gcsa-overflow-first", "gcsa-overflow-second", "gcsa-gram-inf-first",
+        "gcsa-gram-inf-second",
         "gcsa-one-row", "rcsa-one-row", "contrastive-embedding", "contrastive-prototype",
         "contrastive-both", "normalize-rows", "normalize-rows-named", "normalize-rows-inf",
         "cosine-inf-first", "cosine-inf-second", "rcsa-inf-first", "rcsa-inf-second",
@@ -320,11 +338,10 @@ def test_degenerate_input_messages(call, message):
 def test_rcsa_pair_tables_are_cached_and_read_only():
     tables = _pair_tables(5)
     assert _pair_tables(5) is tables
-    rows, cols, upper, diagonal = tables
+    rows, cols, upper = tables
     want_rows, want_cols = np.triu_indices(5, k=1)
     assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
     assert np.array_equal(upper, want_rows * 5 + want_cols)
-    assert np.array_equal(diagonal, np.arange(5))
     for table in tables:
         with pytest.raises(ValueError):
             table[0] = 1
