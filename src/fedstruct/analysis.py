@@ -39,14 +39,15 @@ def effective_dimensionality(stacked, normalize_rows_first: bool = False) -> Eff
     m = as_matrix(stacked, "stacked prototypes")
     if m.shape[0] < 2:
         raise ContractError(f"need >= 2 stacked rows, got {m.shape[0]}")
-    if normalize_rows_first:
+    return _dimensionality(m, normalize_rows_first)
+
+
+def _dimensionality(m: np.ndarray, normalize: bool) -> EffectiveDimensionality:
+    """effective_dimensionality of a finite 2-D float64 matrix of >= 2 rows,
+    unchecked: the protocol engine's spectrum, whose rows are finite by
+    construction."""
+    if normalize:
         m = normalize_rows(m, "stacked prototypes")
-    return _dimensionality(m)
-
-
-def _dimensionality(m: np.ndarray) -> EffectiveDimensionality:
-    """effective_dimensionality of a finite 2-D float64 matrix, unchecked:
-    the protocol engine's spectrum, whose rows are finite by construction."""
     s = _svd_factors(m)[1]
     top = float(s[0]) if s.size else 0.0
     if top <= 0.0:

@@ -48,7 +48,6 @@ from .tensor import (
     _unit_rows,
     as_matrix,
     check_labels,
-    normalize_rows,
 )
 
 logger = logging.getLogger(__name__)
@@ -306,9 +305,7 @@ def _objective(cfgs: list[RoundConfig]) -> tuple[np.ndarray, list]:
     the replicas that weight it, kind by kind, their _positions, [(kind, the
     slice of them that is its replicas, its pairwise kernel or None for
     contrastive)], (the number of them whose kinds take the rows and their
-    targets as they are, and the number before the first contrastive one),
-    and when they are every replica out of order, the order that puts a
-    (U, ...) array of theirs back in replica order, else None).
+    targets as they are, and the number before the first contrastive one)).
     The kinds that take both sides as they are come first, then the pairwise
     kinds that take unit rows, then contrastive, each in first-seen order."""
     weights = np.array([[c.lam for c in cfgs], [c.gamma for c in cfgs]], dtype=np.float64)
@@ -324,13 +321,9 @@ def _objective(cfgs: list[RoundConfig]) -> tuple[np.ndarray, list]:
             bounds = np.cumsum([0] + [len(kinds[kind]) for kind in order]).tolist()
             raw = sum(len(kinds[kind]) for kind in order if kind.name in _PAIRED_RAW_LOSSES)
             paired = sum(len(kinds[kind]) for kind in order if kind.name in _PAIRWISE_KERNELS)
-            select = _positions(weighted)
-            restore = (np.argsort(weighted) if len(weighted) == len(cfgs)
-                       and not isinstance(select, slice) else None)
-            plan.append((term, np.array(weighted), select,
+            plan.append((term, np.array(weighted), _positions(weighted),
                          [(kind, slice(lo, hi), _PAIRWISE_KERNELS.get(kind.name))
-                          for kind, lo, hi in zip(order, bounds, bounds[1:])], (raw, paired),
-                         restore))
+                          for kind, lo, hi in zip(order, bounds, bounds[1:])], (raw, paired)))
     return weights, plan
 
 
@@ -397,7 +390,7 @@ def _align_stack(entry, members, protos: PrototypeSet, weights) -> None:
     their classes (m,), for proto the classes' counts (m,) (else None), and
     the client's known-row mask, None when the global set has every row's
     class)."""
-    term, positions, select, kinds, (raw, paired), restore = entry
+    term, positions, select, kinds, (raw, paired) = entry
     replicas, clients = len(positions), len(members)
     m, dim = members[0][1].shape[1:]
     # replica-major: slice u·K + k is member k's u-th replica, so that each
@@ -477,10 +470,6 @@ def _align_stack(entry, members, protos: PrototypeSet, weights) -> None:
             full = np.zeros((replicas,) + emb.shape[1:])
             full[:, known] = mine
             mine = full
-        if kept[k] and restore is not None:  # a gather and an in-place add, not a scatter
-            terms[term] = values[restore, k]
-            grad_emb += mine.take(restore, axis=0)
-            continue
         if kept[k]:
             terms[term, select] = values[:, k]
             grad_emb[select] += mine
@@ -1059,8 +1048,7 @@ def _spectrum(stacked: np.ndarray, normalize: bool, round_index: int) -> tuple[i
     rows; (1, 1.0) for fewer than 2 rows or a degenerate stack."""
     try:
         if stacked.shape[0] >= 2:  # finite rows: the public checks would only repeat
-            eff = _dimensionality(normalize_rows(stacked, "stacked prototypes") if normalize
-                                  else stacked)
+            eff = _dimensionality(stacked, normalize)
             return eff.threshold_dim, eff.participation_ratio
     except DegenerateInputError:
         logger.debug("round %d: degenerate prototype stack", round_index)

@@ -225,7 +225,6 @@ def loss_supervised(logits, labels) -> tuple[float, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-@functools.lru_cache(maxsize=64)
 def _row_starts(slices: int, rows: int, classes: int) -> np.ndarray:
     """The read-only flat index of entry (s, i, 0) of an (S, n, C) array, laid out (S, n)."""
     starts = np.arange(0, slices * rows * classes, classes).reshape(slices, rows)
