@@ -35,9 +35,7 @@ from .models import (
     _forward,
     _raise_failure,
     _softmax_cross_entropy,
-    _stack_of_one,
     build_model,
-    check_batch,
     replicate,
 )
 from .tensor import (
@@ -131,17 +129,6 @@ class PrototypeSet:
     def classes(self) -> list[int]:
         """The present classes, ascending."""
         return np.flatnonzero(self.present).tolist()
-
-
-def batch_prototypes(embeddings, labels, num_classes: int) -> PrototypeSet:
-    """Per-class means of an embedding batch over classes 0..num_classes-1;
-    classes without rows are absent."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2:
-        raise ContractError(f"embeddings must be 2-D, got shape {embeddings.shape}")
-    labels = check_labels(labels, embeddings.shape[0], num_classes)
-    means, counts = _class_means(embeddings[None], labels, num_classes)
-    return PrototypeSet(means[0], counts)
 
 
 def _class_means(embeddings, labels, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -274,15 +261,6 @@ class RoundConfig:
             raise ContractError(
                 f"prototype_mode must be one of {PROTOTYPE_MODES}, got {self.prototype_mode!r}"
             )
-
-
-@dataclass
-class LossBreakdown:
-    sup: float
-    proto: float
-    inst: float
-    total: float
-    skipped_structural: int
 
 
 # The training step below runs every slice of a stack at once: the R
@@ -490,7 +468,6 @@ def _train_step(steps, protos, objective, learning_rate) -> list:
     `objective` (_objective's) and its own batch.  Every stack runs its
     forward pass and cross-entropy, one alignment pass (_align) serves every
     client of every stack, and then each stack checks its totals and steps.
-    A local_train_step is one stack with K = 1.
 
     Returns per stack each slice's [sup, proto, inst, total] as a (K·R, 4)
     array, its structural skips and its failures (see models.py): each
@@ -536,40 +513,6 @@ def _train_step(steps, protos, objective, learning_rate) -> list:
     return done
 
 
-@_quiet
-def local_train_step(
-    model: ClientModel,
-    batch,
-    labels,
-    global_protos: PrototypeSet | None,
-    cfg: RoundConfig,
-) -> tuple[ClientModel, LossBreakdown]:
-    """One SGD step of L_sup + lam*L_proto + gamma*L_inst on a batch.
-
-    An empty (or None) global prototype set disables both alignment terms
-    (the bootstrap round); classes absent from the global set are excluded
-    from alignment but always contribute to the supervised loss.  The global
-    set must cover the model's classes and feature space.  The batch, the
-    labels and the global set are checked here; the step itself is the
-    lockstep engine's, on a stack of one.
-    """
-    batch = check_batch(model, batch)
-    labels = check_labels(labels, batch.shape[0], model.num_classes)
-    if global_protos is not None and global_protos.vectors.shape != (
-        model.num_classes, model.feature_dim
-    ):
-        raise ContractError(
-            f"global prototypes {global_protos.vectors.shape} do not match the model's "
-            f"({model.num_classes}, {model.feature_dim})"
-        )
-    stacked = (None if global_protos is None
-               else PrototypeSet(global_protos.vectors[None], global_protos.counts))
-    step = [(_stack_of_one(model), batch[None], labels[None])]
-    ((terms, skipped, failed),) = _train_step(step, stacked, _objective([cfg]), cfg.learning_rate)
-    _raise_failure(failed)
-    return model, LossBreakdown(*terms[0].tolist(), int(skipped[0]))
-
-
 def _accuracy(model: ClientModel, features, labels) -> tuple[np.ndarray, dict[int, str]]:
     """(S,) top-1 accuracies of a stacked model's classifier heads, each
     slice on its own rows of the features and labels (see models.py), and
@@ -577,18 +520,6 @@ def _accuracy(model: ClientModel, features, labels) -> tuple[np.ndarray, dict[in
     _, logits, _, failed = _forward(model, features, keep_layers=False)
     # an exact count over n: the mean of the hits, bit for bit
     return (np.argmax(logits, axis=2) == labels).sum(axis=1) / labels.shape[-1], failed
-
-
-@_quiet
-def evaluate_accuracy(model: ClientModel, features, labels) -> float:
-    """Top-1 accuracy of the classifier head on the given rows."""
-    features = check_batch(model, features)
-    if features.shape[0] < 1:
-        raise ContractError("cannot evaluate on an empty set")
-    labels = check_labels(labels, features.shape[0], model.num_classes)
-    accuracy, failed = _accuracy(_stack_of_one(model), features[None], labels)
-    _raise_failure(failed)
-    return float(accuracy[0])
 
 
 @dataclass
@@ -618,45 +549,6 @@ class RoundReport:
             "effective_dimensionality": self.effective_dimensionality,
             "participation_ratio": self.participation_ratio,
         }
-
-
-def run_experiment(
-    shards,
-    archs: list[ArchitectureSpec],
-    cfg: RoundConfig,
-    rounds: int,
-    seed: int,
-    num_classes: int,
-    scenario: str = "hetero",
-    snapshot_dir=None,
-    normalize_stacking: bool = False,
-) -> list[RoundReport]:
-    """Run the full protocol and return one report per round.
-
-    Scenarios: "hetero" assigns architecture i mod len(archs) to client i;
-    "homo_local" gives every client a private copy of archs[0] (distinct
-    seeded inits); "homo_shared" trains ONE archs[0] model, visited
-    sequentially by each participant within a round.  Each participant runs
-    local_epochs of mini-batch SGD on its train shard: contiguous batches of
-    a fresh permutation each epoch, where a remainder of a single row is
-    dropped (centered structure needs >= 2).  Uploads are computed after
-    every participant has trained, from each participant's model over its
-    whole train shard, so in homo_shared they all reflect the final
-    post-round extractor.
-
-    All randomness derives from the master seed: model init (0, i), batch
-    order (1, round, client), participation (2, round), hypersphere (4).
-    Reports are byte-deterministic for a fixed configuration.  A numeric
-    failure raises NumericFailureError naming the round (and the client, if
-    it happened in training).  This is run_experiments with one config.
-    """
-    (result,) = run_experiments(
-        shards, archs, [cfg], rounds, seed, num_classes, scenario,
-        snapshot_dirs=[snapshot_dir], normalize_stacking=normalize_stacking,
-    )
-    if isinstance(result, NumericFailureError):
-        raise result
-    return result
 
 
 def _check_shards(shards, num_classes: int) -> int:
@@ -968,7 +860,23 @@ def run_experiments(
     snapshot_dirs=None,
     normalize_stacking: bool = False,
 ) -> list[list[RoundReport] | NumericFailureError]:
-    """Run the protocol once per config, all runs in lockstep.
+    """Run the protocol once per config, all runs in lockstep, and return
+    one report per round of each run.
+
+    Scenarios: "hetero" assigns architecture i mod len(archs) to client i;
+    "homo_local" gives every client a private copy of archs[0] (distinct
+    seeded inits); "homo_shared" trains ONE archs[0] model, visited
+    sequentially by each participant within a round.  Each participant runs
+    local_epochs of mini-batch SGD on its train shard: contiguous batches of
+    a fresh permutation each epoch, where a remainder of a single row is
+    dropped (centered structure needs >= 2).  Uploads are computed after
+    every participant has trained, from each participant's model over its
+    whole train shard, so in homo_shared they all reflect the final
+    post-round extractor.
+
+    All randomness derives from the master seed: model init (0, i), batch
+    order (1, round, client), participation (2, round), hypersphere (4).
+    Reports are byte-deterministic for a fixed configuration.
 
     The configs may differ only in `alignment`, `lam` and `gamma`; the
     data, partition, model inits, participation draws and batch order are
@@ -978,12 +886,13 @@ def run_experiments(
     share an architecture and a row count also run as one stack of K·R
     slices, each client with its own batches (homo_shared's training never
     stacks).  Every slice's arithmetic is its own run's, so each result
-    equals run_experiment on that config alone, byte for byte.
+    equals that of its config run alone, byte for byte.
 
     Returns, per config, its reports or the NumericFailureError that ended
-    its run; a replica that fails leaves the stack and the others carry on.
+    its run, naming the round (and the client, if it happened in training);
+    a replica that fails leaves the stack and the others carry on.
     `snapshot_dirs`, if given, holds one prototype-snapshot directory (or
-    None) per config.  See run_experiment for the protocol.
+    None) per config.
     """
     if scenario not in SCENARIOS:
         raise ContractError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")

@@ -154,23 +154,15 @@ def _check_pair(a, b, same_cols: bool):
 # error state (see tensor._quiet).
 
 
-def loss_mse(a, b) -> LossValue:
-    """Mean (over rows) squared Frobenius error; grad = 2(A-B)/n."""
-    return pairwise_loss("mse", a, b)
-
-
 def _mse(a, b, why):
+    """Mean (over rows) squared Frobenius error; grad = 2(A-B)/n."""
     diff = a - b
     n = a.shape[1]
     return np.add.reduce(diff * diff, axis=(1, 2)) / n, 2.0 * diff / n
 
 
-def loss_cosine(a, b) -> LossValue:
-    """Mean (1 - cosine) over paired rows; zero rows are degenerate."""
-    return pairwise_loss("cosine", a, b)
-
-
 def _cosine(ah, na, bh, nb, why):
+    """Mean (1 - cosine) over paired rows."""
     cos = np.add.reduce(ah * bh, axis=2)
     n = ah.shape[1]
     values = np.add.reduce(1.0 - cos, axis=1) / n  # the mean, without its dispatch

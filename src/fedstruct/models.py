@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericFailureError
-from .tensor import _quiet, check_labels
+
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
@@ -50,14 +50,6 @@ class ClientModel:
     classifier_bias: np.ndarray  # (num_classes,)
     feature_dim: int
 
-    @property
-    def input_dim(self) -> int:
-        return self.extractor[0].weights.shape[-2]
-
-    @property
-    def num_classes(self) -> int:
-        return self.classifier_weights.shape[-1]
-
     def arrays(self) -> list[np.ndarray]:
         """Every parameter array, in the order map_arrays visits them."""
         return ([a for l in self.extractor for a in (l.weights, l.bias)]
@@ -82,12 +74,6 @@ class ClientModel:
 def replicate(model: ClientModel, copies: int) -> ClientModel:
     """A stack of `copies` identical replicas of a one-replica model."""
     return model.map_arrays(lambda a: np.repeat(a[None], copies, axis=0))
-
-
-def _stack_of_one(model: ClientModel) -> ClientModel:
-    """A one-replica model as a stack of one that shares its memory, so a
-    kernel's in-place step updates the model itself."""
-    return model.map_arrays(lambda a: a[None])
 
 
 def build_model(
@@ -128,37 +114,14 @@ def build_model(
     return ClientModel(layers, cw, cb, spec.feature_dim)
 
 
-@_quiet
-def forward(model: ClientModel, batch) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Return (embeddings, logits, layer_inputs) for an (n, input_dim) batch:
-    layer_inputs[i] feeds extractor layer i, and layer_inputs[-1] is the
-    embedding matrix."""
-    batch = check_batch(model, batch)
-    emb, logits, layer_inputs, failed = _forward(_stack_of_one(model), batch[None])
-    _raise_failure(failed)
-    return emb[0], logits[0], [x[0] for x in layer_inputs]
-
-
-def check_batch(model: ClientModel, batch) -> np.ndarray:
-    """`batch` as an (n, input_dim) float64 array."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != model.input_dim:
-        raise ContractError(
-            f"batch shape {batch.shape} incompatible with input_dim {model.input_dim}"
-        )
-    return batch
-
-
-# forward, loss_supervised and backward_and_step are each their contract
-# checks followed by one of the kernels below on a stack of one.  The kernels
-# trust their inputs and take stacks of S slices (see ClientModel): a batch is
-# (S, n, input_dim), or (1, n, input_dim) shared by every slice, and labels
-# are (S, n), or (n,) or (1, n) shared.  Each slice's arithmetic is its run of
-# one, whatever the other slices hold.  The non-finite checks are part of the
-# kernels, so they fire on every path, per slice: a kernel returns its
-# failures, {slice: its first check's message}; a failed slice's values are
-# unspecified.  The kernels run under their caller's error state (see
-# tensor._quiet).
+# The kernels below trust their inputs and take stacks of S slices (see
+# ClientModel): a batch is (S, n, input_dim), or (1, n, input_dim) shared by
+# every slice, and labels are (S, n), or (n,) or (1, n) shared.  Each slice's
+# arithmetic is its run of one, whatever the other slices hold.  The
+# non-finite checks are part of the kernels, so they fire on every path, per
+# slice: a kernel returns its failures, {slice: its first check's message}; a
+# failed slice's values are unspecified.  The kernels run under their caller's
+# error state (see tensor._quiet).
 
 
 def _check_finite(arrays, message: str, failed: dict | None = None) -> dict[int, str]:
@@ -177,16 +140,18 @@ def _check_finite(arrays, message: str, failed: dict | None = None) -> dict[int,
 
 
 def _raise_failure(failed: dict[int, str]) -> None:
-    """Raise the failure of a public kernel's stack of one, if it failed."""
+    """Raise the failure of a stack of one, if it failed."""
     if failed:
         raise NumericFailureError(failed[min(failed)])
 
 
 def _forward(model: ClientModel, batch: np.ndarray, keep_layers: bool = True):
-    """The embeddings, logits, layer inputs and failures of a stack.  A
-    (K, 1, n, input_dim) batch holds K clients' rows, each read by every
-    slice of the stack (homo_shared's one model): its outputs are then the
-    (K·S, ...) stacks, client-major, as if the stack were copied K times."""
+    """The embeddings, logits, layer inputs and failures of a stack:
+    layer_inputs[i] feeds extractor layer i, and layer_inputs[-1] is the
+    embeddings.  A (K, 1, n, input_dim) batch holds K clients' rows, each
+    read by every slice of the stack (homo_shared's one model): its outputs
+    are then the (K·S, ...) stacks, client-major, as if the stack were
+    copied K times."""
     layer_inputs = [batch]
     # in place, so that a stack holds one array per layer; without
     # keep_layers (no backward pass follows) each layer's output is
@@ -209,21 +174,6 @@ def _forward(model: ClientModel, batch: np.ndarray, keep_layers: bool = True):
         (embeddings, logits), "forward pass produced non-finite values")
 
 
-@_quiet
-def loss_supervised(logits, labels) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy; returns (value, grad_wrt_logits).
-
-    grad = (softmax - onehot) / n, the standard stable form with shifted
-    logits.  Uniform logits over C classes give exactly ln C.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ContractError(f"logits must be 2-D, got shape {logits.shape}")
-    labels = check_labels(labels, *logits.shape)
-    values, grad = _softmax_cross_entropy(logits[None], labels)
-    return float(values[0]), grad[0]
-
-
 @functools.lru_cache(maxsize=64)
 def _row_starts(slices: int, rows: int, classes: int) -> np.ndarray:
     """The read-only flat index of entry (s, i, 0) of an (S, n, C) array, laid out (S, n)."""
@@ -233,8 +183,9 @@ def _row_starts(slices: int, rows: int, classes: int) -> np.ndarray:
 
 
 def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """(S,) mean cross-entropies of an (S, n, C) stack of logits, and the
-    gradient w.r.t. the logits."""
+    """(S,) mean softmax cross-entropies of an (S, n, C) stack of logits,
+    and the gradient w.r.t. the logits, (softmax - onehot) / n.  Uniform
+    logits over C classes give exactly ln C."""
     # the flat index of every picked entry (slice, row, label): one form for
     # shared (n,) and per-slice (S, n) labels, laid out (S, n) so that each
     # slice's mean sums its row as a run of one does
@@ -254,41 +205,6 @@ def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return values, grad
 
 
-@_quiet
-def backward_and_step(
-    model: ClientModel,
-    layer_inputs: list[np.ndarray],
-    grad_logits,
-    grad_embeddings,
-    learning_rate: float,
-) -> ClientModel:
-    """One in-place plain-SGD step from upstream gradients.
-
-    grad_logits drives the classifier head; grad_embeddings must already
-    contain the FULL gradient at the embedding layer (classifier path plus
-    any alignment terms) and drives the extractor.  All parameter gradients
-    are computed and checked finite before any parameter is touched, so a
-    numeric failure never leaves a half-updated model.
-    """
-    grad_logits = np.asarray(grad_logits, dtype=np.float64)
-    grad_embeddings = np.asarray(grad_embeddings, dtype=np.float64)
-    embeddings = layer_inputs[-1]
-    n = embeddings.shape[0]
-    if grad_logits.shape != (n, model.num_classes):
-        raise ContractError(
-            f"grad_logits shape {grad_logits.shape} != ({n}, {model.num_classes})"
-        )
-    if grad_embeddings.shape != embeddings.shape:
-        raise ContractError(
-            f"grad_embeddings shape {grad_embeddings.shape} != {embeddings.shape}"
-        )
-    if not (learning_rate >= 0.0 and np.isfinite(learning_rate)):
-        raise ContractError(f"learning_rate must be finite and >= 0, got {learning_rate}")
-    _raise_failure(_backward_and_step(_stack_of_one(model), [x[None] for x in layer_inputs],
-                                      grad_logits[None], grad_embeddings[None], learning_rate))
-    return model
-
-
 def _backward_and_step(
     model: ClientModel,
     layer_inputs: list[np.ndarray],
@@ -297,7 +213,11 @@ def _backward_and_step(
     learning_rate: float,
     failed: dict | None = None,
 ) -> dict[int, str]:
-    """backward_and_step on each slice of a stack.  Returns `failed` (the
+    """One in-place plain-SGD step of each slice of a stack from upstream
+    gradients: grad_logits drives the classifier head, and grad_embeddings,
+    the FULL gradient at the embedding layer (classifier path plus any
+    alignment terms), drives the extractor.  Every parameter gradient is
+    checked finite before any parameter is touched.  Returns `failed` (the
     slices that failed earlier in the step, or None) and the slices whose
     parameter gradient is non-finite; a failed slice keeps its parameters."""
     embeddings = layer_inputs[-1]

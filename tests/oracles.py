@@ -1,20 +1,30 @@
-"""Independent reference implementations of the structural-alignment formulas.
+"""Independent reference implementations of the structural-alignment formulas
+and of the training protocol.
 
-Everything here shares no code with the installed package.  The loop
+The loss routines share no code with the installed package.  The loop
 routines are written with explicit Python loops over scalars; they exist to
 generate frozen golden values and are far too slow for real use.
 `gcsa_gram_form` is the one vectorized exception: GCSA and its gradient
 straight from the n x n centered Gram matrices, to cross-check the package's
 feature-space (d x d) kernel at sizes the loops cannot reach.
 
+`reference_run` is the protocol as README states it, one client and one SGD
+step at a time on 2-D arrays.  From the package it takes only `build_model`
+and `fixed_hypersphere_prototypes`, so that its model inits and anchors are
+the engine's; every forward pass, loss, gradient, step, upload, aggregation
+and evaluation is its own.
+
 Run as a script to print golden values for the seeded test cases:
 
-    python tests/oracles.py
+    PYTHONPATH=src python tests/oracles.py
 """
 
 import math
 
 import numpy as np
+
+from fedstruct.federation import fixed_hypersphere_prototypes
+from fedstruct.models import build_model
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +273,226 @@ def contrastive_loss_loop(z, prototypes, labels, temperature):
         align += -sims[int(labels[i])] / temperature
         unif += math.log(sum(math.exp(s / temperature) for s in sims))
     return align / n + unif / n, align / n, unif / n
+
+
+# ---------------------------------------------------------------------------
+# the protocol, one client and one step at a time
+# ---------------------------------------------------------------------------
+# A RoundConfig and the shards are read by their fields only.  The reference
+# knows no numeric failure: it is run on configs that train finitely.
+
+STRUCTURAL = ("gcsa", "rcsa")
+
+
+def _forward_2d(model, x):
+    """The logits of one model on (n, input_dim) rows, and the input of each
+    extractor layer followed by the embeddings."""
+    acts = [x]
+    for layer in model.extractor:
+        h = acts[-1] @ layer.weights + layer.bias
+        acts.append(np.tanh(h) if layer.activation == "tanh" else h)
+    return acts[-1] @ model.classifier_weights + model.classifier_bias, acts
+
+
+def _cross_entropy(logits, labels):
+    """Mean softmax cross-entropy and its gradient w.r.t. the logits."""
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    onehot = np.eye(logits.shape[1])[labels]
+    value = float(np.mean(lse - shifted[np.arange(n), labels]))
+    return value, (np.exp(shifted - lse[:, None]) - onehot) / n
+
+
+def _sgd_step(model, acts, grad_logits, grad_emb, learning_rate):
+    """Backpropagate from the logits and the (full) embedding gradient, then
+    step every parameter."""
+    pairs = [(model.classifier_weights, acts[-1].T @ grad_logits),
+             (model.classifier_bias, grad_logits.sum(axis=0))]
+    g = grad_emb
+    for k in range(len(model.extractor) - 1, -1, -1):
+        layer = model.extractor[k]
+        if layer.activation == "tanh":
+            g = g * (1.0 - acts[k + 1] ** 2)
+        pairs += [(layer.weights, acts[k].T @ g), (layer.bias, g.sum(axis=0))]
+        g = g @ layer.weights.T
+    for param, grad in pairs:
+        param -= learning_rate * grad
+
+
+def _unit_rows_or_none(m):
+    """m's unit rows and norms, or None when a row's norm is <= 1e-12 or inf."""
+    norms = np.sqrt((m * m).sum(axis=1))
+    if not np.all((norms > 1e-12) & (norms < np.inf)):
+        return None
+    return m / norms[:, None], norms
+
+
+def _gcsa_degenerate(m):
+    """Whether m's rows are (numerically) identical after centering."""
+    centered = m - m.sum(axis=0) / m.shape[0]
+    return np.linalg.norm(centered) <= 1e-10 * max(1.0, float(np.linalg.norm(m)))
+
+
+def alignment_loss(kind, a, b, labels=None):
+    """(value, gradient w.r.t. a) of one alignment loss, or None where the
+    loss is undefined and a step skips it.  For contrastive, b holds every
+    prototype and labels index its rows; otherwise a and b pair row by row."""
+    name, n = kind.name, a.shape[0]
+    if name == "mse":
+        diff = a - b
+        return float((diff * diff).sum()) / n, 2.0 * diff / n
+    if name == "gcsa":
+        return None if _gcsa_degenerate(a) or _gcsa_degenerate(b) else gcsa_gram_form(a, b)
+    sides = _unit_rows_or_none(a), _unit_rows_or_none(b)
+    if None in sides:
+        return None
+    (ah, na), (bh, nb) = sides
+    if name == "cosine":
+        cos = (ah * bh).sum(axis=1)
+        return float(np.mean(1.0 - cos)), -(bh - cos[:, None] * ah) / (n * na[:, None])
+    if name == "rcsa":
+        why = [""]
+        values, grad = rcsa_per_side(ah[None], na[None], bh[None], nb[None], why)
+        return None if why[0] else (float(values[0]), grad[0])
+    # contrastive: -cos(z_i, p_(y_i))/tau + log sum_j exp(cos(z_i, p_j)/tau)
+    tau = kind.temperature
+    sims = ah @ bh.T
+    top = (sims / tau).max(axis=1, keepdims=True)
+    probs = np.exp(sims / tau - top)
+    lse = top[:, 0] + np.log(probs.sum(axis=1))
+    probs /= probs.sum(axis=1, keepdims=True)
+    picked = sims[np.arange(n), labels]
+    # d cos(z_i, p_j)/d z_i = (p^_j - cos_ij z^_i) / ||z_i||
+    pull = bh[labels] - picked[:, None] * ah
+    push = probs @ bh - (probs * sims).sum(axis=1)[:, None] * ah
+    return float(np.mean(lse - picked / tau)), (push - pull) / (n * tau * na[:, None])
+
+
+def _alignment(emb, labels, protos, cfg):
+    """The proto and inst values of one step, its skips and the weighted
+    gradient of both terms w.r.t. the embeddings.  A term with weight 0 or
+    no row whose class the global set has reads 0; a structural term on
+    fewer than 3 rows, or a loss undefined for its rows, is skipped."""
+    vectors, counts = protos
+    present = counts >= 1
+    slot = np.cumsum(present) - 1  # each class's row among the present ones
+    known = present[labels]
+    values, skips, grad = [0.0, 0.0], 0, np.zeros_like(emb)
+    for term, weight in enumerate((cfg.lam, cfg.gamma)):
+        if weight <= 0.0:
+            continue
+        if term == 0:  # the batch mean of each class the global set has
+            classes = np.unique(labels[known])
+            rows = np.array([emb[labels == c].mean(axis=0) for c in classes])
+        else:  # each embedding whose class the global set has
+            classes, rows = labels[known], emb[known]
+        if classes.size == 0:
+            continue
+        if classes.size < 3 and cfg.alignment.name in STRUCTURAL:
+            skips += 1
+            continue
+        if cfg.alignment.name == "contrastive":
+            got = alignment_loss(cfg.alignment, rows, vectors[present], slot[classes])
+        else:
+            got = alignment_loss(cfg.alignment, rows, vectors[classes])
+        if got is None:
+            skips += 1
+            continue
+        values[term], g = got
+        if term == 0:  # a class mean's gradient, shared among its rows
+            for k, c in enumerate(classes):
+                members = labels == c
+                grad[members] += weight * g[k] / members.sum()
+        else:
+            grad[known] += weight * g
+    return values, skips, grad
+
+
+def _local_training(model, shard, protos, cfg, rng):
+    """One participant's local epochs: its mean [sup, proto, inst, total]
+    over its steps and its skips."""
+    x, y = shard.train_features, shard.train_labels
+    sums, steps, skips = np.zeros(4), 0, 0
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(y.shape[0])
+        for start in range(0, y.shape[0] - 1, cfg.batch_size):  # a one-row remainder is dropped
+            rows = order[start:start + cfg.batch_size]
+            logits, acts = _forward_2d(model, x[rows])
+            sup, grad_logits = _cross_entropy(logits, y[rows])
+            grad_emb = grad_logits @ model.classifier_weights.T
+            proto = inst = 0.0
+            if protos is not None and (protos[1] >= 1).any():
+                (proto, inst), skipped, grad = _alignment(acts[-1], y[rows], protos, cfg)
+                grad_emb, skips = grad_emb + grad, skips + skipped
+            sums += [sup, proto, inst, sup + cfg.lam * proto + cfg.gamma * inst]
+            _sgd_step(model, acts, grad_logits, grad_emb, cfg.learning_rate)
+            steps += 1
+    return (sums / max(steps, 1)).tolist(), skips
+
+
+def _upload(model, shard, num_classes):
+    """Per-class means of the model's embeddings of the shard's train rows,
+    zero for absent classes, and the class counts."""
+    emb = _forward_2d(model, shard.train_features)[1][-1]
+    counts = np.bincount(shard.train_labels, minlength=num_classes)
+    vectors = np.zeros((num_classes, emb.shape[1]))
+    for c in np.flatnonzero(counts):
+        vectors[c] = emb[shard.train_labels == c].mean(axis=0)
+    return vectors, counts
+
+
+def _aggregate(uploads, previous):
+    """Count-weighted mean of each class over the uploads that hold it; a
+    class no upload holds keeps its previous prototype, if any."""
+    vectors, counts = np.zeros_like(uploads[0][0]), np.zeros_like(uploads[0][1])
+    for c in range(counts.shape[0]):
+        holders = [(v[c], n[c]) for v, n in uploads if n[c] >= 1]
+        if holders:
+            counts[c] = sum(n for _, n in holders)
+            vectors[c] = sum(n * v for v, n in holders) / counts[c]
+        elif previous is not None and previous[1][c] >= 1:
+            vectors[c], counts[c] = previous[0][c], previous[1][c]
+    return vectors, counts
+
+
+def reference_run(shards, archs, cfg, rounds, seed, num_classes, scenario="hetero"):
+    """One config's run of the protocol: per round, a dict of its
+    participants, every client's test accuracy, each participant's mean
+    loss terms [sup, proto, inst, total] and the round's skips."""
+    clients = len(shards)
+    shared = scenario == "homo_shared"
+    input_dim = shards[0].train_features.shape[1]
+    models = [build_model(archs[i % len(archs)] if scenario == "hetero" else archs[0],
+                          input_dim, num_classes, np.random.SeedSequence([seed, 0, i]))
+              for i in range(1 if shared else clients)]
+    model_of = [models[0 if shared else i] for i in range(clients)]
+    protos = None  # aggregate mode: round 0 trains supervised only
+    if cfg.prototype_mode == "fixed_hypersphere":
+        anchors = fixed_hypersphere_prototypes(num_classes, archs[0].feature_dim,
+                                               np.random.SeedSequence([seed, 4]))
+        protos = anchors.vectors, anchors.counts
+    drawn = max(1, round(cfg.participation_fraction * clients))
+    accuracies, rounds_out = [0.0] * clients, []
+    for r in range(rounds):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 2, r]))
+        participants = sorted(rng.choice(clients, size=drawn, replace=False).tolist())
+        terms, skips = {}, 0
+        for i in participants:  # ascending: homo_shared's turns on its one model
+            stream = np.random.default_rng(np.random.SeedSequence([seed, 1, r, i]))
+            terms[i], skipped = _local_training(model_of[i], shards[i], protos, cfg, stream)
+            skips += skipped
+        # uploads after every participant has trained
+        uploads = [_upload(model_of[i], shards[i], num_classes) for i in participants]
+        if cfg.prototype_mode == "aggregate":
+            protos = _aggregate(uploads, protos)
+        # a model that did not train keeps last round's accuracy
+        for i in range(clients) if r == 0 or shared else participants:
+            logits = _forward_2d(model_of[i], shards[i].test_features)[0]
+            accuracies[i] = float(np.mean(np.argmax(logits, axis=1) == shards[i].test_labels))
+        rounds_out.append({"participants": participants, "accuracies": list(accuracies),
+                           "terms": terms, "skips": skips})
+    return rounds_out
 
 
 # ---------------------------------------------------------------------------

@@ -21,24 +21,20 @@ import pytest
 import test_golden
 from fedstruct.config import ExperimentConfig, validate_config
 from fedstruct.errors import NumericFailureError
-from fedstruct.federation import (
-    RoundConfig,
-    fixed_hypersphere_prototypes,
-    local_train_step,
-)
+from fedstruct.federation import RoundConfig, fixed_hypersphere_prototypes
 from fedstruct.losses import (
     AlignmentKind,
     loss_contrastive,
-    loss_cosine,
     loss_gcsa,
-    loss_mse,
     loss_rcsa,
+    pairwise_loss,
     procrustes_decompose,
 )
 from fedstruct.models import ArchitectureSpec, build_model
 from fedstruct.runner import run_scenario, run_scenarios
 from fedstruct.tensor import random_orthogonal
 from fedstruct import cli
+from solo import train_step
 
 SEEDS = (0, 1, 2)
 
@@ -198,9 +194,9 @@ def _composite_gradient_error(kind_name: str) -> float:
         return out
 
     # learning_rate=1 turns (theta_before - theta_after) into the exact
-    # analytic gradient of the composite objective
+    # analytic gradient of the composite objective of the engine's step
     stepped = copy.deepcopy(base)
-    local_train_step(stepped, batch, labels, protos, cfg)
+    train_step(stepped, batch, labels, protos, cfg)
     analytic = [b - a for b, a in zip(params(base), params(stepped))]
 
     worst = 0.0
@@ -214,8 +210,7 @@ def _composite_gradient_error(kind_name: str) -> float:
             for delta in (step, -step):
                 probe = copy.deepcopy(base)
                 params(probe)[pi][idx] += delta
-                _, br = local_train_step(probe, batch, labels, protos, cfg)
-                vals.append(br.total)
+                vals.append(train_step(probe, batch, labels, protos, cfg)[0][3])
             fd[idx] = (vals[0] - vals[1]) / (2 * step)
             it.iternext()
         denom = max(float(np.linalg.norm(fd)), 1e-12)
@@ -228,13 +223,10 @@ def test_acceptance_4_gradient_suite():
     rng = np.random.default_rng(1004)
     p = rng.standard_normal((5, 4))
     q = rng.standard_normal((5, 4))
-    pair_losses = {
-        "mse": loss_mse, "cosine": loss_cosine, "gcsa": loss_gcsa, "rcsa": loss_rcsa,
-    }
     errors = {}
-    for name, fn in pair_losses.items():
+    for name in ("mse", "cosine", "gcsa", "rcsa"):
         errors[name] = _fd_relative_error(
-            lambda x, fn=fn: fn(x, q).value, fn(p, q).grad, p
+            lambda x, name=name: pairwise_loss(name, x, q).value, pairwise_loss(name, p, q).grad, p
         )
     z = rng.standard_normal((6, 4))
     protos = rng.standard_normal((3, 4))
@@ -371,8 +363,8 @@ def test_acceptance_10_oracle_equivalence():
         p, q = test_golden.golden_inputs(seed, n, d)
         dec = procrustes_decompose(p, q)
         produced = (
-            loss_gcsa(p, q).value, loss_rcsa(p, q).value, loss_mse(p, q).value,
-            loss_cosine(p, q).value, dec.l_coord, dec.l_shape, dec.l_rigid,
+            loss_gcsa(p, q).value, loss_rcsa(p, q).value, pairwise_loss("mse", p, q).value,
+            pairwise_loss("cosine", p, q).value, dec.l_coord, dec.l_shape, dec.l_rigid,
         )
         worst = max(worst, max(abs(a - b) for a, b in zip(produced, expected)))
     rng = np.random.default_rng(107)

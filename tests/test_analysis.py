@@ -15,10 +15,11 @@ from fedstruct.analysis import (
 )
 from fedstruct.data import generate_mixture, partition_dirichlet
 from fedstruct.errors import ContractError, DegenerateInputError
-from fedstruct.federation import RoundConfig, run_experiment
+from fedstruct.federation import RoundConfig
 from fedstruct.losses import AlignmentKind
 from fedstruct.models import ArchitectureSpec
 from fedstruct.tensor import random_orthogonal
+from solo import run_one
 
 
 class TestEffectiveDimensionality:
@@ -98,7 +99,7 @@ def _tiny_run(scenario, seed=0, rounds=2):
         alignment=AlignmentKind.parse("gcsa"), lam=1.0, gamma=1.0,
         local_epochs=1, batch_size=8, learning_rate=0.1,
     )
-    reports = run_experiment(
+    reports = run_one(
         shards, [ArchitectureSpec((), 4), ArchitectureSpec((16,), 4)], cfg,
         rounds=rounds, seed=seed, num_classes=3, scenario=scenario,
     )

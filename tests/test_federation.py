@@ -13,23 +13,22 @@ from fedstruct.errors import ContractError, NumericFailureError
 from fedstruct.federation import (
     PrototypeSet,
     RoundConfig,
+    _accuracy,
+    _class_means,
     aggregate_prototypes,
-    batch_prototypes,
-    evaluate_accuracy,
     fixed_hypersphere_prototypes,
-    local_train_step,
-    run_experiment,
     run_experiments,
 )
 from fedstruct.losses import KNOWN_LOSSES, AlignmentKind, loss_contrastive, pairwise_loss
 from fedstruct.models import (
     ArchitectureSpec,
+    _backward_and_step,
+    _forward,
+    _softmax_cross_entropy,
     build_model,
-    forward,
-    loss_supervised,
-    backward_and_step,
 )
 from fedstruct.tensor import random_orthogonal
+from solo import run_one, stack_of_one, train_step
 
 # the run configuration's default zoo in a 4-dimensional feature space
 ZOO = [ArchitectureSpec(tuple(widths), 4) for widths in ModelConfig().hidden_widths]
@@ -138,31 +137,34 @@ class TestPrototypeSet:
 
 
 class TestBatchPrototypes:
+    """The per-class means of a batch (federation._class_means), on a stack of one."""
+
+    def _means(self, emb, labels, num_classes):
+        means, counts = _class_means(np.asarray(emb, dtype=np.float64)[None],
+                                     np.asarray(labels), num_classes)
+        return means[0], counts
+
     def test_singletons_equal_their_row(self):
         emb = np.array([[1.0, 2.0], [3.0, 4.0]])
-        ps = batch_prototypes(emb, np.array([5, 9]), 10)
-        np.testing.assert_array_equal(ps.vectors[5], [1.0, 2.0])
-        np.testing.assert_array_equal(ps.vectors[9], [3.0, 4.0])
-        assert ps.classes() == [5, 9]
-        assert ps.counts[5] == ps.counts[9] == 1
+        vectors, counts = self._means(emb, [5, 9], 10)
+        np.testing.assert_array_equal(vectors[5], [1.0, 2.0])
+        np.testing.assert_array_equal(vectors[9], [3.0, 4.0])
+        assert np.flatnonzero(counts).tolist() == [5, 9]
+        assert counts[5] == counts[9] == 1
 
     def test_identical_rows_average_to_the_row(self):
-        emb = np.array([[1.0, 1.0], [1.0, 1.0]])
-        ps = batch_prototypes(emb, np.array([0, 0]), 1)
-        np.testing.assert_array_equal(ps.vectors[0], [1.0, 1.0])
+        vectors, _ = self._means([[1.0, 1.0], [1.0, 1.0]], [0, 0], 1)
+        np.testing.assert_array_equal(vectors[0], [1.0, 1.0])
 
     def test_hand_mean(self):
-        ps = batch_prototypes(np.array([[1.0, 0.0], [3.0, 0.0]]), np.array([2, 2]), 3)
-        np.testing.assert_array_equal(ps.vectors[2], [2.0, 0.0])
-        assert ps.counts[2] == 2
+        vectors, counts = self._means([[1.0, 0.0], [3.0, 0.0]], [2, 2], 3)
+        np.testing.assert_array_equal(vectors[2], [2.0, 0.0])
+        assert counts[2] == 2
 
     def test_num_classes_pads_absent_classes(self):
-        ps = batch_prototypes(np.ones((2, 3)), np.array([1, 1]), num_classes=4)
-        assert ps.vectors.shape == (4, 3) and ps.classes() == [1]
-        with pytest.raises(ContractError):
-            batch_prototypes(np.ones((2, 3)), np.array([1, 4]), num_classes=4)
-        with pytest.raises(ContractError):
-            batch_prototypes(np.ones((2, 3)), np.array([0.0, 1.0]), 4)
+        vectors, counts = self._means(np.ones((2, 3)), [1, 1], num_classes=4)
+        assert vectors.shape == (4, 3) and np.flatnonzero(counts).tolist() == [1]
+        np.testing.assert_array_equal(vectors[[0, 2, 3]], 0.0)
 
     def test_bit_identical_to_per_class_loop(self):
         # d >= 2: numpy sums the rows of a one-column matrix pairwise, not in
@@ -172,10 +174,10 @@ class TestBatchPrototypes:
             n, d, classes = int(rng.integers(1, 65)), int(rng.integers(2, 17)), 10
             emb = rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0)
             labels = rng.integers(0, classes, n)
-            ps = batch_prototypes(emb, labels, classes)
+            got, got_counts = self._means(emb, labels, classes)
             vectors, counts = _loop_means(emb, labels, classes)
-            assert ps.vectors.tobytes() == vectors.tobytes()
-            np.testing.assert_array_equal(ps.counts, counts)
+            assert got.tobytes() == vectors.tobytes()
+            np.testing.assert_array_equal(got_counts, counts)
 
 
 class TestAggregatePrototypes:
@@ -299,9 +301,8 @@ class TestFixedHypersphere:
         anchors.cache_clear()
         shard = _shard_from(generate_mixture(3, 5, 12, 1.0, 0.5, seed=30))
         for _ in range(2):
-            run_experiment([shard], [ArchitectureSpec((), 4)],
-                           _cfg(prototype_mode="fixed_hypersphere"), rounds=1, seed=31,
-                           num_classes=3)
+            run_one([shard], [ArchitectureSpec((), 4)], _cfg(prototype_mode="fixed_hypersphere"),
+                    rounds=1, seed=31, num_classes=3)
         assert len(computed) == 1 and got[0] is got[1]
         fresh = spread(3, 4, np.random.SeedSequence([31, 4]))
         np.testing.assert_array_equal(got[0].vectors, fresh.vectors)
@@ -323,6 +324,8 @@ class TestRoundConfig:
 
 
 class TestLocalTrainStep:
+    """The engine's training step of one model (solo.train_step)."""
+
     def _batch(self, seed=0, n=12, d=5, classes=3):
         rng = np.random.default_rng(seed)
         return rng.standard_normal((n, d)), rng.integers(0, classes, size=n)
@@ -333,67 +336,61 @@ class TestLocalTrainStep:
         model_b = copy.deepcopy(model_a)
         protos = fixed_hypersphere_prototypes(3, 4, seed=6)
         cfg = _cfg(lam=0.0, gamma=0.0, learning_rate=0.2)
-        local_train_step(model_a, batch, labels, protos, cfg)
-        emb, logits, cache = forward(model_b, batch)
-        _, grad_logits = loss_supervised(logits, labels)
-        backward_and_step(
-            model_b, cache, grad_logits, grad_logits @ model_b.classifier_weights.T, 0.2
-        )
+        train_step(model_a, batch, labels, protos, cfg)
+        stack = stack_of_one(model_b)
+        _, logits, cache, _ = _forward(stack, batch[None])
+        _, grad_logits = _softmax_cross_entropy(logits, labels)
+        _backward_and_step(stack, cache, grad_logits,
+                           grad_logits @ stack.classifier_weights.swapaxes(1, 2), 0.2)
         assert _models_equal(model_a, model_b)
 
     def test_bootstrap_with_empty_set_is_supervised_only(self):
         batch, labels = self._batch(seed=7)
         model = build_model(ArchitectureSpec((), 4), 5, 3, seed=8)
         for protos in (None, PrototypeSet(np.zeros((3, 4)), np.zeros(3, dtype=np.int64))):
-            _, breakdown = local_train_step(model, batch, labels, protos, _cfg())
-            assert breakdown.proto == 0.0
-            assert breakdown.inst == 0.0
+            (_, proto, inst, _), _, _ = train_step(model, batch, labels, protos, _cfg())
+            assert proto == 0.0
+            assert inst == 0.0
 
     def test_gcsa_proto_term_invariant_to_scaled_rotation(self):
         batch, labels = self._batch(seed=9, n=15, d=5, classes=4)
         model = build_model(ArchitectureSpec((8,), 4), 5, 4, seed=10)
-        emb, _, _ = forward(model, batch)
-        class_means = batch_prototypes(emb, labels, 4)
+        emb = _forward(stack_of_one(model), batch[None])[0]
+        means, counts = _class_means(emb, labels, 4)
         rot = random_orthogonal(4, seed=11)
-        protos = PrototypeSet(1.7 * (class_means.vectors @ rot), class_means.present.astype(int))
-        _, breakdown = local_train_step(model, batch, labels, protos, _cfg(gamma=0.0))
-        assert breakdown.proto <= 1e-8
+        protos = PrototypeSet(1.7 * (means[0] @ rot), (counts >= 1).astype(int))
+        (_, proto, _, _), _, _ = train_step(model, batch, labels, protos, _cfg(gamma=0.0))
+        assert proto <= 1e-8
 
     def test_breakdown_total_identity(self):
         batch, labels = self._batch(seed=12)
         model = build_model(ArchitectureSpec((6,), 4), 5, 3, seed=13)
         protos = fixed_hypersphere_prototypes(3, 4, seed=14)
         cfg = _cfg(alignment=_kind("mse"), lam=0.7, gamma=1.3)
-        _, br = local_train_step(model, batch, labels, protos, cfg)
-        assert br.total == pytest.approx(br.sup + 0.7 * br.proto + 1.3 * br.inst, abs=1e-12)
+        (sup, proto, inst, total), _, _ = train_step(model, batch, labels, protos, cfg)
+        assert total == pytest.approx(sup + 0.7 * proto + 1.3 * inst, abs=1e-12)
 
     def test_missing_class_excluded_from_alignment_not_supervision(self):
         batch, labels = self._batch(seed=15, n=12, d=5, classes=3)
         model = build_model(ArchitectureSpec((6,), 4), 5, 3, seed=16)
-        emb, logits, _ = forward(model, batch)
+        emb, logits, _, _ = _forward(stack_of_one(model), batch[None])
         anchors = fixed_hypersphere_prototypes(3, 4, seed=17)
         protos = PrototypeSet(anchors.vectors, [1, 1, 0])  # class 2 unknown globally
         cfg = _cfg(alignment=_kind("mse"), lam=0.0, gamma=1.0)
-        _, br = local_train_step(copy.deepcopy(model), batch, labels, protos, cfg)
+        (sup, _, inst, _), _, _ = train_step(copy.deepcopy(model), batch, labels, protos, cfg)
         known = np.isin(labels, [0, 1])
         targets = np.stack([protos.vectors[int(c)] for c in labels[known]])
-        expected = float(np.mean(np.sum((emb[known] - targets) ** 2, axis=1)))
-        assert br.inst == pytest.approx(expected, rel=1e-12)
-        assert br.sup == pytest.approx(loss_supervised(logits, labels)[0], rel=1e-12)
-
-    def test_rejects_global_set_of_another_shape(self):
-        batch, labels = self._batch(seed=21)
-        model = build_model(ArchitectureSpec((6,), 4), 5, 3, seed=22)
-        with pytest.raises(ContractError):
-            local_train_step(model, batch, labels, fixed_hypersphere_prototypes(4, 4, 23), _cfg())
+        expected = float(np.mean(np.sum((emb[0][known] - targets) ** 2, axis=1)))
+        assert inst == pytest.approx(expected, rel=1e-12)
+        assert sup == pytest.approx(_softmax_cross_entropy(logits, labels)[0][0], rel=1e-12)
 
     def test_structural_skip_below_minimum_rows(self):
         batch, labels = self._batch(seed=18, n=10, d=5, classes=2)
         model = build_model(ArchitectureSpec((6,), 4), 5, 2, seed=19)
         protos = fixed_hypersphere_prototypes(2, 4, seed=20)
-        _, br = local_train_step(model, batch, labels, protos, _cfg(gamma=0.0))
-        assert br.proto == 0.0
-        assert br.skipped_structural >= 1
+        (_, proto, _, _), skipped, _ = train_step(model, batch, labels, protos, _cfg(gamma=0.0))
+        assert proto == 0.0
+        assert skipped >= 1
 
     def test_skipped_terms_are_logged_with_their_reason(self, caplog):
         batch, _ = self._batch(seed=24, n=10)
@@ -402,8 +399,8 @@ class TestLocalTrainStep:
         anchors = fixed_hypersphere_prototypes(3, 4, seed=26)
         protos = PrototypeSet(anchors.vectors, [1, 0, 0])  # class 0 alone is known
         with caplog.at_level(logging.DEBUG, logger="fedstruct.federation"):
-            _, br = local_train_step(model, batch, labels, protos, _cfg())
-        assert br.skipped_structural == 2
+            _, skipped, _ = train_step(model, batch, labels, protos, _cfg())
+        assert skipped == 2
         assert "proto term of gcsa skipped: 1 rows < 3" in caplog.messages
         assert "inst term of gcsa skipped: 2 rows < 3" in caplog.messages
 
@@ -422,8 +419,9 @@ class TestLocalTrainStep:
                                        PrototypeSet(vectors * [[1.0], [-1.0], [1.0]], [2, 3, 2])])
         assert protos.norms[1] == 0.0
         with caplog.at_level(logging.DEBUG, logger="fedstruct.federation"):
-            _, br = local_train_step(model, batch, labels, protos, _cfg(alignment=_kind(loss)))
-        assert br.skipped_structural == 2 and br.proto == br.inst == 0.0
+            (_, proto, inst, _), skipped, _ = train_step(model, batch, labels, protos,
+                                                         _cfg(alignment=_kind(loss)))
+        assert skipped == 2 and proto == inst == 0.0
         assert f"proto term of {loss} skipped: {reason}" in caplog.messages
 
     @pytest.mark.parametrize("loss, reason", [
@@ -440,8 +438,9 @@ class TestLocalTrainStep:
         protos = PrototypeSet(vectors, [2, 3, 2])
         assert protos.norms[1] == np.inf
         with caplog.at_level(logging.DEBUG, logger="fedstruct.federation"):
-            _, br = local_train_step(model, batch, labels, protos, _cfg(alignment=_kind(loss)))
-        assert br.skipped_structural == 2 and br.proto == br.inst == 0.0
+            (_, proto, inst, _), skipped, _ = train_step(model, batch, labels, protos,
+                                                         _cfg(alignment=_kind(loss)))
+        assert skipped == 2 and proto == inst == 0.0
         for term in ("proto", "inst"):
             assert f"{term} term of {loss} skipped: {reason}" in caplog.messages
 
@@ -452,12 +451,12 @@ class TestLocalTrainStep:
         model = build_model(ArchitectureSpec((6,), 4), 5, 3, seed=28)
         anchors = fixed_hypersphere_prototypes(3, 4, seed=29)
         protos = PrototypeSet(anchors.vectors, [0, 0, 1])  # class 2 alone is known
-        aligned, br = local_train_step(copy.deepcopy(model), batch, labels, protos,
-                                       _cfg(alignment=_kind(loss)))
-        plain, _ = local_train_step(model, batch, labels, protos,
-                                    _cfg(alignment=_kind(loss), lam=0.0, gamma=0.0))
-        assert (br.proto, br.inst, br.skipped_structural) == (0.0, 0.0, 0)
-        assert _models_equal(aligned, plain)
+        aligned = copy.deepcopy(model)
+        (_, proto, inst, _), skipped, _ = train_step(aligned, batch, labels, protos,
+                                                     _cfg(alignment=_kind(loss)))
+        train_step(model, batch, labels, protos, _cfg(alignment=_kind(loss), lam=0.0, gamma=0.0))
+        assert (proto, inst, skipped) == (0.0, 0.0, 0)
+        assert _models_equal(aligned, model)
 
 
 def _shard_from(ds, client_id=0):
@@ -472,7 +471,7 @@ def _shard_from(ds, client_id=0):
 
 
 class TestClientRound:
-    """A participant's local training within run_experiment."""
+    """A participant's local training within a run."""
 
     def _shard(self, seed=0):
         return _shard_from(generate_mixture(3, 5, 12, 1.0, 0.5, seed=seed))
@@ -484,19 +483,19 @@ class TestClientRound:
         shard = self._shard()
         cfg = _cfg()
         object.__setattr__(cfg, "local_epochs", 0)
-        reports = run_experiment([shard], [ArchitectureSpec((4,), 3)], cfg, rounds=2, seed=21,
-                                 num_classes=3)
+        reports = run_one([shard], [ArchitectureSpec((4,), 3)], cfg, rounds=2, seed=21,
+                          num_classes=3)
         untrained = build_model(ArchitectureSpec((4,), 3), 5, 3, np.random.SeedSequence([21, 0, 0]))
-        acc = evaluate_accuracy(untrained, shard.test_features, shard.test_labels)
+        acc, _ = _accuracy(stack_of_one(untrained), shard.test_features[None], shard.test_labels)
         for rep in reports:
             assert rep.loss_terms == {0: dict.fromkeys(("sup", "proto", "inst", "total"), 0.0)}
-            assert rep.per_client_accuracy == [acc]
+            assert rep.per_client_accuracy == [acc[0]]
 
     def test_deterministic(self):
         shard = self._shard(seed=1)
         cfg = _cfg(prototype_mode="fixed_hypersphere")
-        a, b = (run_experiment([shard], [ArchitectureSpec((4,), 3)], cfg, rounds=2, seed=99,
-                               num_classes=3) for _ in range(2))
+        a, b = (run_one([shard], [ArchitectureSpec((4,), 3)], cfg, rounds=2, seed=99,
+                        num_classes=3) for _ in range(2))
         assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
 
     def test_upload_covers_exactly_train_classes(self, tmp_path):
@@ -506,8 +505,8 @@ class TestClientRound:
         keep = shard.train_labels != 2
         shard.train_features = shard.train_features[keep]
         shard.train_labels = shard.train_labels[keep]
-        run_experiment([shard], [ArchitectureSpec((4,), 3)], _cfg(), rounds=1, seed=2,
-                       num_classes=3, snapshot_dir=tmp_path)
+        run_experiments([shard], [ArchitectureSpec((4,), 3)], [_cfg()], rounds=1, seed=2,
+                        num_classes=3, snapshot_dirs=[tmp_path])
         with open(tmp_path / "round_0.csv") as fh:
             classes = [int(line.split(",")[0]) for line in fh.read().splitlines()[1:]]
         assert classes == sorted(np.unique(shard.train_labels).tolist()) == [0, 1]
@@ -519,8 +518,7 @@ class TestClientRound:
         cfg = _cfg(alignment=_kind("mse"), prototype_mode="fixed_hypersphere")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericFailureError, match="^round 0: client 7: "):
-                run_experiment([shard], [ArchitectureSpec((), 3)], cfg, rounds=1, seed=0,
-                               num_classes=3)
+                run_one([shard], [ArchitectureSpec((), 3)], cfg, rounds=1, seed=0, num_classes=3)
 
     def test_tiny_shard_rejected(self):
         ds = generate_mixture(2, 4, 10, 1.0, 0.5, seed=4)
@@ -528,8 +526,7 @@ class TestClientRound:
         shard.train_features = shard.train_features[:1]
         shard.train_labels = shard.train_labels[:1]
         with pytest.raises(ContractError, match="1 train rows"):
-            run_experiment([shard], [ArchitectureSpec((), 3)], _cfg(), rounds=1, seed=0,
-                           num_classes=2)
+            run_one([shard], [ArchitectureSpec((), 3)], _cfg(), rounds=1, seed=0, num_classes=2)
 
 
 def _no_test_rows(s):
@@ -557,8 +554,7 @@ def test_run_checks_every_shard_before_training(corrupt, message):
     shards = partition_dirichlet(ds, alpha=2.0, num_clients=2, seed=0)
     corrupt(shards[1])
     with pytest.raises(ContractError, match=message):
-        run_experiment(shards, [ArchitectureSpec((), 3)], _cfg(), rounds=1, seed=0,
-                       num_classes=3)
+        run_one(shards, [ArchitectureSpec((), 3)], _cfg(), rounds=1, seed=0, num_classes=3)
 
 
 def test_round_config_defaults_are_the_config_files():
@@ -582,34 +578,15 @@ def test_run_experiments_rejects_bad_arguments(change, message):
         run_experiments(**{**args, **change})
 
 
-def _overflowing_model():
-    """A one-layer model whose embeddings overflow on rows of 1e308."""
-    model = build_model(ArchitectureSpec((), 3), input_dim=2, num_classes=3, seed=0)
-    model.extractor[0].weights[:] = 1.0
-    return model
-
-
-_HUGE_ROWS = np.full((2, 2), 1e308)
 _ROWS = np.array([[1.0, 0.5], [0.3, 2.0], [-1.0, 0.2]])
 
 
 @pytest.mark.parametrize("call, error, outcome", [
-    (lambda: forward(_overflowing_model(), _HUGE_ROWS),
-     NumericFailureError, "forward pass produced non-finite values"),
-    (lambda: loss_supervised(np.array([[1e308, -1e308]]), [1])[0], None, np.inf),
-    (lambda: backward_and_step(_overflowing_model(), forward(_overflowing_model(), _ROWS[:2])[2],
-                               np.zeros((2, 3)), np.full((2, 3), 1e308), 0.1),
-     NumericFailureError, "non-finite parameter gradient; step aborted"),
-    (lambda: local_train_step(_overflowing_model(), _HUGE_ROWS, [0, 1], None, _cfg()),
-     NumericFailureError, "forward pass produced non-finite values"),
-    (lambda: evaluate_accuracy(_overflowing_model(), _HUGE_ROWS, [0, 1]),
-     NumericFailureError, "forward pass produced non-finite values"),
     (lambda: aggregate_prototypes([PrototypeSet(np.full((2, 3), 1e308), [2, 2])] * 2),
      NumericFailureError, "aggregation produced non-finite prototypes"),
     (lambda: pairwise_loss("mse", np.full((2, 2), 1e200), _ROWS[:2]).value, None, np.inf),
     (lambda: loss_contrastive(_ROWS, _ROWS, [0, 1, 2], 5e-324).total.value, None, np.nan),
-], ids=["forward", "loss_supervised", "backward_and_step", "local_train_step",
-        "evaluate_accuracy", "aggregate_prototypes", "pairwise_loss", "loss_contrastive"])
+], ids=["aggregate_prototypes", "pairwise_loss", "loss_contrastive"])
 def test_public_wrappers_meet_overflow_without_warnings(call, error, outcome):
     # each input overflows inside the wrapper's kernel, which warns unless
     # the wrapper sets its error state; the suite turns warnings into
@@ -641,12 +618,12 @@ class TestRunExperiment:
 
     def test_zero_rounds_is_empty(self):
         shards = self._shards()
-        reports = run_experiment(shards, ZOO, _cfg(), rounds=0, seed=0, num_classes=4)
+        reports = run_one(shards, ZOO, _cfg(), rounds=0, seed=0, num_classes=4)
         assert reports == []
 
     def test_full_participation_lists_every_client(self):
         shards = self._shards(seed=1)
-        reports = run_experiment(shards, ZOO, _cfg(), rounds=3, seed=1, num_classes=4)
+        reports = run_one(shards, ZOO, _cfg(), rounds=3, seed=1, num_classes=4)
         for rep in reports:
             assert rep.participants == [0, 1, 2]
             assert len(rep.per_client_accuracy) == 3
@@ -654,8 +631,8 @@ class TestRunExperiment:
     def test_partial_participation_is_seeded_subset(self):
         shards = self._shards(seed=2, clients=4)
         cfg = _cfg(participation_fraction=0.5)
-        a = run_experiment(shards, ZOO, cfg, rounds=4, seed=2, num_classes=4)
-        b = run_experiment(shards, ZOO, cfg, rounds=4, seed=2, num_classes=4)
+        a = run_one(shards, ZOO, cfg, rounds=4, seed=2, num_classes=4)
+        b = run_one(shards, ZOO, cfg, rounds=4, seed=2, num_classes=4)
         for ra, rb in zip(a, b):
             assert ra.participants == rb.participants
             assert len(ra.participants) == 2
@@ -666,14 +643,14 @@ class TestRunExperiment:
         runs = {}
         for name in ("gcsa", "rcsa"):
             cfg = _cfg(alignment=_kind(name), lam=0.0, gamma=0.0)
-            runs[name] = run_experiment(shards, ZOO, cfg, rounds=3, seed=3,
+            runs[name] = run_one(shards, ZOO, cfg, rounds=3, seed=3,
                                         num_classes=4)
         for ra, rb in zip(runs["gcsa"], runs["rcsa"]):
             assert ra.to_json_dict() == rb.to_json_dict()
 
     def test_report_invariants(self):
         shards = self._shards(seed=4)
-        reports = run_experiment(shards, ZOO, _cfg(), rounds=4, seed=4, num_classes=4)
+        reports = run_one(shards, ZOO, _cfg(), rounds=4, seed=4, num_classes=4)
         best = 0.0
         for rep in reports:
             assert rep.mean_accuracy == pytest.approx(
@@ -688,7 +665,7 @@ class TestRunExperiment:
         ds = generate_mixture(2, 5, 30, 1.0, 0.6, seed=5)
         shards = partition_dirichlet(ds, alpha=2.0, num_clients=2, seed=5)
         cfg = _cfg(alignment=_kind("gcsa"), prototype_mode="fixed_hypersphere")
-        reports = run_experiment(shards, ZOO, cfg, rounds=2, seed=5, num_classes=2)
+        reports = run_one(shards, ZOO, cfg, rounds=2, seed=5, num_classes=2)
         assert sum(r.skipped_structural_steps for r in reports) > 0
 
     def test_evaluation_failure_names_its_round(self):
@@ -702,12 +679,12 @@ class TestRunExperiment:
                           learning_rate=0.1)
         with pytest.raises(NumericFailureError,
                            match="^round 0: forward pass produced non-finite values$"):
-            run_experiment(shards, [ArchitectureSpec((), 4)], cfg, rounds=1, seed=2,
+            run_one(shards, [ArchitectureSpec((), 4)], cfg, rounds=1, seed=2,
                            num_classes=3)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ContractError):
-            run_experiment(self._shards(), ZOO, _cfg(), rounds=1, seed=0,
+            run_one(self._shards(), ZOO, _cfg(), rounds=1, seed=0,
                            num_classes=4, scenario="federated")
 
     def test_evaluate_accuracy_hand_case(self):
@@ -717,19 +694,24 @@ class TestRunExperiment:
         model.classifier_weights[:] = np.eye(2)
         model.classifier_bias[:] = 0.0
         feats = np.zeros((4, 3))
-        assert evaluate_accuracy(model, feats, np.array([0, 0, 0, 1])) == 0.75
+        accuracy, failed = _accuracy(stack_of_one(model), feats[None], np.array([0, 0, 0, 1]))
+        assert accuracy.tolist() == [0.75] and failed == {}
 
     def test_evaluate_accuracy_rejects_features_that_are_not_rows(self):
-        model = build_model(ArchitectureSpec((), 2), 3, 2, seed=30)
-        for features, labels, message in ((5.0, [0], "batch shape"),
-                                          (np.zeros(3), [0], "batch shape"),
-                                          (np.zeros((0, 3)), [], "empty set")):
-            with pytest.raises(ContractError, match=message):
-                evaluate_accuracy(model, features, np.array(labels, dtype=np.int64))
+        # the test rows a round evaluates are checked once, before training
+        shards = self._shards()
+        for features, labels, message in ((5.0, [0], "must be 2-D"),
+                                          (np.zeros(3), [0], "must be 2-D"),
+                                          (np.zeros((0, 5)), [], "must be non-empty")):
+            shards[1].test_features = features
+            shards[1].test_labels = np.array(labels, dtype=np.int64)
+            with pytest.raises(ContractError, match=f"^client 1: test features {message}"):
+                run_one(shards, ZOO, _cfg(), rounds=1, seed=0, num_classes=4)
 
     def test_evaluate_accuracy_rejects_labels_that_do_not_fit(self):
-        model = build_model(ArchitectureSpec((), 2), 3, 3, seed=29)
-        feats = np.zeros((6, 3))
+        shards = self._shards()
+        shards[1].test_features = np.zeros((6, 5))
         for labels in ([0], [0, 1, 2, 0, 1, 7], [0, 1]):
-            with pytest.raises(ContractError, match="labels"):
-                evaluate_accuracy(model, feats, np.array(labels))
+            shards[1].test_labels = np.array(labels)
+            with pytest.raises(ContractError, match="^client 1: test labels"):
+                run_one(shards, ZOO, _cfg(), rounds=1, seed=0, num_classes=4)

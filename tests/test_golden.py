@@ -11,10 +11,9 @@ import pytest
 
 from fedstruct.losses import (
     loss_contrastive,
-    loss_cosine,
     loss_gcsa,
-    loss_mse,
     loss_rcsa,
+    pairwise_loss,
     procrustes_decompose,
 )
 
@@ -88,8 +87,8 @@ def test_structural_losses_match_frozen_oracle(case):
     gcsa, rcsa, mse, cosine, l_coord, l_shape, l_rigid = GOLDEN[case]
     assert abs(loss_gcsa(p, q).value - gcsa) < TOL
     assert abs(loss_rcsa(p, q).value - rcsa) < TOL
-    assert abs(loss_mse(p, q).value - mse) < TOL
-    assert abs(loss_cosine(p, q).value - cosine) < TOL
+    assert abs(pairwise_loss("mse", p, q).value - mse) < TOL
+    assert abs(pairwise_loss("cosine", p, q).value - cosine) < TOL
     dec = procrustes_decompose(p, q)
     assert abs(dec.l_coord - l_coord) < TOL
     assert abs(dec.l_shape - l_shape) < TOL

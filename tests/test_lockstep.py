@@ -34,11 +34,7 @@ from fedstruct.federation import (
     _accuracy,
     _class_means,
     aggregate_prototypes,
-    batch_prototypes,
-    evaluate_accuracy,
     fixed_hypersphere_prototypes,
-    local_train_step,
-    run_experiment,
     run_experiments,
 )
 from fedstruct.losses import (
@@ -55,15 +51,13 @@ from fedstruct.models import (
     _backward_and_step,
     _forward,
     _softmax_cross_entropy,
-    backward_and_step,
     build_model,
-    forward,
-    loss_supervised,
     replicate,
 )
 from fedstruct.data import DatasetShard
 from fedstruct.tensor import _check_norms, _kept, _unit_rows
 from oracles import gcsa_per_side, rcsa_per_side
+from solo import run_one, stack_of_one, train_step
 from fedstruct.runner import build_shards, run_scenario, run_scenarios, write_rounds_jsonl
 
 # the README's demo.json at seed 1, and test_cli's TINY and UNSTABLE configs
@@ -121,7 +115,7 @@ def _jsonl(reports) -> bytes:
 def _solo(shards, archs, rc, kwargs):
     """The rounds.jsonl bytes of one config run alone, or its failure message."""
     try:
-        return _jsonl(run_experiment(shards, archs, rc, **kwargs))
+        return _jsonl(run_one(shards, archs, rc, **kwargs))
     except NumericFailureError as exc:
         return str(exc)
 
@@ -376,18 +370,18 @@ def lockstep_cases(draw):
 
 
 def _failed_steps_keep_their_model(shard, arch, rcs, num_classes):
-    """Step a fresh model through the shard's batches at each config until a
-    step fails: a step that fails must leave every parameter as it was."""
+    """Step a fresh model through the shard's batches at each config with the
+    engine's training step until a step fails: a step that fails must leave
+    every parameter as it was."""
     protos = fixed_hypersphere_prototypes(num_classes, arch.feature_dim, 0)
     for rc in rcs:
         model = build_model(arch, shard.train_features.shape[1], num_classes, seed=0)
         for start in range(0, shard.num_train - 1, rc.batch_size):
             rows = slice(start, start + rc.batch_size)
             before = [a.copy() for a in model.arrays()]
-            try:
-                local_train_step(model, shard.train_features[rows], shard.train_labels[rows],
-                                 protos, rc)
-            except NumericFailureError:
+            _, _, failed = train_step(model, shard.train_features[rows],
+                                      shard.train_labels[rows], protos, rc)
+            if failed:
                 assert all(np.array_equal(a, b, equal_nan=True)
                            for a, b in zip(model.arrays(), before))
                 break
@@ -456,7 +450,7 @@ def test_a_failure_in_a_stack_names_the_first_failing_client(monkeypatch):
 
     monkeypatch.setattr(federation, "_train_step", planted)
     with pytest.raises(NumericFailureError) as exc:
-        run_experiment(shards, archs, round_config(cfg), **kwargs)
+        run_one(shards, archs, round_config(cfg), **kwargs)
     assert str(exc.value) == "round 0: client 1: forward pass produced non-finite values"
     # every tick runs once, with both stacks of two
     assert stacks == [[2, 2]] * len(range(0, shards[0].num_train - 1, 8))
@@ -484,7 +478,7 @@ def test_a_failure_in_a_fused_alignment_names_the_first_failing_client(monkeypat
     monkeypatch.setattr(federation, "_train_step", recorded)
     monkeypatch.setitem(_PAIRWISE_KERNELS, "gcsa", planted)
     with pytest.raises(NumericFailureError) as exc:
-        run_experiment(shards, archs, round_config(cfg), **kwargs)
+        run_one(shards, archs, round_config(cfg), **kwargs)
     assert str(exc.value) == "round 0: client 1: non-finite training loss nan"
     # every tick runs once, with all four clients
     assert steps == [[0, 2, 1, 3]] * len(range(0, shards[0].num_train - 1, 8))
@@ -755,12 +749,14 @@ def _check_model_kernels(clients):
     _backward_and_step(stack, cache, grad_logits, grad_emb, 0.3)
     for s, model in enumerate(models):
         batch, y = batches[s % batches.shape[0]], labels if clients == 1 else labels[s]
-        emb_s, logits_s, cache_s = forward(model, batch)
-        sup_s, grad_logits_s = loss_supervised(logits_s, y)
-        assert accuracy[s] == evaluate_accuracy(model, batch, y)
-        backward_and_step(model, cache_s, grad_logits_s, grad_emb[s], 0.3)
-        assert np.array_equal(emb[s], emb_s) and np.array_equal(logits[s], logits_s)
-        assert sup[s] == sup_s and np.array_equal(grad_logits[s], grad_logits_s)
+        # each kernel on the slice's model alone, as a stack of one
+        alone = stack_of_one(model)
+        emb_s, logits_s, cache_s, _ = _forward(alone, batch[None])
+        sup_s, grad_logits_s = _softmax_cross_entropy(logits_s, y)
+        assert accuracy[s] == _accuracy(alone, batch[None], y)[0][0]
+        _backward_and_step(alone, cache_s, grad_logits_s, grad_emb[s][None], 0.3)
+        assert np.array_equal(emb[s], emb_s[0]) and np.array_equal(logits[s], logits_s[0])
+        assert sup[s] == sup_s[0] and np.array_equal(grad_logits[s], grad_logits_s[0])
         assert np.array_equal(stack.classifier_weights[s], model.classifier_weights)
         assert np.array_equal(stack.classifier_bias[s], model.classifier_bias)
         for layer, layer_s in zip(stack.extractor, model.extractor):
@@ -813,17 +809,17 @@ def test_prototype_kernels_equal_their_slices():
         labels = rng.integers(0, c, n)
         means, counts = _class_means(emb, labels, c)
         for r in range(R):
-            solo = batch_prototypes(emb[r], labels, c)
-            assert np.array_equal(means[r], solo.vectors)
-            assert np.array_equal(counts, solo.counts)
+            solo, solo_counts = _class_means(emb[r][None], labels, c)
+            assert np.array_equal(means[r], solo[0])
+            assert np.array_equal(counts, solo_counts)
         # two clients' R replicas, client-major, each client with its labels
         emb = rng.standard_normal((2 * R, n, 8))
         labels = np.repeat(rng.integers(0, c, (2, n)), R, axis=0)
         means, counts = _class_means(emb, labels, c)
         for s in range(2 * R):
-            solo = batch_prototypes(emb[s], labels[s], c)
-            assert np.array_equal(means[s], solo.vectors)
-            assert np.array_equal(counts[s], solo.counts)
+            solo, solo_counts = _class_means(emb[s][None], labels[s], c)
+            assert np.array_equal(means[s], solo[0])
+            assert np.array_equal(counts[s], solo_counts)
         # nine uploads, so that summing them pairwise would round differently
         uploads = [PrototypeSet(rng.standard_normal((R, c, 8)), rng.integers(0, 3, c))
                    for _ in range(9)]

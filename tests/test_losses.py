@@ -9,15 +9,21 @@ from fedstruct.losses import (
     _pair_tables,
     check_gradient,
     loss_contrastive,
-    loss_cosine,
     loss_gcsa,
-    loss_mse,
     loss_rcsa,
     pairwise_loss,
     procrustes_decompose,
 )
 from fedstruct.tensor import normalize_rows, random_orthogonal
 from oracles import gcsa_gram_form, rcsa_loss_loop
+
+
+def _mse(a, b):
+    return pairwise_loss("mse", a, b)
+
+
+def _cosine(a, b):
+    return pairwise_loss("cosine", a, b)
 
 
 def _pair(seed, n, d):
@@ -47,20 +53,20 @@ class TestAlignmentKind:
 class TestMse:
     def test_identical_inputs_zero(self):
         a, _ = _pair(0, 4, 3)
-        res = loss_mse(a, a)
+        res = _mse(a, a)
         assert res.value == 0.0
         np.testing.assert_allclose(res.grad, 0.0, atol=0)
 
     def test_hand_value(self):
-        assert loss_mse([[1.0, 0.0]], [[0.0, 1.0]]).value == pytest.approx(2.0, abs=0)
+        assert _mse([[1.0, 0.0]], [[0.0, 1.0]]).value == pytest.approx(2.0, abs=0)
 
     def test_grad_closed_form(self):
         a, b = _pair(1, 5, 3)
-        np.testing.assert_allclose(loss_mse(a, b).grad, 2.0 * (a - b) / 5, atol=1e-15)
+        np.testing.assert_allclose(_mse(a, b).grad, 2.0 * (a - b) / 5, atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
-            loss_mse(np.ones((2, 3)), np.ones((3, 3)))
+            _mse(np.ones((2, 3)), np.ones((3, 3)))
 
     def test_gradient_check(self):
         a, b = _pair(2, 3, 4)
@@ -71,18 +77,18 @@ class TestMse:
 class TestCosine:
     def test_identical_inputs_zero(self):
         a, _ = _pair(3, 4, 3)
-        assert loss_cosine(a, a).value == pytest.approx(0.0, abs=1e-15)
+        assert _cosine(a, a).value == pytest.approx(0.0, abs=1e-15)
 
     def test_antipodal_row_gives_two(self):
-        assert loss_cosine([[1.0, 2.0]], [[-1.0, -2.0]]).value == pytest.approx(2.0, abs=1e-12)
+        assert _cosine([[1.0, 2.0]], [[-1.0, -2.0]]).value == pytest.approx(2.0, abs=1e-12)
 
     def test_hand_value(self):
         expected = 1.0 - 1.0 / np.sqrt(2.0)
-        assert loss_cosine([[1.0, 0.0]], [[1.0, 1.0]]).value == pytest.approx(expected, abs=1e-12)
+        assert _cosine([[1.0, 0.0]], [[1.0, 1.0]]).value == pytest.approx(expected, abs=1e-12)
 
     def test_zero_row_rejected(self):
         with pytest.raises(DegenerateInputError):
-            loss_cosine([[0.0, 0.0]], [[1.0, 1.0]])
+            _cosine([[0.0, 0.0]], [[1.0, 1.0]])
 
     def test_gradient_check(self):
         a, b = _pair(4, 4, 3)
@@ -259,7 +265,7 @@ class TestPairwiseDispatcher:
     def test_dispatches_by_name(self):
         a, b = _pair(32, 4, 3)
         assert pairwise_loss("gcsa", a, b).value == loss_gcsa(a, b).value
-        assert pairwise_loss("mse", a, b).value == loss_mse(a, b).value
+        assert pairwise_loss(AlignmentKind.parse("rcsa"), a, b).value == loss_rcsa(a, b).value
 
     def test_rejects_contrastive(self):
         a, b = _pair(33, 4, 3)
@@ -283,9 +289,9 @@ _PLAIN = np.array([[1.0, 0.5], [0.3, 2.0]])
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: loss_cosine(_ZERO_ROW, _P), "first matrix row 2 has norm 0.000e+00 <= 1e-12"),
-    (lambda: loss_cosine(_P, _ZERO_ROW), "second matrix row 2 has norm 0.000e+00 <= 1e-12"),
-    (lambda: loss_cosine(_TINY_ROW, _ZERO_ROW), "first matrix row 1 has norm 1.000e-13 <= 1e-12"),
+    (lambda: _cosine(_ZERO_ROW, _P), "first matrix row 2 has norm 0.000e+00 <= 1e-12"),
+    (lambda: _cosine(_P, _ZERO_ROW), "second matrix row 2 has norm 0.000e+00 <= 1e-12"),
+    (lambda: _cosine(_TINY_ROW, _ZERO_ROW), "first matrix row 1 has norm 1.000e-13 <= 1e-12"),
     (lambda: loss_rcsa(_ZERO_ROW, _P), "first matrix row 2 has norm 0.000e+00 <= 1e-12"),
     (lambda: loss_rcsa(_P, _ZERO_ROW), "second matrix row 2 has norm 0.000e+00 <= 1e-12"),
     (lambda: loss_rcsa(_ZERO_ROW, _TINY_ROW), "first matrix row 2 has norm 0.000e+00 <= 1e-12"),
@@ -314,8 +320,8 @@ _PLAIN = np.array([[1.0, 0.5], [0.3, 2.0]])
     (lambda: normalize_rows(_ZERO_ROW), "matrix row 2 has norm 0.000e+00 <= 1e-12"),
     (lambda: normalize_rows(_TINY_ROW, "z"), "z row 1 has norm 1.000e-13 <= 1e-12"),
     (lambda: normalize_rows(_HUGE), "matrix row 0 has norm inf"),
-    (lambda: loss_cosine(_HUGE, _PLAIN), "first matrix row 0 has norm inf"),
-    (lambda: loss_cosine(_PLAIN, _HUGE), "second matrix row 0 has norm inf"),
+    (lambda: _cosine(_HUGE, _PLAIN), "first matrix row 0 has norm inf"),
+    (lambda: _cosine(_PLAIN, _HUGE), "second matrix row 0 has norm inf"),
     (lambda: loss_rcsa(_HUGE, _PLAIN), "first matrix row 0 has norm inf"),
     (lambda: loss_rcsa(_PLAIN, _HUGE), "second matrix row 0 has norm inf"),
     (lambda: loss_contrastive(_HUGE, _PLAIN, [0, 1], 0.5), "embedding row 0 has norm inf"),

@@ -1,27 +1,64 @@
-"""MLP zoo: construction, forward, supervised loss, manual backprop."""
+"""MLP zoo: construction, and the forward, cross-entropy and backprop
+kernels on a stack of one model."""
 
 import copy
 
 import numpy as np
 import pytest
 
-from fedstruct.errors import ContractError, NumericFailureError
-from fedstruct.losses import numerical_gradient
+from fedstruct.data import DatasetShard
+from fedstruct.errors import ContractError
+from fedstruct.federation import RoundConfig
+from fedstruct.losses import AlignmentKind, numerical_gradient
 from fedstruct.models import (
     ArchitectureSpec,
     ClientModel,
     Layer,
-    backward_and_step,
+    _backward_and_step,
+    _forward,
+    _softmax_cross_entropy,
     build_model,
-    forward,
-    loss_supervised,
 )
+from solo import run_one, stack_of_one
 
 # Regression values frozen from the first run whose forward pass was verified
 # entry-by-entry against an independent loop implementation (max diff 2.2e-16).
 GOLDEN_EMB_SUM = 5.852072881408361
 GOLDEN_EMB_SQ_SUM = 4.058541786977654
 GOLDEN_LOGIT_SUM = -6.162817954421227
+
+
+def _forward_one(model, batch):
+    """(embeddings, logits, layer inputs) of one model on (n, input_dim) rows,
+    the layer inputs as the stack of one that _step_one takes."""
+    emb, logits, layers, failed = _forward(stack_of_one(model), batch[None])
+    assert not failed
+    return emb[0], logits[0], layers
+
+
+def _cross_entropy_one(logits, labels):
+    """Mean softmax cross-entropy of (n, C) logits and its gradient."""
+    values, grad = _softmax_cross_entropy(np.asarray(logits, dtype=np.float64)[None], labels)
+    return float(values[0]), grad[0]
+
+
+def _step_one(model, layers, grad_logits, grad_embeddings, learning_rate):
+    """The step of one model in place; its failures."""
+    return _backward_and_step(stack_of_one(model), layers, grad_logits[None],
+                              grad_embeddings[None], learning_rate)
+
+
+def _run_rejects(message, features=None, labels=None):
+    """A run rejects a second client whose train rows are `features` and
+    `labels` before any kernel sees them: the kernels trust their inputs."""
+    x = np.random.default_rng(5).standard_normal((6, 4))
+    y = np.array([0, 1, 2] * 2)
+    shards = [DatasetShard(0, x, y, x, y),
+              DatasetShard(1, x if features is None else features, y if labels is None else labels,
+                           x, y)]
+    with pytest.raises(ContractError, match=message):
+        run_one(shards, [ArchitectureSpec((), 3)], RoundConfig(AlignmentKind.parse("gcsa")),
+                rounds=1, seed=0, num_classes=3)
 
 
 def _golden_model_and_batch():
@@ -64,7 +101,7 @@ class TestForward:
             layer.bias[:] = 0.0
         model.classifier_weights[:] = 0.0
         model.classifier_bias[:] = 0.0
-        _, logits, _ = forward(model, np.random.default_rng(1).standard_normal((5, 4)))
+        _, logits, _ = _forward_one(model, np.random.default_rng(1).standard_normal((5, 4)))
         np.testing.assert_array_equal(logits, 0.0)
 
     def test_identity_extractor_passes_input_through(self):
@@ -72,12 +109,12 @@ class TestForward:
         model.extractor[0].weights[:] = np.eye(3)
         model.extractor[0].bias[:] = 0.0
         batch = np.random.default_rng(2).standard_normal((4, 3))
-        emb, _, _ = forward(model, batch)
+        emb, _, _ = _forward_one(model, batch)
         np.testing.assert_array_equal(emb, batch)
 
     def test_golden_embedding_checksum(self):
         model, batch = _golden_model_and_batch()
-        emb, logits, _ = forward(model, batch)
+        emb, logits, _ = _forward_one(model, batch)
         assert float(emb.sum()) == pytest.approx(GOLDEN_EMB_SUM, rel=1e-12)
         assert float((emb * emb).sum()) == pytest.approx(GOLDEN_EMB_SQ_SUM, rel=1e-12)
         assert float(logits.sum()) == pytest.approx(GOLDEN_LOGIT_SUM, rel=1e-12)
@@ -85,51 +122,50 @@ class TestForward:
     def test_batch_order_equivariance(self):
         model, batch = _golden_model_and_batch()
         perm = np.random.default_rng(3).permutation(batch.shape[0])
-        emb, logits, _ = forward(model, batch)
-        emb_p, logits_p, _ = forward(model, batch[perm])
+        emb, logits, _ = _forward_one(model, batch)
+        emb_p, logits_p, _ = _forward_one(model, batch[perm])
         np.testing.assert_array_equal(emb[perm], emb_p)
         np.testing.assert_array_equal(logits[perm], logits_p)
 
     def test_wrong_width_rejected(self):
-        model, _ = _golden_model_and_batch()
-        with pytest.raises(ContractError):
-            forward(model, np.ones((2, 7)))
+        _run_rejects("^client 1: train features have 7 columns, the first shard's 4$",
+                     features=np.ones((6, 7)))
 
 
 class TestLossSupervised:
     def test_uniform_logits_two_classes(self):
-        value, _ = loss_supervised(np.zeros((3, 2)), np.array([0, 1, 0]))
+        value, _ = _cross_entropy_one(np.zeros((3, 2)), np.array([0, 1, 0]))
         assert value == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_huge_correct_margin_vanishes(self):
         logits = np.array([[100.0, 0.0], [0.0, 100.0]])
-        value, _ = loss_supervised(logits, np.array([0, 1]))
+        value, _ = _cross_entropy_one(logits, np.array([0, 1]))
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         logits = rng.standard_normal((4, 3))
         labels = np.array([0, 2, 1, 1])
-        _, grad = loss_supervised(logits, labels)
-        num = numerical_gradient(lambda x: loss_supervised(x, labels)[0], logits)
+        _, grad = _cross_entropy_one(logits, labels)
+        num = numerical_gradient(lambda x: _cross_entropy_one(x, labels)[0], logits)
         rel = np.max(np.abs(grad - num)) / max(np.max(np.abs(num)), 1e-12)
         assert rel <= 1e-6
 
     def test_label_out_of_range_rejected(self):
-        with pytest.raises(ContractError):
-            loss_supervised(np.zeros((2, 3)), np.array([0, 3]))
+        _run_rejects(r"^client 1: train labels out of range \[0, 3\): got 3$",
+                     labels=np.array([0, 3, 0, 1, 2, 1]))
 
     def test_float_labels_rejected(self):
-        with pytest.raises(ContractError):
-            loss_supervised(np.zeros((2, 3)), np.array([0.0, 1.0]))
+        _run_rejects("^client 1: train labels must be integers, got float64$",
+                     labels=np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0]))
 
 
 class TestBackwardAndStep:
     def test_zero_gradients_leave_model_unchanged(self):
         model, batch = _golden_model_and_batch()
         before = copy.deepcopy(model)
-        _, logits, cache = forward(model, batch)
-        backward_and_step(model, cache, np.zeros_like(logits), np.zeros((6, 3)), 0.5)
+        _, logits, cache = _forward_one(model, batch)
+        _step_one(model, cache, np.zeros_like(logits), np.zeros((6, 3)), 0.5)
         np.testing.assert_array_equal(model.classifier_weights, before.classifier_weights)
         for la, lb in zip(model.extractor, before.extractor):
             np.testing.assert_array_equal(la.weights, lb.weights)
@@ -137,8 +173,8 @@ class TestBackwardAndStep:
     def test_zero_learning_rate_leaves_model_unchanged(self):
         model, batch = _golden_model_and_batch()
         before = copy.deepcopy(model)
-        emb, logits, cache = forward(model, batch)
-        backward_and_step(model, cache, np.ones_like(logits), np.ones_like(emb), 0.0)
+        emb, logits, cache = _forward_one(model, batch)
+        _step_one(model, cache, np.ones_like(logits), np.ones_like(emb), 0.0)
         np.testing.assert_array_equal(model.classifier_weights, before.classifier_weights)
         np.testing.assert_array_equal(
             model.extractor[0].weights, before.extractor[0].weights
@@ -160,12 +196,12 @@ class TestBackwardAndStep:
             classifier_bias=bc.copy(),
             feature_dim=2,
         )
-        emb, logits, cache = forward(model, x)
+        emb, logits, cache = _forward_one(model, x)
         target = np.array([[0.1, -0.3], [0.2, 0.0]])
         g = 2.0 * (logits - target) / 2.0
         g_emb = g @ wc.T
         lr = 0.3
-        backward_and_step(model, cache, g, g_emb, lr)
+        _step_one(model, cache, g, g_emb, lr)
         np.testing.assert_array_equal(model.classifier_weights, wc - lr * (emb.T @ g))
         np.testing.assert_array_equal(model.classifier_bias, bc - lr * g.sum(axis=0))
         np.testing.assert_array_equal(
@@ -176,11 +212,11 @@ class TestBackwardAndStep:
     def test_non_finite_gradient_aborts_without_mutation(self):
         model, batch = _golden_model_and_batch()
         before = copy.deepcopy(model)
-        emb, logits, cache = forward(model, batch)
+        emb, logits, cache = _forward_one(model, batch)
         bad = np.full_like(emb, np.inf)
         with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(NumericFailureError):
-                backward_and_step(model, cache, np.zeros_like(logits), bad, 0.1)
+            failed = _step_one(model, cache, np.zeros_like(logits), bad, 0.1)
+        assert failed == {0: "non-finite parameter gradient; step aborted"}
         np.testing.assert_array_equal(model.classifier_weights, before.classifier_weights)
         for la, lb in zip(model.extractor, before.extractor):
             np.testing.assert_array_equal(la.weights, lb.weights)
