@@ -212,14 +212,16 @@ def fixed_hypersphere_prototypes(num_classes: int, dim: int, seed) -> PrototypeS
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     if num_classes > 1:
         eta = 0.1
+        diagonal = np.arange(num_classes) * (num_classes + 1)  # flat indices
+        # the ufuncs that np.linalg.norm, np.fill_diagonal and np.clip call, bit for bit
         for _ in range(1000):
             diffs = x[:, None, :] - x[None, :, :]
-            dist = np.linalg.norm(diffs, axis=2)
-            np.fill_diagonal(dist, 1.0)
-            np.clip(dist, 1e-6, None, out=dist)
-            force = (diffs / dist[:, :, None] ** 3).sum(axis=1)
+            dist = np.sqrt(np.add.reduce(diffs * diffs, axis=2))
+            dist.put(diagonal, 1.0)
+            np.maximum(dist, 1e-6, out=dist)
+            force = np.add.reduce(diffs / dist[:, :, None] ** 3, axis=1)
             x = x + eta * force
-            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            x /= np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
     return PrototypeSet(x, np.ones(num_classes, dtype=np.int64))
 
 
@@ -614,11 +616,88 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _stream(words: list[int]) -> np.random.Generator:
-    """default_rng(SeedSequence(ints)) for the concatenated words of the ints:
-    the same bit generator state, without SeedSequence's conversion of a
-    list of ints, which costs most of the generator."""
-    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+def _entropy(*values) -> tuple[np.ndarray, np.ndarray]:
+    """The words SeedSequence reads the list of ints (values[0], values[1],
+    ...) as, for N streams at once: each value is an int >= 0 shared by
+    every stream or an (N,) array of ints in [0, 2**64), one per stream.
+    Returns the (width, N) uint32 table, row j holding each stream's j-th
+    word (zero past its length), and the (N,) lengths."""
+    streams = max(np.size(v) for v in values)
+    width = sum(len(_words(int(v))) if np.ndim(v) == 0 else 2 for v in values)
+    table, columns = np.zeros((width, streams), dtype=np.uint32), np.arange(streams)
+    length = np.zeros(streams, dtype=np.int64)
+    for v in values:
+        if np.ndim(v) == 0:
+            for w in _words(int(v)):
+                table[length, columns] = w
+                length += 1
+        else:
+            v = np.asarray(v, dtype=np.uint64)
+            high = v >> np.uint64(32)
+            table[length, columns] = v & np.uint64(0xFFFFFFFF)
+            table[length + 1, columns] = high  # a zero past the length, or the next value's
+            length += 1 + (high > 0)
+    return table, length
+
+
+# numpy's SeedSequence with its default pool of 4 words, and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+# streams per seeding pass: whole rounds of every client, one round at least
+_STREAM_BLOCK = 4096
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < count, as a (count, 1) column: the
+    hash constant before each of SeedSequence's hash calls."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, h: np.ndarray, k: int, count: int) -> np.ndarray:
+    """SeedSequence's hash calls k, ..., k + count - 1 on the rows of value
+    (or on its one row), one call per row."""
+    value = (value ^ h[k:k + count]) * h[k + 1:k + count + 1]
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> np.uint32(16))
+
+
+def _seed_states(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """SeedSequence(words).generate_state(4, np.uint64) for N streams of at
+    least 4 words each (every stream of 4 ints has), in one pass, from their
+    (width, N) entropy table and lengths (see _entropy): numpy's pool of 4
+    words, each entropy word past the fourth mixed into all of them, read
+    out as 8 words.  Returns (N, 4) uint64."""
+    width = entropy.shape[0]
+    h = _hash_constants(_INIT_A, _MULT_A, 17 + 4 * (width - 4))
+    pool, k = _hashmix(entropy[:4], h, 0, 4), 4
+    for src in range(4):  # every pool word into each of the others
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h, k, 3))
+        k += 3
+    for j in range(4, width):
+        mixed = _mix(pool, _hashmix(entropy[j], h, k, 4))
+        pool = np.where(lengths > j, mixed, pool)
+        k += 4
+    words = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 9), 0, 8)
+    return words.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(words: list[int]) -> dict:
+    """The state of PCG64 seeded with SeedSequence's 4 uint64 words."""
+    w0, w1, w2, w3 = words
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 class _Replicas:
@@ -638,12 +717,16 @@ class _Replicas:
     failed leaves with its solo run's first failure (_first_failures)."""
 
     def __init__(self, shards, archs: list[ArchitectureSpec], cfgs: list[RoundConfig],
-                 seed: int, num_classes: int, scenario: str, input_dim: int):
+                 rounds: int, seed: int, num_classes: int, scenario: str, input_dim: int):
         self.cfgs = cfgs
         self.live = list(range(len(cfgs)))  # the config index at each stack position
         self.errors: dict[int, NumericFailureError] = {}
         self.objective = _objective(cfgs)
-        self.shards, self.seed = shards, seed
+        self.shards, self.rounds, self.seed = shards, rounds, seed
+        # the first round of the block of batch streams seeded so far, and its
+        # (rounds, clients, 4) seeding words; one generator takes each state
+        self.streams = (0, np.zeros((0, len(shards), 4), dtype=np.uint64))
+        self.rng = np.random.Generator(np.random.PCG64(0))
         # homo_shared trains client 0's model, which every client visits in turn
         self.shared = scenario == "homo_shared"
         arch_of = [i % len(archs) if scenario == "hetero" else 0 for i in range(len(shards))]
@@ -769,11 +852,7 @@ class _Replicas:
         features = [f.reshape(-1, f.shape[2]) for f, _ in keyed]
         labels = [y.reshape(-1) for _, y in keyed]
         sizes = [f.shape[1] for f, _ in keyed]
-        # each client's batch order of every epoch, as rows of its key's train rows
-        entropy = _words(self.seed) + _words(1) + _words(r)
-        perms = [np.array([[rng.permutation(n) for _ in range(cfg.local_epochs)] for rng in
-                           (_stream(entropy + _words(i)) for i in g)])
-                 + (np.array([index[i] for i in g]) * n)[:, None, None]
+        perms = [self._batch_orders(r, g, [index[i] * n for i in g], n)
                  for g, n in zip(groups, sizes)]
         # the round's summed loss terms and skips of every slice, group by group
         bounds = np.cumsum([0] + [len(g) * replicas for g in groups]).tolist()
@@ -814,6 +893,32 @@ class _Replicas:
         self.skips = skips.reshape(len(clients), replicas).sum(axis=0)
         return [_check_finite((s,), "loss-term sum overflowed", f)
                 for s, f in zip(group_sums, failures)]
+
+    def _batch_orders(self, r: int, clients: list[int], offsets: list[int], n: int) -> np.ndarray:
+        """Each client's batch order of every epoch of round r, as rows of its
+        key's train rows: (K, epochs, n), the permutation(n) of each epoch
+        drawn from its (seed, 1, r, client) stream, plus its offset.  The
+        seeds of every client's streams come from one pass (_seed_states)
+        per block of rounds."""
+        first, words = self.streams
+        if not first <= r < first + len(words):
+            every = len(self.shards)
+            count = min(max(1, _STREAM_BLOCK // every), self.rounds - r)
+            # each stream's round and client: stream q * every + i is client i's of round q
+            round_of, client_of = np.divmod(np.arange(r * every, (r + count) * every,
+                                                      dtype=np.uint64), np.uint64(every))
+            states = _seed_states(*_entropy(self.seed, 1, round_of, client_of))
+            first, words = self.streams = r, states.reshape(count, every, 4)
+        # each row an arange, shuffled in place as permutation(n) shuffles its arange
+        epochs = self.cfgs[0].local_epochs
+        orders = np.empty((len(clients), epochs, n), dtype=np.int64)
+        orders[...] = np.arange(n)
+        for k, i in enumerate(clients):
+            self.rng.bit_generator.state = _pcg64_state(words[r - first, i].tolist())
+            for epoch in range(epochs):
+                self.rng.shuffle(orders[k, epoch])
+        orders += np.array(offsets)[:, None, None]
+        return orders
 
     @_quiet
     def finish(self, r: int, participants: list[int]) -> bool:
@@ -917,7 +1022,7 @@ def run_experiments(
     snapshot_dirs = list(snapshot_dirs) if snapshot_dirs is not None else [None] * len(cfgs)
     if len(snapshot_dirs) != len(cfgs):
         raise ContractError(f"need one snapshot directory per config, got {len(snapshot_dirs)}")
-    state = _Replicas(shards, archs, cfgs, seed, num_classes, scenario, input_dim)
+    state = _Replicas(shards, archs, cfgs, rounds, seed, num_classes, scenario, input_dim)
     reports: list[list[RoundReport]] = [[] for _ in cfgs]
     best = [0.0] * len(cfgs)
     drawn = max(1, round(cfgs[0].participation_fraction * n_clients))

@@ -16,6 +16,9 @@ from .config import ExperimentConfig
 from .errors import DegenerateInputError
 from .federation import (
     PrototypeSet,
+    _entropy,
+    _pcg64_state,
+    _seed_states,
     aggregate_prototypes,
     fixed_hypersphere_prototypes,
 )
@@ -122,6 +125,21 @@ def _check_svd():
              "rank-1 stack has one direction")
 
 
+def _check_batch_streams():
+    # the engine seeds its (seed, 1, round, client) batch streams without
+    # SeedSequence; they must stay numpy's streams under the installed numpy
+    rounds = np.array([0, 3, 149, 2**33], dtype=np.uint64)
+    clients = np.array([0, 31, 2**32 - 1, 5], dtype=np.uint64)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for seed in (0, 7, 2**64 + 3, 2**100 + 1):
+        for words, r, i in zip(_seed_states(*_entropy(seed, 1, rounds, clients)).tolist(),
+                               rounds.tolist(), clients.tolist()):
+            rng.bit_generator.state = _pcg64_state(words)
+            want = np.random.default_rng(np.random.SeedSequence([seed, 1, r, i]))
+            _require(rng.bit_generator.state == want.bit_generator.state,
+                     f"batch stream ({seed}, 1, {r}, {i}) is not numpy's SeedSequence stream")
+
+
 def _tiny_config() -> ExperimentConfig:
     cfg = ExperimentConfig()
     cfg.dataset.classes = 3
@@ -167,6 +185,7 @@ CHECKS = [
     ("hypersphere prototypes", _check_hypersphere),
     ("svd + effective dimensionality", _check_svd),
     ("deterministic replay", _check_determinism),
+    ("batch streams match numpy's SeedSequence", _check_batch_streams),
     ("degenerate input rejection", _check_degenerate_rejection),
 ]
 

@@ -600,15 +600,63 @@ def test_public_wrappers_meet_overflow_without_warnings(call, error, outcome):
         assert str(exc.value) == outcome
 
 
+def _numpy_stream(seed, round_index, client):
+    return np.random.default_rng(np.random.SeedSequence([seed, 1, round_index, client]))
+
+
+def _check_streams(seed, rounds, clients):
+    # one pass seeds the (seed, 1, round, client) streams; each must hold the
+    # PCG64 state, and so draw the permutations, of numpy's own
+    # default_rng(SeedSequence([seed, 1, round, client]))
+    words = federation._seed_states(*federation._entropy(
+        seed, 1, np.array(rounds, dtype=np.uint64), np.array(clients, dtype=np.uint64)))
+    rng = np.random.Generator(np.random.PCG64(0))
+    for w, r, i in zip(words.tolist(), rounds, clients):
+        want = _numpy_stream(seed, r, i)
+        rng.bit_generator.state = federation._pcg64_state(w)
+        assert rng.bit_generator.state == want.bit_generator.state, (seed, r, i)
+        assert np.array_equal(rng.permutation(13), want.permutation(13)), (seed, r, i)
+
+
 @pytest.mark.parametrize("seed, round_index, client", [
     (0, 0, 0), (7, 3, 31), (2**32, 1, 5), (2**64 + 3, 149, 2**32 - 1), (123456789012, 0, 2**33),
 ])
 def test_batch_order_streams_are_their_seed_sequences(seed, round_index, client):
-    # a client's batch order is drawn from the (seed, 1, round, client)
-    # stream, built from the words SeedSequence reads those ints as
-    words = [w for v in (seed, 1, round_index, client) for w in federation._words(v)]
-    want = np.random.default_rng(np.random.SeedSequence([seed, 1, round_index, client]))
-    assert federation._stream(words).bit_generator.state == want.bit_generator.state
+    _check_streams(seed, [round_index], [client])
+
+
+def test_random_batch_streams_are_their_seed_sequences():
+    # 1,000 streams, 25 per seed: seeds of 1 to 4 words, rounds and clients
+    # mostly small, about 30% of them of 2 words
+    rng = np.random.default_rng(2026)
+    seeds = []
+    for _ in range(40):
+        seed = int(rng.integers(0, 2**62)) >> int(rng.integers(0, 62)) << int(rng.integers(0, 41))
+        rounds = np.where(rng.random(25) < 0.3, rng.integers(2**32, 2**34, 25),
+                          rng.integers(0, 200, 25))
+        clients = np.where(rng.random(25) < 0.3, rng.integers(2**32, 2**35, 25),
+                           rng.integers(0, 64, 25))
+        _check_streams(seed, rounds.tolist(), clients.tolist())
+        seeds.append(seed)
+    assert max(seeds) >= 2**64
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 + 3])
+def test_batch_orders_are_each_streams_permutations_across_a_block(seed):
+    # the engine seeds a block of rounds at a time; rounds on both sides of
+    # a block boundary, and a return to round 0, each give every client the
+    # permutation(n) of every epoch from its (seed, 1, round, client) stream
+    shards = TestRunExperiment()._shards(seed=0, clients=3)
+    rounds = federation._STREAM_BLOCK // 3 + 2
+    state = federation._Replicas(shards, ZOO, [_cfg(local_epochs=3)], rounds, seed, 4, "hetero",
+                                 shards[0].train_features.shape[1])
+    for r in (0, rounds - 3, rounds - 2, rounds - 1, 0):
+        orders = state._batch_orders(r, [2, 0], [40, 0], 20)
+        assert orders.shape == (2, 3, 20)
+        for order, i, offset in zip(orders, [2, 0], [40, 0]):
+            stream = _numpy_stream(seed, r, i)
+            for epoch in order:
+                assert np.array_equal(epoch, stream.permutation(20) + offset), (r, i)
 
 
 class TestRunExperiment:
