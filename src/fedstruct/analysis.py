@@ -70,23 +70,23 @@ class ScenarioRun:
     data_seed: int
     reports: list
 
-    @property
-    def final_effective_dimensionality(self) -> int:
+    def _final(self):
+        """The last round's report."""
         if not self.reports:
             raise ContractError(f"scenario {self.scenario!r} has no rounds")
-        return int(self.reports[-1].effective_dimensionality)
+        return self.reports[-1]
+
+    @property
+    def final_effective_dimensionality(self) -> int:
+        return int(self._final().effective_dimensionality)
 
     @property
     def final_participation_ratio(self) -> float:
-        if not self.reports:
-            raise ContractError(f"scenario {self.scenario!r} has no rounds")
-        return float(self.reports[-1].participation_ratio)
+        return float(self._final().participation_ratio)
 
     @property
     def best_mean_accuracy(self) -> float:
-        if not self.reports:
-            raise ContractError(f"scenario {self.scenario!r} has no rounds")
-        return float(self.reports[-1].best_mean_accuracy)
+        return float(self._final().best_mean_accuracy)
 
 
 @dataclass(frozen=True)

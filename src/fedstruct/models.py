@@ -48,7 +48,6 @@ class ClientModel:
     extractor: list[Layer]
     classifier_weights: np.ndarray  # (feature_dim, num_classes)
     classifier_bias: np.ndarray  # (num_classes,)
-    feature_dim: int
 
     def arrays(self) -> list[np.ndarray]:
         """Every parameter array, in the order map_arrays visits them."""
@@ -67,7 +66,6 @@ class ClientModel:
             [Layer(fn(l.weights), fn(l.bias), l.activation) for l in self.extractor],
             fn(self.classifier_weights),
             fn(self.classifier_bias),
-            self.feature_dim,
         )
 
 
@@ -111,7 +109,7 @@ def build_model(
             f"cannot allocate a model of widths {widths} on {input_dim} inputs and "
             f"{num_classes} classes: {exc}"
         ) from exc
-    return ClientModel(layers, cw, cb, spec.feature_dim)
+    return ClientModel(layers, cw, cb)
 
 
 # The kernels below trust their inputs and take stacks of S slices (see
@@ -148,10 +146,7 @@ def _raise_failure(failed: dict[int, str]) -> None:
 def _forward(model: ClientModel, batch: np.ndarray, keep_layers: bool = True):
     """The embeddings, logits, layer inputs and failures of a stack:
     layer_inputs[i] feeds extractor layer i, and layer_inputs[-1] is the
-    embeddings.  A (K, 1, n, input_dim) batch holds K clients' rows, each
-    read by every slice of the stack (homo_shared's one model): its outputs
-    are then the (K·S, ...) stacks, client-major, as if the stack were
-    copied K times."""
+    embeddings."""
     layer_inputs = [batch]
     # in place, so that a stack holds one array per layer; without
     # keep_layers (no backward pass follows) each layer's output is
@@ -167,8 +162,6 @@ def _forward(model: ClientModel, batch: np.ndarray, keep_layers: bool = True):
     embeddings = h
     logits = embeddings @ model.classifier_weights
     logits += model.classifier_bias[:, None]
-    if batch.ndim == 4:
-        embeddings, logits = (a.reshape(-1, *a.shape[2:]) for a in (embeddings, logits))
     # BLAS may skip a zero weight, so finite logits do not prove finite embeddings
     return embeddings, logits, layer_inputs, _check_finite(
         (embeddings, logits), "forward pass produced non-finite values")

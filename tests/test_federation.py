@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fedstruct import federation
+from fedstruct.analysis import effective_dimensionality
 from fedstruct.config import ExperimentConfig, ModelConfig, round_config
 from fedstruct.data import DatasetShard, generate_mixture, partition_dirichlet
 from fedstruct.errors import ContractError, NumericFailureError
@@ -113,7 +114,7 @@ class TestPrototypeSet:
         ps = PrototypeSet([[5.0, 5.0], [1.0, 0.0], [0.0, 0.0], [3.0, 0.0]], [0, 1, 0, 2])
         assert ps.classes() == [1, 3]
         np.testing.assert_array_equal(ps.present, [False, True, False, True])
-        np.testing.assert_array_equal(ps.rows, [[1.0, 0.0], [3.0, 0.0]])
+        np.testing.assert_array_equal(ps.vectors[..., ps.present, :], [[1.0, 0.0], [3.0, 0.0]])
         np.testing.assert_array_equal(ps.slot, [-1, 0, -1, 1])
         np.testing.assert_array_equal(ps.vectors[0], [0.0, 0.0])  # absent rows read as zero
         assert (ps.num_classes, ps.dim) == (4, 2)
@@ -657,6 +658,24 @@ def test_batch_orders_are_each_streams_permutations_across_a_block(seed):
             stream = _numpy_stream(seed, r, i)
             for epoch in order:
                 assert np.array_equal(epoch, stream.permutation(20) + offset), (r, i)
+
+
+def test_spectrum_normalises_on_request_and_falls_back_on_degenerate_stacks():
+    # the round report's spectrum of the latest uploads: normalised, it is
+    # the public diagnostic's with normalize_rows_first; a stack that has no
+    # spectrum (a zero row to normalise, or no energy at all) reads (1, 1.0)
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((6, 4)) * np.array([100.0, 1.0, 3.0, 0.2, 1.0, 10.0])[:, None]
+    want = effective_dimensionality(stack, normalize_rows_first=True)
+    got = federation._spectrum(stack, True, 0)
+    assert got == (want.threshold_dim, want.participation_ratio)
+    assert got != federation._spectrum(stack, False, 0)
+    zero_row = stack.copy()
+    zero_row[2] = 0.0
+    assert federation._spectrum(zero_row, True, 0) == (1, 1.0)
+    assert federation._spectrum(zero_row, False, 0) != (1, 1.0)
+    for normalize in (True, False):
+        assert federation._spectrum(np.zeros((5, 4)), normalize, 0) == (1, 1.0)
 
 
 class TestRunExperiment:

@@ -175,15 +175,18 @@ OVERFLOWING = {
 }
 
 
+@pytest.mark.parametrize("scenario", ["hetero", "homo_shared"])
 @pytest.mark.parametrize("separation, mode, where", [
     (2e307, "aggregate", "aggregation"),
     (3e307, "aggregate", "upload"),
     (3e307, "fixed_hypersphere", "upload"),
 ])
-def test_overflowing_prototypes_fail_each_replica_with_its_solo_message(separation, mode, where):
+def test_overflowing_prototypes_fail_each_replica_with_its_solo_message(separation, mode, where,
+                                                                        scenario):
+    # homo_shared's uploads read the one model's rows by the same gather rule
     payload = copy.deepcopy(OVERFLOWING)
     payload["dataset"]["separation"] = separation
-    cfg, shards, archs, kwargs = _setup(payload, "hetero", mode)
+    cfg, shards, archs, kwargs = _setup(payload, scenario, mode)
     rcs = [_round_config(cfg, loss, 0.0, 0.0) for loss in ("mse", "gcsa", "contrastive")]
     got = _lockstep(shards, archs, rcs, kwargs)
     assert got == [_solo(shards, archs, rc, kwargs) for rc in rcs]
@@ -764,43 +767,6 @@ def _check_model_kernels(clients):
             assert np.array_equal(layer.bias[s], layer_s.bias)
 
 
-def test_one_stack_read_by_many_clients_equals_its_copies():
-    # homo_shared's uploads and evaluations read its one (R, ...) stack for
-    # K clients' rows at once, as a (K, 1, n, d) batch: the forward pass,
-    # the upload means and the accuracies must equal those of the stack
-    # copied K times, client-major, bit for bit.  Replica 1 of three has a
-    # non-finite classifier weight, and fails on its own slices only.
-    rng = np.random.default_rng(19)
-    spec = ArchitectureSpec((16, 8), 4)
-    for replicas in (1, 3):
-        stack = replicate(build_model(spec, 5, 3, seed=replicas), replicas)
-        for a in stack.arrays():
-            a += 0.1 * rng.standard_normal(a.shape)  # replicas that differ
-        if replicas == 3:
-            stack.classifier_weights[1, 0, 0] = np.inf
-        # groups of one, several and sixteen clients, each of its own row count
-        for clients, rows in ((1, 7), (5, 12), (16, 30)):
-            batch = rng.standard_normal((clients, rows, 5))
-            labels = np.repeat(rng.integers(0, 3, (clients, rows)), replicas, axis=0)
-            copies = stack.with_arrays([np.concatenate([a] * clients) for a in stack.arrays()])
-            copied = np.repeat(batch, replicas, axis=0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                emb, logits, _, failed = _forward(stack, batch[:, None], keep_layers=False)
-                want_emb, want_logits, _, want_failed = _forward(copies, copied,
-                                                                  keep_layers=False)
-                accuracy, evaluated = _accuracy(stack, batch[:, None], labels)
-                want_accuracy, want_evaluated = _accuracy(copies, copied, labels)
-            assert emb.shape == want_emb.shape == (clients * replicas, rows, 4)
-            assert np.array_equal(emb, want_emb)
-            assert np.array_equal(logits, want_logits, equal_nan=True)
-            assert np.array_equal(accuracy, want_accuracy)
-            for got, want in zip(_class_means(emb, labels, 3), _class_means(want_emb, labels, 3)):
-                assert np.array_equal(got, want)
-            assert failed == want_failed == evaluated == want_evaluated
-            assert sorted(failed) == ([k * replicas + 1 for k in range(clients)]
-                                      if replicas == 3 else [])
-
-
 def test_prototype_kernels_equal_their_slices():
     rng = np.random.default_rng(14)
     for trial in range(20):
@@ -831,7 +797,8 @@ def test_prototype_kernels_equal_their_slices():
                 PrototypeSet(previous.vectors[r], previous.counts),
             )
             assert np.array_equal(merged.vectors[r], solo.vectors)
-            assert np.array_equal(merged.rows[r], solo.rows)
+            assert np.array_equal(merged.vectors[..., merged.present, :][r],
+                                  solo.vectors[..., solo.present, :])
             assert np.array_equal(merged.counts, solo.counts)
 
 

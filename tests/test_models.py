@@ -194,7 +194,6 @@ class TestBackwardAndStep:
             extractor=[Layer(we.copy(), be.copy(), "linear")],
             classifier_weights=wc.copy(),
             classifier_bias=bc.copy(),
-            feature_dim=2,
         )
         emb, logits, cache = _forward_one(model, x)
         target = np.array([[0.1, -0.3], [0.2, 0.0]])
