@@ -1,6 +1,7 @@
 """Structural prototype alignment for heterogeneous federated learning.
 
-Subpackages:
+Modules:
+    errors      the exception types of the package
     tensor      dense matrix kernel (validation, SVD, row geometry)
     losses      alignment losses with analytic gradients
     models      heterogeneous MLP zoo with manual backprop
@@ -8,6 +9,8 @@ Subpackages:
     federation  client/server prototype-exchange protocol
     analysis    effective-dimensionality diagnostics and exports
     config      experiment configuration (JSON)
+    runner      config -> shards -> runs, and the run's artifacts
+    selftest    the built-in property checks of `fedstruct selftest`
     cli         command-line driver
 """
 

@@ -34,7 +34,8 @@ def effective_dimensionality(stacked, normalize_rows_first: bool = False) -> Eff
     threshold_dim = smallest k whose top-k squared singular values reach 95%
     of the total; participation_ratio = (sum s^2)^2 / sum s^4.  The matrix is
     used raw (uncentered); pass normalize_rows_first=True to remove row-scale
-    effects first.  An all-zero matrix has no spectrum and is rejected.
+    effects first, as the config's output.normalized_stacking does for the
+    rounds' spectra.  An all-zero matrix has no spectrum and is rejected.
     """
     m = as_matrix(stacked, "stacked prototypes")
     if m.shape[0] < 2:

@@ -184,7 +184,8 @@ def _cmd_dimensionality(args) -> int:
     runs = []
     all_rows = []
     for scenario in SCENARIOS:
-        run = run_scenario(cfg, scenario=scenario)
+        cfg.model.scenario = scenario
+        run = run_scenario(cfg)
         runs.append(run)
         sdir = os.path.join(out_dir, scenario)
         os.makedirs(sdir, exist_ok=True)
@@ -203,8 +204,7 @@ def _cmd_dimensionality(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    failures = run_selftest(verbose=True)
-    return 1 if failures else 0
+    return 1 if run_selftest() else 0
 
 
 # command -> (handler, help, flags)

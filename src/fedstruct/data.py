@@ -190,13 +190,12 @@ def partition_domain_shift(
     num_clients: int,
     shift_scale: float,
     seed,
-    rotate: bool = True,
 ) -> list[DatasetShard]:
     """Balanced label split with a per-client affine domain transform.
 
     Rows of each class are dealt round-robin into near-equal chunks, then
-    client i's features are mapped x -> x @ R_i + t_i with R_i a seeded
-    random orthogonal matrix (identity when rotate=False) and t_i a random
+    client i's features are mapped x -> x @ R_i + t_i with R_i a random
+    orthogonal matrix drawn from its own (seed, 7, i) stream and t_i a random
     direction of length shift_scale.  Label distributions stay IID; the
     input domains drift apart.
     """
@@ -222,11 +221,7 @@ def partition_domain_shift(
     dim = ds.features.shape[1]
     maps = []
     for i in range(num_clients):
-        rot = (
-            random_orthogonal(dim, np.random.SeedSequence([int(seed), 7, i]))
-            if rotate
-            else np.eye(dim)
-        )
+        rot = random_orthogonal(dim, np.random.SeedSequence([int(seed), 7, i]))
         direction = rng.standard_normal(dim)
         norm = np.linalg.norm(direction)
         shift = (shift_scale / norm) * direction if shift_scale > 0 and norm > 0 else np.zeros(dim)

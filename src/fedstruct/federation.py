@@ -26,7 +26,14 @@ import numpy as np
 
 from .analysis import _dimensionality, write_csv
 from .errors import ContractError, DegenerateInputError, NumericFailureError
-from .losses import _PAIRED_RAW_LOSSES, _PAIRWISE_KERNELS, _SIDES, AlignmentKind, _contrastive
+from .losses import (
+    MIN_STRUCTURAL_ROWS,
+    _PAIRED_RAW_LOSSES,
+    _PAIRWISE_KERNELS,
+    _SIDES,
+    AlignmentKind,
+    _contrastive,
+)
 from .models import (
     ArchitectureSpec,
     ClientModel,
@@ -49,9 +56,6 @@ from .tensor import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Structural losses need this many rows before they say anything meaningful.
-MIN_STRUCTURAL_ROWS = 3
 
 # the order in which `dimensionality` runs and compares the sharing regimes
 SCENARIOS = ("homo_shared", "homo_local", "hetero")
@@ -586,7 +590,8 @@ def _stack_groups(clients, keys) -> list[list[int]]:
 
 
 def _members(keys) -> dict:
-    """Per key, the clients i with keys[i] == key, ascending."""
+    """Per key, the clients i with keys[i] == key, ascending.  Not folded into
+    _stack_groups: tests patch that to regroup phases, not these stacks."""
     members: dict = {}
     for i, key in enumerate(keys):
         members.setdefault(key, []).append(i)

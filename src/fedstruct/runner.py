@@ -43,13 +43,10 @@ def build_shards(cfg: ExperimentConfig):
     return ds, shards
 
 
-def run_scenario(cfg: ExperimentConfig, scenario: str | None = None, snapshot_dir=None) -> ScenarioRun:
-    """Run one experiment (in `scenario` instead of the config's, if given)
-    and wrap the reports with scenario/seed metadata.  This is
-    run_scenarios at the config's own point, and raises its
+def run_scenario(cfg: ExperimentConfig, snapshot_dir=None) -> ScenarioRun:
+    """Run one experiment and wrap the reports with scenario/seed metadata.
+    This is run_scenarios at the config's own point, and raises its
     NumericFailureError."""
-    if scenario:
-        cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, scenario=scenario))
     tr = cfg.training
     (run,) = run_scenarios(cfg, [(tr.alignment, tr.lam, tr.gamma)], snapshot_dirs=[snapshot_dir])
     if isinstance(run, NumericFailureError):

@@ -8,8 +8,6 @@ silently propagating NaNs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, NumericFailureError
@@ -106,22 +104,10 @@ def _check_norms(norms: np.ndarray, why: np.ndarray, name: str) -> None:
                   else f"{name} row {k} has norm {norms[r, k]:.3e} <= {EPS_NORM}")
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD A = U diag(s) V^T with s sorted descending and s >= 0."""
-
-    singular_values: np.ndarray  # (k,)
-    left_factor: np.ndarray  # (n, k), orthonormal columns
-    right_factor: np.ndarray  # (d, k), orthonormal columns
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_factor * self.singular_values) @ self.right_factor.T
-
-
 def _svd_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """numpy's thin SVD (u, s, vt) of a finite 2-D float64 matrix, unchecked
-    and without svd's sign fix; NumericFailureError if it fails or its
-    factors are not finite."""
+    """numpy's thin SVD (u, s, vt) of a finite 2-D float64 matrix, unchecked,
+    s sorted descending; NumericFailureError if it fails or its factors are
+    not finite."""
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
@@ -129,20 +115,6 @@ def _svd_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(s)) and np.all(np.isfinite(vt))):
         raise NumericFailureError(f"SVD produced non-finite factors on shape {m.shape}")
     return u, s, vt
-
-
-def svd(m: np.ndarray) -> SvdResult:
-    """Thin SVD with a deterministic sign convention.
-
-    Each (u_k, v_k) pair is jointly flipped so the largest-magnitude entry of
-    u_k is positive; U diag(s) V^T is unchanged by joint flips.
-    """
-    u, s, vt = _svd_factors(as_matrix(m))
-    v = vt.T
-    # sign fix: pivot on the largest-|entry| of each left singular vector
-    pivot = np.abs(u).argmax(axis=0)
-    signs = np.where(u[pivot, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
-    return SvdResult(singular_values=s, left_factor=u * signs, right_factor=v * signs)
 
 
 def random_orthogonal(dim: int, seed) -> np.ndarray:

@@ -279,7 +279,8 @@ def test_acceptance_6_dimensionality_ordering():
         runs = {}
         for scenario in ("homo_shared", "homo_local", "hetero"):
             cfg = _desk_config("gcsa", 0.0, 0.0, seed, feature_dim=16)
-            runs[scenario] = run_scenario(cfg, scenario=scenario)
+            cfg.model.scenario = scenario
+            runs[scenario] = run_scenario(cfg)
         comparison = compare_scenarios(
             runs["homo_shared"], runs["homo_local"], runs["hetero"]
         )

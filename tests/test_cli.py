@@ -59,12 +59,12 @@ def test_selftest_fails_under_optimized_python():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     script = (
         "from fedstruct import selftest\n"
-        "svd = selftest.svd\n"
+        "svd = selftest._svd_factors\n"
         "def wrong_svd():\n"
-        "    selftest.svd = lambda m: svd(m + 1.0)\n"
+        "    selftest._svd_factors = lambda m: svd(m + 1.0)\n"
         "    selftest._check_svd()\n"
         "selftest.CHECKS.append(('svd of the wrong matrix', wrong_svd))\n"
-        "raise SystemExit(selftest.run_selftest(verbose=False))\n"
+        "raise SystemExit(selftest.run_selftest())\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,

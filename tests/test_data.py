@@ -1,10 +1,12 @@
 """Synthetic mixtures and the two non-IID partitioners."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fedstruct import data
 from fedstruct.data import generate_mixture, partition_dirichlet, partition_domain_shift
 from fedstruct.errors import ContractError, PartitionFailureError
 
@@ -133,10 +135,17 @@ def test_fewer_test_rows_than_clients_fails_before_any_draw(partition):
         partition(ds)
 
 
+def _unrotated(ds, num_clients, shift_scale, seed):
+    """partition_domain_shift with every rotation the identity: the rotations
+    draw from their own streams, so the rest of the partition is unchanged."""
+    with mock.patch.object(data, "random_orthogonal", lambda dim, seed: np.eye(dim)):
+        return partition_domain_shift(ds, num_clients, shift_scale, seed)
+
+
 class TestPartitionDomainShift:
     def test_zero_shift_identity_transform_is_iid_subset(self):
         ds = generate_mixture(3, 4, 20, 1.0, 1.0, seed=10)
-        shards = partition_domain_shift(ds, 4, shift_scale=0.0, seed=10, rotate=False)
+        shards = _unrotated(ds, 4, shift_scale=0.0, seed=10)
         union = set()
         for s in shards:
             union |= _row_set(s.train_features) | _row_set(s.test_features)
@@ -144,8 +153,8 @@ class TestPartitionDomainShift:
 
     def test_labels_preserved_under_transform(self):
         ds = generate_mixture(3, 4, 20, 1.0, 1.0, seed=11)
-        plain = partition_domain_shift(ds, 4, 0.0, seed=11, rotate=False)
-        shifted = partition_domain_shift(ds, 4, 3.0, seed=11, rotate=True)
+        plain = _unrotated(ds, 4, 0.0, seed=11)
+        shifted = partition_domain_shift(ds, 4, 3.0, seed=11)
         for a, b in zip(plain, shifted):
             np.testing.assert_array_equal(a.train_labels, b.train_labels)
             np.testing.assert_array_equal(a.test_labels, b.test_labels)
@@ -176,7 +185,7 @@ class TestPartitionDomainShift:
 # seeds), one with fewer test rows than clients and one with too few train rows
 _DIGEST_SHAPES = [(3, 2, 5, 2), (4, 3, 10, 4), (10, 16, 100, 8), (3, 2, 5, 6), (2, 2, 3, 3)]
 _DIGEST_ALPHAS = [0.05, 0.5, 1e3]
-_DIGEST_SHIFTS = [(0.0, True), (1.5, True), (0.7, False)]  # (shift_scale, rotate)
+_DIGEST_SHIFTS = [(0.0, True), (1.5, True), (0.7, False)]  # (shift_scale, rotated)
 
 
 def _partition_digest() -> str:
@@ -187,8 +196,8 @@ def _partition_digest() -> str:
         for classes, dim, per_class, clients in _DIGEST_SHAPES:
             ds = generate_mixture(classes, dim, per_class, 1.0, 0.5, seed=seed)
             calls = [lambda a=a: partition_dirichlet(ds, a, clients, seed) for a in _DIGEST_ALPHAS]
-            calls += [lambda s=s, r=r: partition_domain_shift(ds, clients, s, seed, rotate=r)
-                      for s, r in _DIGEST_SHIFTS]
+            calls += [lambda s=s, r=r: (partition_domain_shift if r else _unrotated)(
+                          ds, clients, s, seed) for s, r in _DIGEST_SHIFTS]
             for call in calls:
                 try:
                     shards = call()

@@ -1,5 +1,5 @@
 """Every module of the package and of the suite reads each name it imports,
-and the package names each function and class it defines."""
+and the package names each function, class and method it defines."""
 
 import ast
 import pathlib
@@ -36,10 +36,21 @@ def test_the_guard_names_each_unused_import():
     assert _unused_imports(source) == ["line 2: os", "line 4: c"]
 
 
+def _definitions(tree: ast.Module):
+    """(dotted name, name) of each top-level function and class of `tree`,
+    each class followed by its methods and properties but the dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"))
+
+
 def _unread_definitions(sources: dict[str, str]) -> list[str]:
-    """The top-level functions and classes of the modules `sources` (name ->
+    """The definitions (see _definitions) of the modules `sources` (name ->
     source) that no module names as a name, an attribute or an imported
-    name, as "module.name"."""
+    name, as "module.dotted name"."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     named = set()
     for tree in trees.values():
@@ -50,8 +61,8 @@ def _unread_definitions(sources: dict[str, str]) -> list[str]:
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
-    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named]
+    return [f"{module}.{dotted}" for module, tree in trees.items()
+            for dotted, name in _definitions(tree) if name not in named]
 
 
 def test_every_src_definition_is_read_in_src():
@@ -63,3 +74,7 @@ def test_the_guard_names_each_unread_definition():
     sources = {"a": "def f():\n    return g()\n\ndef g():\n    pass\n\nclass C:\n    pass\n",
                "b": "import a\nfrom a import C\n\ndef h():\n    return a.k\n\ndef k():\n    pass\n"}
     assert _unread_definitions(sources) == ["a.f", "b.h"]
+    methods = {"a": "class C:\n    def __init__(self):\n        pass\n\n    def m(self):\n"
+                    "        pass\n\n    @property\n    def p(self):\n        return self.q()\n\n"
+                    "    def q(self):\n        pass\n\nC().p\n"}
+    assert _unread_definitions(methods) == ["a.C.m"]

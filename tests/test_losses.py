@@ -44,6 +44,17 @@ class TestAlignmentKind:
         with pytest.raises(ContractError):
             AlignmentKind.parse("contrastive", temperature=0.0)
 
+    @pytest.mark.parametrize("temperature", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_temperature_finite_in_kind_and_loss(self, temperature):
+        # an infinite temperature would make the contrastive term a constant
+        message = f"contrastive needs a finite temperature > 0, got {temperature!r}"
+        with pytest.raises(ContractError) as exc:
+            AlignmentKind.parse("contrastive", temperature=temperature)
+        assert str(exc.value) == message
+        with pytest.raises(ContractError) as exc:
+            loss_contrastive(np.eye(3), np.eye(3), [0, 1, 2], temperature)
+        assert str(exc.value) == message
+
     def test_structural_flag(self):
         assert AlignmentKind.parse("gcsa").is_structural
         assert AlignmentKind.parse("rcsa").is_structural
@@ -286,6 +297,8 @@ _IDENTICAL = "rows are (numerically) identical: centered norm 0.000e+00 vs scale
 # a row whose entries square past float64 has norm inf, and no unit row
 _HUGE = np.array([[1e200, 1.0], [1.0, 2.0]])
 _PLAIN = np.array([[1.0, 0.5], [0.3, 2.0]])
+# the structural losses need 3 rows before they check norms
+_HUGE3, _PLAIN3 = (np.vstack([m, [0.5, -1.0]]) for m in (_HUGE, _PLAIN))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -309,8 +322,10 @@ _PLAIN = np.array([[1.0, 0.5], [0.3, 2.0]])
      "second matrix norm overflows: centered norm inf vs scale inf"),
     (lambda: loss_gcsa(1e100 * _P, _P), "first matrix Gram norm overflows to inf"),
     (lambda: loss_gcsa(_P, 1e100 * _P), "second matrix Gram norm overflows to inf"),
-    (lambda: loss_gcsa(_P[:1], _P[:1]), "need >= 2 rows, got 1"),
-    (lambda: loss_rcsa(_P[:1], _P[:1]), "need >= 2 rows, got 1"),
+    (lambda: loss_gcsa(_P[:1], _P[:1]), "1 rows < 3"),
+    (lambda: loss_rcsa(_P[:1], _P[:1]), "1 rows < 3"),
+    (lambda: loss_gcsa(_P[:2], _P[1:3]), "2 rows < 3"),
+    (lambda: loss_rcsa(_P[:2], _P[1:3]), "2 rows < 3"),
     (lambda: loss_contrastive(_ZERO_ROW, _P[:3], [0, 1, 2, 0], 0.5),
      "embedding row 2 has norm 0.000e+00 <= 1e-12"),
     (lambda: loss_contrastive(_P, _ZERO_ROW[:3], [0, 1, 2, 0], 0.5),
@@ -322,8 +337,8 @@ _PLAIN = np.array([[1.0, 0.5], [0.3, 2.0]])
     (lambda: normalize_rows(_HUGE), "matrix row 0 has norm inf"),
     (lambda: _cosine(_HUGE, _PLAIN), "first matrix row 0 has norm inf"),
     (lambda: _cosine(_PLAIN, _HUGE), "second matrix row 0 has norm inf"),
-    (lambda: loss_rcsa(_HUGE, _PLAIN), "first matrix row 0 has norm inf"),
-    (lambda: loss_rcsa(_PLAIN, _HUGE), "second matrix row 0 has norm inf"),
+    (lambda: loss_rcsa(_HUGE3, _PLAIN3), "first matrix row 0 has norm inf"),
+    (lambda: loss_rcsa(_PLAIN3, _HUGE3), "second matrix row 0 has norm inf"),
     (lambda: loss_contrastive(_HUGE, _PLAIN, [0, 1], 0.5), "embedding row 0 has norm inf"),
     (lambda: loss_contrastive(_PLAIN, _HUGE, [0, 1], 0.5), "prototypes row 0 has norm inf"),
 ], ids=["cosine-first", "cosine-second", "cosine-both", "rcsa-zero-first", "rcsa-zero-second",
@@ -331,7 +346,8 @@ _PLAIN = np.array([[1.0, 0.5], [0.3, 2.0]])
         "gcsa-identical-first", "gcsa-identical-second", "gcsa-identical-both", "gcsa-cube",
         "gcsa-overflow-first", "gcsa-overflow-second", "gcsa-gram-inf-first",
         "gcsa-gram-inf-second",
-        "gcsa-one-row", "rcsa-one-row", "contrastive-embedding", "contrastive-prototype",
+        "gcsa-one-row", "rcsa-one-row", "gcsa-two-rows", "rcsa-two-rows",
+        "contrastive-embedding", "contrastive-prototype",
         "contrastive-both", "normalize-rows", "normalize-rows-named", "normalize-rows-inf",
         "cosine-inf-first", "cosine-inf-second", "rcsa-inf-first", "rcsa-inf-second",
         "contrastive-inf-embedding", "contrastive-inf-prototype"])

@@ -47,7 +47,8 @@ def pinned_rounds(case: str) -> list[dict]:
     loss, mode, scenario = case.split("/")
     payload = json.loads(json.dumps(DEMO))
     payload["training"].update(alignment=loss, prototype_mode=mode)
-    run = run_scenario(config_from_dict(payload), scenario=scenario)
+    payload["model"] = {"scenario": scenario}
+    run = run_scenario(config_from_dict(payload))
     return [{k: rep.to_json_dict()[k] for k in FIELDS} for rep in run.reports]
 
 
